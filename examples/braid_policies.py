@@ -1,8 +1,9 @@
 """Braid scheduling policy exploration (the Figure 6 experiment).
 
 Sweeps the paper's seven prioritization policies plus the two
-classical-scheduler families (7 reservation-table, 8 matrix-scoreboard)
-on a workload of your choice through the staged
+classical-scheduler families (7 reservation-table; 8 scoreboard: closes
+first, then the oldest ready op in program order) on a workload of
+your choice through the staged
 :class:`repro.runner.SweepRunner`: the frontend is compiled once and
 shared by every policy (see the cache statistics the run prints), and
 results persist to an on-disk cache so re-runs are instant.

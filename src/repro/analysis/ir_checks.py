@@ -27,17 +27,11 @@ Passes:
   holds matching the plan's code distance, minimal route lengths,
   factory binding for magic-state consumers, DAG array agreement, and
   the policy-independent critical path re-derived from scratch.
-* :func:`check_vec_plan` — the vectorized engine's word-packed
-  derived arrays (:mod:`repro.network.braidsim_vec`) repacked to
-  big-int masks and compared against the plan they were derived
-  from; a no-op returning ``[]`` when numpy is absent.
-* :func:`check_sched` — the scheduler-family artifacts of
-  :mod:`repro.network.policies_sched`: the reservation schedule is
-  replayed against a fresh modulo table (no double-booked link-cycle
-  slot, dependence-respecting reserved cycles, achieved initiation
-  interval >= the recomputed ``ii()`` bound, makespan >= the critical
-  path), and the scoreboard dependency matrix is rebuilt from the
-  DAG's successor lists and compared row for row.
+* :func:`check_sched` — Policy 7's reservation schedule
+  (:mod:`repro.network.policies_sched`) replayed against a fresh
+  modulo table: no double-booked link-cycle slot,
+  dependence-respecting reserved cycles, achieved initiation interval
+  >= the recomputed ``ii()`` bound, makespan >= the critical path.
 
 All passes return ``list[Diagnostic]`` (empty == verified) and never
 raise on malformed input; :func:`check_point_artifacts` composes them
@@ -62,7 +56,6 @@ __all__ = [
     "check_placement",
     "check_plan",
     "check_sched",
-    "check_vec_plan",
     "check_point_artifacts",
 ]
 
@@ -596,125 +589,20 @@ def check_plan(
 
 
 # ---------------------------------------------------------------------------
-# Vectorized-engine derived arrays
-
-
-def check_vec_plan(
-    plan: BraidPlan, artifact: str = "plan"
-) -> list[Diagnostic]:
-    """Verify the vectorized engine's word arrays against their plan.
-
-    Builds (or revives) the per-plan
-    :class:`~repro.network.braidsim_vec._VecPlanArrays` and repacks
-    every derived structure back to the plan's own representation:
-    segment rows to the segments' big-int DOR masks, the alternative
-    bank to :meth:`~repro.network.routing.RouteTable.alternatives`
-    masks in preference order, and the key arrays to the plan's
-    ``route_length``/``criticality`` lists.  Also asserts the packed
-    rows are non-writeable, the property that keeps the shared arrays
-    safe across concurrent policy simulations.  Returns ``[]`` when
-    numpy is not installed (the vectorized engine cannot run either).
-    """
-    from ..network import braidsim_vec
-
-    if braidsim_vec.np is None:
-        return []
-    out: list[Diagnostic] = []
-    vec = braidsim_vec.vec_plan_arrays(plan)
-    expected_words = max(1, (BraidMesh(plan.rows, plan.cols).num_links + 63) // 64)
-    if vec.words != expected_words:
-        out.append(_diag(
-            Severity.ERROR, "vec_plan", artifact, "words",
-            f"mask width is {vec.words} words; the {plan.rows}x"
-            f"{plan.cols} mesh needs {expected_words}",
-        ))
-        return out
-    if len(vec.seg_rows) != plan.num_ops:
-        out.append(_diag(
-            Severity.ERROR, "vec_plan", artifact, "seg_rows",
-            f"{len(vec.seg_rows)} row tuples for {plan.num_ops} ops",
-        ))
-        return out
-    for op, segs in enumerate(plan.segments):
-        rows = vec.seg_rows[op]
-        if len(rows) != len(segs):
-            out.append(_diag(
-                Severity.ERROR, "vec_plan", artifact, f"op {op}",
-                f"{len(rows)} word rows for {len(segs)} segments",
-            ))
-            continue
-        for seg_index, (seg, row) in enumerate(zip(segs, rows)):
-            where = f"op {op} segment {seg_index}"
-            if row.flags.writeable:
-                out.append(_diag(
-                    Severity.ERROR, "vec_plan", artifact, where,
-                    "packed DOR row is writeable (shared plan arrays "
-                    "must be immutable)",
-                ))
-            repacked = braidsim_vec._words_mask(row)
-            if repacked != seg[5]:
-                out.append(_diag(
-                    Severity.ERROR, "vec_plan", artifact, where,
-                    f"DOR row repacks to {repacked:#x}, segment mask "
-                    f"is {seg[5]:#x}",
-                ))
-    lengths = tuple(int(v) for v in vec.route_length.tolist())
-    if lengths != tuple(plan.route_length):
-        out.append(_diag(
-            Severity.ERROR, "vec_plan", artifact, "route_length",
-            "route-length array disagrees with the plan",
-        ))
-    crit = tuple(int(v) for v in vec.criticality().tolist())
-    if crit != tuple(plan.criticality()):
-        out.append(_diag(
-            Severity.ERROR, "vec_plan", artifact, "criticality",
-            "criticality array disagrees with the plan",
-        ))
-    # Bind every braid segment's pair into the bank, then audit the
-    # whole bank against the route table's preference order.
-    for op, segs in enumerate(plan.segments):
-        for seg in segs:
-            vec.pair_span(seg[0], seg[1])
-    bank = vec.bank_matrix()
-    for (src, dst), (start, count) in sorted(vec._pair_span.items()):
-        alts = plan.routes.alternatives(src, dst)
-        where = f"pair {src}->{dst}"
-        if count != len(alts):
-            out.append(_diag(
-                Severity.ERROR, "vec_plan", artifact, where,
-                f"bank block has {count} rows for {len(alts)} "
-                "alternatives",
-            ))
-            continue
-        for offset, (_, mask) in enumerate(alts):
-            repacked = braidsim_vec._words_mask(bank[start + offset])
-            if repacked != mask:
-                out.append(_diag(
-                    Severity.ERROR, "vec_plan", artifact,
-                    f"{where} alt {offset}",
-                    f"bank row repacks to {repacked:#x}, route mask "
-                    f"is {mask:#x}",
-                ))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Scheduler-family pass (policies 7/8 artifacts)
+# Reservation-schedule pass (Policy 7's artifact)
 
 
 def check_sched(
     plan: BraidPlan,
     artifact: str = "plan",
     schedule=None,
-    matrix=None,
 ) -> list[Diagnostic]:
-    """Verify the scheduler-family artifacts derived from ``plan``.
+    """Verify the reservation schedule derived from ``plan``.
 
-    By default validates exactly what the engines will use — the
+    By default validates exactly what the engine will use — the
     memoized :func:`~repro.network.policies_sched.reservation_schedule`
-    and :func:`~repro.network.policies_sched.scoreboard_matrix` of this
-    plan; pass ``schedule``/``matrix`` to audit externally revived or
-    suspect artifacts instead.
+    of this plan; pass ``schedule`` to audit an externally revived or
+    suspect schedule instead.
 
     The reservation schedule is *replayed*: every reserved window is
     re-booked into a fresh :class:`~repro.network.policies_sched.
@@ -728,17 +616,13 @@ def check_sched(
         ReservationTable,
         ii_lower_bound,
         reservation_schedule,
-        scoreboard_matrix,
     )
 
     out: list[Diagnostic] = []
     n = plan.num_ops
     if schedule is None:
         schedule = reservation_schedule(plan)
-    if matrix is None:
-        matrix = scoreboard_matrix(plan)
 
-    # -- reservation schedule -------------------------------------------
     structural = False
     if len(schedule.reserved) != n or len(schedule.finish) != n:
         out.append(_diag(
@@ -835,43 +719,6 @@ def check_sched(
                 Severity.ERROR, "sched", artifact, "makespan",
                 f"makespan {schedule.makespan} is below the plan's "
                 f"critical path {plan.critical_path}",
-            ))
-
-    # -- scoreboard dependency matrix -----------------------------------
-    if len(matrix) != n:
-        out.append(_diag(
-            Severity.ERROR, "sched", artifact, "matrix",
-            f"dependency matrix has {len(matrix)} rows for {n} ops",
-        ))
-        return out
-    expected = [0] * n
-    for op, succs in enumerate(plan.successors):
-        bit = 1 << op
-        for succ in succs:
-            expected[succ] |= bit
-    for op in range(n):
-        row = matrix[op]
-        where = f"op {op}"
-        if row >> n:
-            out.append(_diag(
-                Severity.ERROR, "sched", artifact, where,
-                "matrix row has dependency bits beyond the op range",
-            ))
-        if row & (1 << op):
-            out.append(_diag(
-                Severity.ERROR, "sched", artifact, where,
-                "matrix row marks the op as its own predecessor",
-            ))
-        if row.bit_count() != plan.in_degrees[op]:
-            out.append(_diag(
-                Severity.ERROR, "sched", artifact, where,
-                f"matrix row popcount {row.bit_count()} != plan "
-                f"in-degree {plan.in_degrees[op]}",
-            ))
-        if row != expected[op]:
-            out.append(_diag(
-                Severity.ERROR, "sched", artifact, where,
-                "matrix row disagrees with the DAG's successor lists",
             ))
     return out
 

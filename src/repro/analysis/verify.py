@@ -5,10 +5,9 @@ toolflow:
 
 * :func:`check_grid` — compile every unique (app, size, layout,
   distance) artifact of a sweep grid (Fig. 6 by default) and run all
-  passes over the lowered circuit, DAG, placement, braid plan, the
-  scheduler-family reservation/scoreboard artifacts, and (when numpy
-  is installed) the vectorized engine's derived word arrays, returning
-  a :class:`CheckReport` (this backs ``python -m repro check``).
+  passes over the lowered circuit, DAG, placement, braid plan and
+  Policy 7's reservation schedule, returning a :class:`CheckReport`
+  (this backs ``python -m repro check``).
 * :func:`stage_verifier` — per-stage hooks for
   :meth:`StageCache.get_or_compute(verify=...)
   <repro.runner.cache.StageCache.get_or_compute>`: each checks the
@@ -33,7 +32,6 @@ from .ir_checks import (
     check_placement,
     check_plan,
     check_sched,
-    check_vec_plan,
 )
 
 __all__ = [
@@ -89,7 +87,7 @@ def check_grid(
     layout, distance) tuples — Fig. 6's 28 points share 8 artifact
     sets because the seven policies differ only in simulation-time
     scheduling — and each artifact set is compiled through the staged
-    cache and handed to all four IR passes.
+    cache and handed to every IR pass.
     """
     # Deferred: runner imports analysis for its verify hooks.
     from ..runner import stages
@@ -148,7 +146,6 @@ def check_grid(
         diagnostics.extend(
             check_plan(plan, artifact=artifact, strict=strict)
         )
-        diagnostics.extend(check_vec_plan(plan, artifact=artifact))
         diagnostics.extend(check_sched(plan, artifact=artifact))
     return CheckReport(
         points_checked=len(points),
@@ -174,9 +171,7 @@ def _verify_layout(machine) -> None:
 
 
 def _verify_plan(plan) -> None:
-    diags = check_plan(plan, artifact="braid_plan")
-    diags.extend(check_vec_plan(plan, artifact="braid_plan"))
-    raise_on_errors(diags)
+    raise_on_errors(check_plan(plan, artifact="braid_plan"))
 
 
 _STAGE_VERIFIERS: dict[str, Callable[[object], None]] = {

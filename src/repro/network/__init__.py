@@ -9,7 +9,6 @@ from .braidsim import (
     BraidSimConfig,
     BraidSimResult,
     BraidSimulator,
-    engine_class,
     simulate_braids,
     simulate_plan,
 )
@@ -25,14 +24,11 @@ from .mesh import BraidMesh, manhattan, path_links
 from .plan import BraidPlan, braid_plan, plan_memo_stats, reset_plan_memo
 from .policies import ALL_POLICIES, POLICIES, Policy
 from .policies_sched import (
-    MatrixScoreboard,
     ReservationSchedule,
     ReservationTable,
     build_reservation,
-    dependency_matrix,
     ii_lower_bound,
     reservation_schedule,
-    scoreboard_matrix,
 )
 from .routing import (
     ROUTE_TABLE_CAPACITY,
@@ -59,19 +55,15 @@ __all__ = [
     "Policy",
     "POLICIES",
     "ALL_POLICIES",
-    "MatrixScoreboard",
     "ReservationSchedule",
     "ReservationTable",
     "build_reservation",
-    "dependency_matrix",
     "ii_lower_bound",
     "reservation_schedule",
-    "scoreboard_matrix",
     "BraidSimConfig",
     "BraidSimResult",
     "BraidSimulator",
     "ENGINES",
-    "engine_class",
     "BraidPlan",
     "braid_plan",
     "plan_memo_stats",

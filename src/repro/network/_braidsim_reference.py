@@ -314,11 +314,12 @@ def simulate_braids_reference(
     """Simulate one policy with the pre-optimization simulator."""
     if isinstance(policy, int):
         policy = POLICIES[policy]
-    if policy.family != "reactive":
+    if policy.family == "reservation":
         raise ValueError(
-            f"{policy.name} ({policy.family} family) postdates the "
-            "preserved seed loop; its oracle is the flat-vs-vec "
-            "differential harness"
+            f"{policy.name} issues on reserved cycles the seed loop "
+            "cannot follow; its oracles are the planner (simulated "
+            "schedule length == reservation makespan) and the "
+            "check_sched replay"
         )
     sim = ReferenceBraidSimulator(
         circuit,

@@ -31,24 +31,22 @@ shared by all seven policy simulations (see :mod:`repro.network.plan`):
 * a blocked open records the mesh *epoch* (release counter) at which its
   route search failed and skips the search entirely until a link is
   released or adaptivity widens its candidate set;
-* close-first policies (5 and 6) keep their ready opens in an
-  incrementally-maintained queue — arrival-ordered FIFO entries for
-  Policy 5, criticality buckets with cached per-bucket sorts for
-  Policy 6 — so each issue-fixpoint iteration re-sorts only what
-  changed instead of the whole ready set.
+* each issue round sorts its candidate opens only when more than one is
+  ready (ready sets hold 0--3 ops in most rounds), and interleaved
+  policies merge the sorted closes and opens with two pointers.
 
-The scheduler families (policies 7 and 8, machinery in
-:mod:`.policies_sched`) ride the same event loop: the reservation
-family gates ``_eligible_opens`` on each segment's reserved cycle and
-wakes ops exactly there, and the scoreboard family plugs a
-bitset-backed ready queue (oldest program index first) into the
-close-first issue path while a dependency bit-matrix tracks wakeups.
+The scheduler families (policies 7 and 8) ride the same event loop:
+the reservation family (:mod:`.policies_sched`) gates
+``_eligible_opens`` on each segment's reserved cycle and wakes ops
+exactly there, and the scoreboard family is a close-first policy that
+issues the oldest ready op (lowest program index) first.
 
-For policies 0--6, results are bit-identical to the seed event loop,
-which is preserved in :mod:`repro.network._braidsim_reference` and
-enforced by the golden equivalence tests.  The scheduler families have
-no seed oracle; their contract is flat-vs-vec bit-identity, enforced
-by the cross-engine differential harness.
+For every policy but 7, results are bit-identical to the seed event
+loop, which is preserved in :mod:`repro.network._braidsim_reference`
+and enforced by the golden equivalence tests and the event-trace
+differential harness.  Policy 7 has no seed oracle; its simulated
+schedule length equals its planner's makespan, and the IR verifier
+replays its reservation table.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import itertools
-from bisect import bisect_left, insort
 from typing import Optional
 
 from ..analysis.diagnostics import PlanMismatchError
@@ -68,61 +65,29 @@ from .events import OpTask
 from .mesh import BraidMesh, Router
 from .plan import DEFAULT_MAX_DETOUR, BraidPlan, braid_plan
 from .policies import POLICIES, Policy
-from .policies_sched import (
-    MatrixScoreboard,
-    ScoreboardReadyQueue,
-    reservation_schedule,
-    scoreboard_matrix,
-)
+from .policies_sched import reservation_schedule
 
 __all__ = [
     "BraidSimConfig",
     "BraidSimResult",
     "BraidSimulator",
     "ENGINES",
-    "engine_class",
     "simulate_braids",
     "simulate_plan",
 ]
 
-ENGINES = ("flat", "vec", "reference")
+ENGINES = ("flat", "reference")
 """Selectable braid engines.
 
 * ``"flat"`` — this module's optimized flat-structure event loop (the
   default everywhere).
-* ``"vec"`` — :mod:`.braidsim_vec`'s numpy-batched engine (requires
-  the ``vec`` optional extra).
 * ``"reference"`` — the preserved seed loop in
-  :mod:`._braidsim_reference`, the semantic oracle.
+  :mod:`._braidsim_reference`, the semantic oracle (it refuses
+  Policy 7, which postdates it).
 
-All three produce bit-identical :class:`BraidSimResult`\\ s; the golden
+Both produce bit-identical :class:`BraidSimResult`\\ s; the golden
 tests and ``python -m repro bench --reference`` enforce it.
 """
-
-
-def engine_class(engine: str) -> type:
-    """Resolve an engine name to its simulator class.
-
-    Raises:
-        KeyError: On an unknown engine name.
-        ImportError: For ``"vec"`` when numpy is not installed (the
-            message names the ``vec`` extra).
-    """
-    if engine == "flat":
-        return BraidSimulator
-    if engine == "vec":
-        from . import braidsim_vec
-
-        if braidsim_vec.np is None:
-            raise ImportError(braidsim_vec.NUMPY_HINT)
-        return braidsim_vec.VecBraidSimulator
-    if engine == "reference":
-        from ._braidsim_reference import ReferenceBraidSimulator
-
-        return ReferenceBraidSimulator
-    raise KeyError(
-        f"unknown braid engine {engine!r}; available: {sorted(ENGINES)}"
-    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -184,140 +149,6 @@ class BraidSimResult:
 # Phase codes (int-valued for flat array storage).
 _WAITING, _READY, _HOLDING, _CLOSING, _DONE = range(5)
 
-
-class _FifoReadyQueue:
-    """Arrival-ordered ready opens for close-first FIFO policies (5).
-
-    Arrival stamps are globally monotone, so the queue is an
-    append-only list of ``(stamp, op)`` entries that is sorted by
-    construction; removals and re-stamps invalidate entries lazily
-    (an entry is live iff its op is still ready *and* carries the
-    entry's stamp).  :meth:`ordered` therefore replaces the per-
-    fixpoint-iteration O(n log n) sort with one linear scan, and
-    compacts the backing list when stale entries pile up.
-    """
-
-    __slots__ = ("_arrival", "_entries")
-
-    def __init__(self, arrival: list[int]) -> None:
-        self._arrival = arrival
-        self._entries: list[tuple[int, int]] = []
-
-    def add(self, op: int) -> None:
-        self._entries.append((self._arrival[op], op))
-
-    def remove(self, op: int) -> None:
-        pass  # lazy: the entry dies with its stale ready-set membership
-
-    def restamp(self, op: int) -> None:
-        # Drop/re-inject: the old entry goes stale, the new stamp is
-        # larger than every existing one so appending keeps the order.
-        self._entries.append((self._arrival[op], op))
-
-    def ordered(self, ready: set[int]) -> list[int]:
-        arrival = self._arrival
-        out = [
-            op
-            for stamp, op in self._entries
-            if op in ready and arrival[op] == stamp
-        ]
-        if len(self._entries) > 2 * len(out) + 64:
-            self._entries = [(arrival[op], op) for op in out]
-        return out
-
-
-class _BucketReadyQueue:
-    """Criticality-bucketed ready opens for Policy 6's combined rule.
-
-    The combined key ``(-crit, ±length, arrival, op)`` orders ops by
-    criticality bucket first; only the *sign* of the length component
-    depends on the ready set (via the median-criticality threshold).
-    Buckets are therefore kept per criticality value with their sorted
-    order cached per (membership, sign): a fixpoint iteration re-sorts
-    only buckets whose membership changed or whose side of the
-    threshold flipped, and concatenates cached runs for the rest —
-    a partial resort instead of re-sorting the whole ready set.
-    """
-
-    __slots__ = (
-        "_crit",
-        "_length",
-        "_arrival",
-        "_buckets",
-        "_order_cache",
-        "_crits",
-        "_distinct",
-    )
-
-    def __init__(
-        self, crit: list[int], length: list[int], arrival: list[int]
-    ) -> None:
-        self._crit = crit
-        self._length = length
-        self._arrival = arrival
-        self._buckets: dict[int, list[int]] = {}
-        # crit -> (is_high_side, members sorted for that side)
-        self._order_cache: dict[int, tuple[bool, list[int]]] = {}
-        self._crits: list[int] = []  # multiset, ascending
-        self._distinct: list[int] = []  # distinct crits, ascending
-
-    def add(self, op: int) -> None:
-        crit = self._crit[op]
-        bucket = self._buckets.get(crit)
-        if bucket is None:
-            self._buckets[crit] = [op]
-            insort(self._distinct, crit)
-        else:
-            bucket.append(op)
-        self._order_cache.pop(crit, None)
-        insort(self._crits, crit)
-
-    def remove(self, op: int) -> None:
-        crit = self._crit[op]
-        bucket = self._buckets[crit]
-        bucket.remove(op)
-        self._order_cache.pop(crit, None)
-        if not bucket:
-            del self._buckets[crit]
-            self._distinct.pop(bisect_left(self._distinct, crit))
-        self._crits.pop(bisect_left(self._crits, crit))
-
-    def restamp(self, op: int) -> None:
-        # Arrival changed: membership is intact but the cached order
-        # within the op's bucket is no longer trustworthy.
-        self._order_cache.pop(self._crit[op], None)
-
-    def ordered(self, ready: set[int]) -> list[int]:
-        crits = self._crits
-        n = len(crits)
-        if n == 0:
-            return []
-        # Median of the ready criticalities, descending convention:
-        # values_desc[(n - 1) // 2] == values_asc[n - 1 - (n - 1) // 2].
-        threshold = crits[n - 1 - (n - 1) // 2]
-        length = self._length
-        arrival = self._arrival
-        cache = self._order_cache
-        out: list[int] = []
-        for crit in reversed(self._distinct):
-            high = crit >= threshold
-            cached = cache.get(crit)
-            if cached is None or cached[0] is not high:
-                if high:
-                    run = sorted(
-                        self._buckets[crit],
-                        key=lambda op: (length[op], arrival[op], op),
-                    )
-                else:
-                    run = sorted(
-                        self._buckets[crit],
-                        key=lambda op: (-length[op], arrival[op], op),
-                    )
-                cache[crit] = (high, run)
-            else:
-                run = cached[1]
-            out.extend(run)
-        return out
 
 # Event kinds, packed into the low bits of the per-seq meta entry.
 _EXPIRY, _LOCAL, _WAKE = range(3)
@@ -443,41 +274,14 @@ class BraidSimulator:
         self._fail_epoch = [-1] * n
         self._fail_adaptive = [False] * n
 
-        # Close-first policies re-derive the open order at every issue
-        # fixpoint iteration; an incrementally-maintained queue replaces
-        # the full ready-set sort (see the queue classes above).  Policy
-        # combinations without a specialized queue fall back to
-        # :meth:`_sort_opens`, which stays the semantic reference (the
-        # golden tests assert the queues reproduce it exactly).
-        # Scheduler families (policies 7/8): plan-derived artifacts,
-        # memoized per plan and shared with the vec engine and the IR
-        # verifier (see repro.network.policies_sched).
+        # Reservation family (Policy 7): the plan's reserved issue
+        # cycles, memoized per plan and shared with the IR verifier
+        # (see repro.network.policies_sched).
         self._resv = (
             reservation_schedule(plan)
             if policy.family == "reservation"
             else None
         )
-        self._scoreboard = (
-            MatrixScoreboard(scoreboard_matrix(plan))
-            if policy.family == "scoreboard"
-            else None
-        )
-
-        self._open_queue: Optional[
-            _FifoReadyQueue | _BucketReadyQueue | ScoreboardReadyQueue
-        ]
-        if self._scoreboard is not None:
-            self._open_queue = ScoreboardReadyQueue(self._scoreboard)
-        elif policy.closes_first and policy.combined_length_rule:
-            self._open_queue = _BucketReadyQueue(
-                self._criticality, self._route_length, self._arrival
-            )
-        elif policy.closes_first and not (
-            policy.use_criticality or policy.use_length
-        ):
-            self._open_queue = _FifoReadyQueue(self._arrival)
-        else:
-            self._open_queue = None
 
     # -- public API ---------------------------------------------------------
 
@@ -512,14 +316,6 @@ class BraidSimulator:
                 f"unfinished operations (first: {unfinished[:5]}); this "
                 "is a simulator bug"
             )
-        if self._scoreboard is not None:
-            dirty = self._scoreboard.outstanding()
-            if dirty:
-                raise RuntimeError(
-                    f"scoreboard finished with {dirty} rows still "
-                    "holding dependency bits; retire bookkeeping "
-                    "diverged from the event loop"
-                )
         critical = self.plan.critical_path
         total_time = max(self._completion_time, 1)
         return BraidSimResult(
@@ -557,8 +353,6 @@ class BraidSimulator:
             self._wait_start[op] = time
             self._arrival[op] = next(self._arrival_counter)
             self._ready_opens.add(op)
-            if self._open_queue is not None:
-                self._open_queue.add(op)
             if self._resv is not None:
                 # Reserved-cycle gate: wake exactly when the table says
                 # this segment issues (no event may exist there yet).
@@ -576,10 +370,6 @@ class BraidSimulator:
         self._phase[op] = _DONE
         if time > self._completion_time:
             self._completion_time = time
-        if self._scoreboard is not None:
-            # Clear this op's column before readying successors, so a
-            # wakeup (zero row) is visible the moment an op is ready.
-            self._scoreboard.retire(op, self._successors)
         remaining = self._remaining_preds
         for succ in self._successors[op]:
             remaining[succ] -= 1
@@ -630,14 +420,16 @@ class BraidSimulator:
     def _sort_opens(self, opens: list[int]) -> list[int]:
         """Policy open order for close-first issue sequences.
 
-        Matches ``Policy.open_sort_key`` exactly: every key ends in the
-        unique FIFO arrival stamp, so the sort is total and reduces to
-        plain tuple sorts over prefetched arrays.
+        Matches ``Policy.open_sort_key`` exactly: every key ends in a
+        unique tiebreak (the FIFO arrival stamp, or the op index for the
+        scoreboard family), so the sort is total and reduces to plain
+        tuple sorts over prefetched arrays.
         """
         policy = self.policy
         arrival = self._arrival
         if policy.family == "scoreboard":
-            # Oldest ready = lowest program index (matrix-wakeup age).
+            # Oldest ready = lowest program index; a drop/re-inject
+            # keeps the op's place.
             opens.sort()
             return opens
         if policy.combined_length_rule:
@@ -670,43 +462,54 @@ class BraidSimulator:
     def _issue_events(self, time: int) -> None:
         # Fixpoint within the timestep: closes can complete operations,
         # whose successors become ready and may open in the same cycle
-        # (the greedy "place as many braids as possible" rule).
+        # (the greedy "place as many braids as possible" rule).  A
+        # round's open candidates are the ready set as it stood before
+        # the round's closes; ops those closes ready open next round.
         closes_first = self.policy.closes_first
+        close_segment = self._close_segment
+        try_open = self._try_open
         any_release_with_blocked = False
         while True:
-            closes = sorted(self._closing)
-            self._closing = []
-            if closes_first:
-                # Closes in index order, then opens in policy order (the
-                # incremental queue when the policy has one).
-                if self._open_queue is not None:
-                    ordered = self._open_queue.ordered(self._ready_opens)
-                else:
-                    ordered = self._sort_opens(self._eligible_opens(time))
-                sequence = [(op, True) for op in closes]
-                sequence += [(op, False) for op in ordered]
-            else:
-                opens = self._eligible_opens(time)
-                # Unprioritized: events interleave by program order.
-                # (The policy's open ordering collapses to op index
-                # here, exactly as the seed's merged sort did.)
-                sequence = sorted(
-                    [(op, True) for op in closes]
-                    + [(op, False) for op in opens]
-                )
+            closes = self._closing
+            if closes:
+                closes.sort()
+                self._closing = []
+            opens = self._eligible_opens(time) if self._ready_opens else []
             progress = False
-            released_any = False
             blocked_any = False
-            for op, is_close in sequence:
-                if is_close:
-                    self._close_segment(op, time)
-                    released_any = True
-                    progress = True
-                else:
-                    opened = self._try_open(op, time)
-                    progress |= opened
-                    blocked_any |= not opened
-            any_release_with_blocked |= released_any and blocked_any
+            if closes_first:
+                # Closes in index order, then opens in policy order.
+                if len(opens) > 1:
+                    opens = self._sort_opens(opens)
+                for op in closes:
+                    close_segment(op, time)
+                for op in opens:
+                    if try_open(op, time):
+                        progress = True
+                    else:
+                        blocked_any = True
+            else:
+                # Unprioritized: closes and opens interleave by program
+                # order, a two-pointer merge of the two sorted lists (an
+                # op is never both closing and opening).  The policy's
+                # open ordering collapses to op index here, exactly as
+                # the seed's merged sort does.
+                opens.sort()
+                ci = 0
+                num_closes = len(closes)
+                for op in opens:
+                    while ci < num_closes and closes[ci] < op:
+                        close_segment(closes[ci], time)
+                        ci += 1
+                    if try_open(op, time):
+                        progress = True
+                    else:
+                        blocked_any = True
+                for op in closes[ci:]:
+                    close_segment(op, time)
+            if closes:
+                progress = True
+                any_release_with_blocked |= blocked_any
             if not progress or (not self._closing and not self._ready_opens):
                 break
         if any_release_with_blocked and self._ready_opens:
@@ -723,8 +526,6 @@ class BraidSimulator:
             self._wait_start[op] = time
             self._arrival[op] = next(self._arrival_counter)
             self._ready_opens.add(op)
-            if self._open_queue is not None:
-                self._open_queue.add(op)
             if self._resv is not None:
                 cycle = self._resv.reserved[op][self._segment_index[op]]
                 if cycle > time:
@@ -771,8 +572,6 @@ class BraidSimulator:
                 self._drops += 1
                 self._wait_start[op] = time
                 self._arrival[op] = next(self._arrival_counter)
-                if self._open_queue is not None:
-                    self._open_queue.restamp(op)
             if not adaptive:
                 # Make sure the op is retried once adaptivity unlocks,
                 # even if no braid closes in the meantime.
@@ -788,8 +587,6 @@ class BraidSimulator:
             self._adaptive += 1
         mesh.claim_mask(mask, op)
         self._ready_opens.discard(op)
-        if self._open_queue is not None:
-            self._open_queue.remove(op)
         self._phase[op] = _HOLDING
         self._braids += 1
         # Open takes this cycle; stabilize for `hold`; then close.
@@ -797,13 +594,10 @@ class BraidSimulator:
         return True
 
 
-def _require_reference_support(policy: Policy) -> None:
-    """The preserved seed loop predates the scheduler families."""
-    if policy.family != "reactive":
-        raise ValueError(
-            f"{policy.name} ({policy.family} family) has no reference-"
-            "engine implementation; its oracle is the flat-vs-vec "
-            'differential harness (use engine="flat" or "vec")'
+def _require_flat(engine: str) -> None:
+    if engine != "flat":
+        raise KeyError(
+            f"unknown braid engine {engine!r}; available: {sorted(ENGINES)}"
         )
 
 
@@ -831,13 +625,12 @@ def simulate_braids(
         factory_routers: Magic-state factory endpoints.
         config: Timeout/limit knobs.
         dag: Optional pre-built dependence DAG.
-        engine: Braid engine (see :data:`ENGINES`); all engines return
+        engine: Braid engine (see :data:`ENGINES`); both return
             bit-identical results.
     """
     if isinstance(policy, int):
         policy = POLICIES[policy]
     if engine == "reference":
-        _require_reference_support(policy)
         from ._braidsim_reference import simulate_braids_reference
 
         return simulate_braids_reference(
@@ -851,7 +644,7 @@ def simulate_braids(
             config=config,
             dag=dag,
         )
-    cls = engine_class(engine)
+    _require_flat(engine)
     config = config or BraidSimConfig()
     plan = braid_plan(
         circuit,
@@ -863,7 +656,9 @@ def simulate_braids(
         max_detour=config.max_detour,
         dag=dag,
     )
-    return cls(policy=policy, config=config, plan=plan, mesh=mesh).run()
+    return BraidSimulator(
+        policy=policy, config=config, plan=plan, mesh=mesh
+    ).run()
 
 
 def simulate_plan(
@@ -884,7 +679,6 @@ def simulate_plan(
     if isinstance(policy, int):
         policy = POLICIES[policy]
     if engine == "reference":
-        _require_reference_support(policy)
         from ._braidsim_reference import simulate_braids_reference
 
         return simulate_braids_reference(
@@ -898,5 +692,5 @@ def simulate_plan(
             config=config,
             dag=plan.dag,
         )
-    cls = engine_class(engine)
-    return cls(policy=policy, config=config, plan=plan).run()
+    _require_flat(engine)
+    return BraidSimulator(policy=policy, config=config, plan=plan).run()

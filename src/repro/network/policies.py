@@ -11,13 +11,13 @@ controls three things:
   (transitive dependents), and route length.
 
 Policies 7 and 8 extend the same axis with two classical-scheduler
-*families* (machinery in :mod:`.policies_sched`): 7 plans periodic
-braid issue on a modulo reservation table, 8 wakes ops through a
-dependency bit-matrix scoreboard.  The :attr:`Policy.family` field
-selects the engine machinery; reactive policies keep the paper's
-seed-reference oracle, while the scheduler families are oracle-checked
-by the flat-vs-vec differential harness instead (the preserved seed
-loop predates them and refuses to run them).
+*families* (see :mod:`.policies_sched`): 7 plans periodic braid issue
+on a modulo reservation table, 8 is a scoreboard that issues closes
+first, then the oldest ready op (lowest program index).
+The :attr:`Policy.family` field selects the engine machinery.  Every
+policy but 7 is checked against the preserved seed loop; Policy 7's
+oracles are its planner's makespan and the IR verifier's replay of its
+reservation table.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ class Policy:
                 (used by Policy 6 to split high/low criticality groups).
         """
         if self.family == "scoreboard":
-            # Matrix wakeup: age is the program index, not the FIFO
-            # arrival stamp, so re-injection never reorders.
+            # Age is the program index, not the FIFO arrival stamp, so
+            # re-injection never reorders.
             return lambda op: (op,)
         if self.family == "reservation":
             # Issue cycles are planned, not ranked; eligibility gating
@@ -168,8 +168,8 @@ POLICIES: dict[int, Policy] = {
         Policy(
             number=8,
             description=(
-                "Matrix scoreboard: dependency bit-matrix wakeup, "
-                "closes first, oldest ready op (program order) first"
+                "Scoreboard: closes first, then the oldest ready op "
+                "(program order) first"
             ),
             optimized_layout=True,
             closes_first=True,

@@ -19,21 +19,18 @@ microarchitecture onto the braid domain, behind the same policy axis:
   exactly then, and by construction the dominant route is free — no
   adaptivity, no drops, no intra-cycle ordering hazards.
 
-* **Matrix scoreboard** (Policy 8) — the dependency-matrix wakeup of
-  classical out-of-order schedulers.  :func:`dependency_matrix` packs
-  each op's predecessor set into one bit-row (bit ``p`` of row ``s``
-  is set iff ``p`` precedes ``s``); a :class:`MatrixScoreboard`
-  clears columns as ops retire, so a zero row *is* the wakeup, and a
-  ready bitset gives oldest-first (lowest program index) selection in
-  one find-first-set per pick.  Rows are packed link-mask style —
-  Python big ints here, the same bits as ``<u8`` word arrays in the
-  vec engine's :class:`~.braidsim_vec.VecBraidSimulator` flavor.
+* **Scoreboard** (Policy 8) — the oldest-first select of classical
+  out-of-order schedulers: a close-first policy that issues ready ops
+  in program order (lowest index first), so a drop/re-inject keeps an
+  op's place.  It needs no machinery here: the engine's predecessor
+  counts already are the wakeup, and ``Policy.open_sort_key`` returns
+  ``(op,)`` for it, which the seed loop and the flat engine both
+  follow.
 
-Both families are policy-*independent* functions of the
-:class:`~.plan.BraidPlan` (holds, routes, DAG arrays), so their
-artifacts are memoized per plan identity exactly like
-:func:`~.braidsim_vec.vec_plan_arrays`, shared by the flat and vec
-engines and re-derived independently by the IR verifier
+The reservation schedule is a policy-*independent* function of the
+:class:`~.plan.BraidPlan` (holds, routes, DAG arrays), so it is
+memoized per plan identity (:func:`reservation_schedule`) and
+re-derived independently by the IR verifier
 (:func:`repro.analysis.ir_checks.check_sched`).
 
 Timing contract (kept in lockstep with :mod:`.braidsim`): a segment
@@ -41,30 +38,25 @@ opened at cycle ``t`` holds its links through the close at
 ``t + 1 + hold``, so its occupancy *window* is ``hold + 2`` cycles.
 Booking the close cycle too makes reservations conservative by one
 cycle where a link is handed straight over — and in exchange the
-planned schedule is valid under any intra-cycle open/close ordering,
-which is what makes flat and vec execution provably identical.
+planned schedule is valid under any intra-cycle open/close ordering.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .plan import BraidPlan
 
 __all__ = [
-    "MatrixScoreboard",
     "ReservationSchedule",
     "ReservationTable",
-    "ScoreboardReadyQueue",
     "build_reservation",
-    "dependency_matrix",
     "ii_lower_bound",
     "reservation_schedule",
     "reset_sched_memo",
-    "scoreboard_matrix",
 ]
 
 
@@ -254,132 +246,30 @@ def build_reservation(plan: "BraidPlan") -> ReservationSchedule:
 
 
 # ---------------------------------------------------------------------------
-# Matrix-scoreboard policy (8): dependency bit-matrix wakeup
-
-
-def dependency_matrix(plan: "BraidPlan") -> tuple[int, ...]:
-    """Predecessor bit-rows: bit ``p`` of row ``s`` iff ``p -> s``.
-
-    Row popcounts equal the plan's in-degrees and columns mirror its
-    successor lists — invariants the IR verifier re-checks.  The tuple
-    is immutable and shared; simulations copy it into a
-    :class:`MatrixScoreboard` before clearing columns.
-    """
-    rows = [0] * plan.num_ops
-    for op, succs in enumerate(plan.successors):
-        bit = 1 << op
-        for succ in succs:
-            rows[succ] |= bit
-    return tuple(rows)
-
-
-class MatrixScoreboard:
-    """Mutable per-simulation scoreboard over one dependency matrix.
-
-    ``rows[s]`` holds the still-outstanding predecessors of op ``s``;
-    retiring an op clears its column, and a zero row is the wakeup
-    condition (cross-checked against the engine's predecessor counts
-    by the property tests, and required empty at end of run).
-    ``ready`` is the issuable-open bitset the selection reads: oldest
-    ready op = lowest set bit, O(1) per pick.
-    """
-
-    __slots__ = ("rows", "ready")
-
-    def __init__(self, matrix: Sequence[int]) -> None:
-        self.rows: list[int] = list(matrix)
-        self.ready = 0
-
-    def retire(self, op: int, successors: Sequence[Sequence[int]]) -> None:
-        """Clear column ``op`` (only rows that can hold it: successors)."""
-        clear = ~(1 << op)
-        rows = self.rows
-        for succ in successors[op]:
-            rows[succ] &= clear
-
-    def row_clear(self, op: int) -> bool:
-        return self.rows[op] == 0
-
-    def outstanding(self) -> int:
-        """Rows still holding unresolved dependency bits."""
-        return sum(1 for row in self.rows if row)
-
-    def add_ready(self, op: int) -> None:
-        self.ready |= 1 << op
-
-    def remove_ready(self, op: int) -> None:
-        self.ready &= ~(1 << op)
-
-    def ordered_ready(self) -> list[int]:
-        """Ready ops, oldest (lowest program index) first."""
-        return list(_iter_bits(self.ready))
-
-
-class ScoreboardReadyQueue:
-    """Flat-engine ready-open queue backed by the scoreboard bitset.
-
-    Implements the incremental-queue protocol of
-    :class:`~.braidsim._FifoReadyQueue`; ``ordered`` ignores arrival
-    stamps entirely — under the scoreboard family age *is* the program
-    index, so a drop/re-inject does not send an op to the back.
-    """
-
-    __slots__ = ("_board",)
-
-    def __init__(self, board: MatrixScoreboard) -> None:
-        self._board = board
-
-    def add(self, op: int) -> None:
-        self._board.add_ready(op)
-
-    def remove(self, op: int) -> None:
-        self._board.remove_ready(op)
-
-    def restamp(self, op: int) -> None:
-        pass  # program-index age: re-injection keeps the op's slot
-
-    def ordered(self, ready: set[int]) -> list[int]:
-        return self._board.ordered_ready()
-
-
-# ---------------------------------------------------------------------------
-# Per-plan memos (the vec_plan_arrays idiom: id-keyed, identity-checked)
+# Per-plan memo (the braid_plan idiom: id-keyed, identity-checked)
 
 SCHED_MEMO_CAPACITY = 8
 
 _RESV_MEMO: "OrderedDict[int, tuple[object, ReservationSchedule]]" = (
     OrderedDict()
 )
-_MATRIX_MEMO: "OrderedDict[int, tuple[object, tuple[int, ...]]]" = (
-    OrderedDict()
-)
-
-
-def _memoized(cache: OrderedDict, plan: "BraidPlan", build):
-    key = id(plan)
-    entry = cache.get(key)
-    if entry is not None and entry[0] is plan:
-        cache.move_to_end(key)
-        return entry[1]
-    value = build(plan)
-    cache[key] = (plan, value)
-    cache.move_to_end(key)
-    while len(cache) > SCHED_MEMO_CAPACITY:
-        cache.popitem(last=False)
-    return value
 
 
 def reservation_schedule(plan: "BraidPlan") -> ReservationSchedule:
-    """Memoized :func:`build_reservation` (shared flat/vec/verifier)."""
-    return _memoized(_RESV_MEMO, plan, build_reservation)
-
-
-def scoreboard_matrix(plan: "BraidPlan") -> tuple[int, ...]:
-    """Memoized :func:`dependency_matrix`."""
-    return _memoized(_MATRIX_MEMO, plan, dependency_matrix)
+    """Memoized :func:`build_reservation` (shared engine/verifier)."""
+    key = id(plan)
+    entry = _RESV_MEMO.get(key)
+    if entry is not None and entry[0] is plan:
+        _RESV_MEMO.move_to_end(key)
+        return entry[1]
+    schedule = build_reservation(plan)
+    _RESV_MEMO[key] = (plan, schedule)
+    _RESV_MEMO.move_to_end(key)  # a reused id updates in place
+    while len(_RESV_MEMO) > SCHED_MEMO_CAPACITY:
+        _RESV_MEMO.popitem(last=False)
+    return schedule
 
 
 def reset_sched_memo() -> None:
-    """Drop both scheduler memos (testing hook)."""
+    """Drop the reservation memo (testing hook)."""
     _RESV_MEMO.clear()
-    _MATRIX_MEMO.clear()

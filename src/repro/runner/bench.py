@@ -50,7 +50,6 @@ __all__ = [
     "bench_grid",
     "run_bench",
     "compare_reports",
-    "compare_engines",
 ]
 
 BENCH_FORMAT_VERSION = 1
@@ -96,9 +95,8 @@ class BenchReport:
         equivalence_checked: Braid points verified bit-identical
             against the reference simulator.
         environment: Python/platform fingerprint of the machine, plus
-            the run configuration (``workers``) and the installed
-            numpy version (None when numpy is absent), so reports are
-            self-describing across engines and machines.
+            the run configuration (``workers``), so reports are
+            self-describing across machines.
         engine: Braid engine the sweep simulated with (reports
             recorded before the engine axis existed load as "flat").
         cache_health: Backend-tier health snapshot
@@ -182,12 +180,6 @@ class BenchReport:
 def _environment(workers: int) -> dict:
     import os
 
-    try:
-        import numpy
-    except ImportError:
-        numpy_version = None
-    else:
-        numpy_version = numpy.__version__
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
@@ -195,7 +187,6 @@ def _environment(workers: int) -> dict:
         "system": platform.system(),
         "cpus": os.cpu_count(),
         "workers": workers,
-        "numpy": numpy_version,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
 
@@ -218,10 +209,9 @@ def _reference_pass(
     for spec in grid.expand():
         spec = spec.normalized()
         policy = POLICIES[spec.policy]
-        if policy.family != "reactive":
-            # The seed simulator predates the scheduler-family policies
-            # (reservation table, matrix scoreboard); those points are
-            # covered by the flat/vec differential harness instead.
+        if policy.family == "reservation":
+            # The seed loop cannot follow reserved issue cycles; Policy
+            # 7's oracles are its planner and the check_sched replay.
             continue
         optimize_layout = (
             spec.optimize_layout
@@ -422,40 +412,4 @@ def compare_reports(
                 f"time > {base_ratio:.3f}x * (1 + {tolerance:.2f}) + "
                 f"{ratio_slack:.2f} slack"
             )
-    return failures
-
-
-def compare_engines(
-    current: BenchReport,
-    other: BenchReport,
-    tolerance: float = 0.25,
-) -> list[str]:
-    """Same-machine engine race; returns failure descriptions.
-
-    Gates ``current``'s braid speedup against ``other``'s on the same
-    grid — e.g. "the vectorized engine must not regress below the flat
-    engine".  Both reports need a reference pass: the speedup is
-    normalized by the reference simulator's time on each report's own
-    machine/run, so two reports from the same CI job compare cleanly
-    even across cache-warmth noise.
-    """
-    failures: list[str] = []
-    if current.grid != other.grid:
-        failures.append(
-            f"grid mismatch: {current.grid!r} vs {other.grid!r}"
-        )
-        return failures
-    if current.braid_speedup is None or other.braid_speedup is None:
-        failures.append(
-            "engine comparison needs reference passes on both reports "
-            "(run with reference=True / --reference)"
-        )
-        return failures
-    floor = other.braid_speedup * (1.0 - tolerance)
-    if current.braid_speedup < floor:
-        failures.append(
-            f"engine {current.engine!r} ({current.braid_speedup:.2f}x "
-            f"vs reference) regressed below engine {other.engine!r} "
-            f"({other.braid_speedup:.2f}x) * (1 - {tolerance:.2f})"
-        )
     return failures

@@ -42,7 +42,6 @@ from .bench import (
     BENCH_GRIDS,
     RATIO_SLACK,
     BenchReport,
-    compare_engines,
     compare_reports,
     run_bench,
 )
@@ -147,10 +146,7 @@ def _add_point_options(parser: argparse.ArgumentParser) -> None:
         "--engine",
         default="flat",
         choices=sorted(ENGINES),
-        help=(
-            "braid engine (bit-identical results; vec needs the numpy "
-            "extra: pip install repro[vec])"
-        ),
+        help="braid engine (bit-identical results)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -332,23 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         default="flat",
         choices=sorted(ENGINES),
-        help=(
-            "braid engine to measure (bit-identical results; vec needs "
-            "the numpy extra: pip install repro[vec])"
-        ),
+        help="braid engine to measure (bit-identical results)",
     )
     bench.add_argument(
         "--out", default=None, help="write the bench report JSON here"
-    )
-    bench.add_argument(
-        "--not-slower-than",
-        default=None,
-        metavar="REPORT",
-        help=(
-            "saved bench report of another engine on the same grid; "
-            "fail if this run's braid speedup regresses below it by "
-            "more than --tolerance (both runs need --reference)"
-        ),
     )
     bench.add_argument(
         "--baseline",
@@ -654,12 +637,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     print(f"cache: {result.stats.summary()}", file=sys.stderr)
-    if result.degraded:
-        print(
-            f"{len(result.degraded)} point(s) degraded to the flat "
-            "engine",
-            file=sys.stderr,
-        )
     if result.cache_degraded:
         print(
             "remote cache tier degraded to local-only (circuit "
@@ -692,13 +669,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.baseline and not args.absolute and not reference:
         print(
             "relative baseline gate needs the reference pass; "
-            "enabling --reference",
-            file=sys.stderr,
-        )
-        reference = True
-    if args.not_slower_than and not reference:
-        print(
-            "--not-slower-than compares braid speedups; "
             "enabling --reference",
             file=sys.stderr,
         )
@@ -744,21 +714,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"no regression against {args.baseline} "
             f"(tolerance {args.tolerance:.0%}; gated stages: "
             f"{', '.join(gated)})",
-            file=sys.stderr,
-        )
-    if args.not_slower_than:
-        other = BenchReport.load(args.not_slower_than)
-        failures = compare_engines(
-            report, other, tolerance=args.tolerance
-        )
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print(
-            f"engine {report.engine!r} ({report.braid_speedup:.2f}x) "
-            f"holds against {other.engine!r} "
-            f"({other.braid_speedup:.2f}x) from {args.not_slower_than}",
             file=sys.stderr,
         )
     return 0
@@ -962,8 +917,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BrokenPipeError:
         # Downstream reader (e.g. `| head`) closed stdout early.
         return 0
-    except ImportError as error:
-        # Optional-dependency miss (e.g. --engine vec without numpy):
-        # surface the install hint instead of a traceback.
-        print(f"error: {error}", file=sys.stderr)
-        return 2

@@ -12,9 +12,7 @@ the whole sweep.  This module provides the primitives the
   leaves behind (spec, failing stage, exception repr, attempts,
   elapsed), JSON round-trippable so sweep reports carry it.
 * :func:`execute_point` -- run one grid point under a policy: catch,
-  retry with backoff, enforce the deadline, and degrade ``vec`` points
-  to the ``flat`` engine (tagging the result ``degraded_from``) before
-  giving up.
+  retry with backoff and enforce the deadline before giving up.
 * :exc:`SweepAborted` -- raised by the runner when failures exceed its
   ``max_failures`` budget (``0`` keeps the historical fail-fast
   behavior).
@@ -252,8 +250,8 @@ class FaultAction:
             (1-based; counters are per process).
         seconds: Sleep/stall duration.
         match: Optional substring that must appear in the stage key's
-            canonical description (e.g. ``'"engine": "vec"'`` to hit
-            only vec-engine simulations).
+            canonical description (e.g. ``'"policy": 0'`` to hit
+            only policy-0 simulations).
         once: Fire at most once.  With a plan ``state_dir`` the marker
             is a file, so the "once" holds across worker processes --
             a killed-and-restarted worker does not re-fire.
@@ -519,20 +517,14 @@ def execute_point(
     spec: "PointSpec",
     cache,
     retry: Optional[RetryPolicy] = None,
-    degrade: bool = True,
     sleep: Callable[[float], None] = time.sleep,
 ) -> Union["PointResult", "PointFailure"]:
     """Run one grid point under a retry policy; never raises.
 
     The point is attempted up to ``retry.max_attempts`` times with
     deterministic backoff between attempts and the per-point deadline
-    enforced on each.  A non-``flat`` engine point whose attempts are
-    exhausted -- or that fails immediately with :exc:`ImportError`
-    (missing optional dependency, unfixable by retrying) -- is retried
-    once on the ``flat`` engine; that result is tagged
-    ``degraded_from`` and is **not** written back under the original
-    engine's point key, so caches never mix engines.  Exhausted points
-    return a :class:`PointFailure` instead of raising.
+    enforced on each.  Exhausted points return a :class:`PointFailure`
+    instead of raising.
     """
     from .stages import run_point
 
@@ -552,30 +544,6 @@ def execute_point(
                 lambda: run_point(spec, cache),
                 retry.timeout_s,
                 label=f"point {spec.app}[{spec.size}] p{spec.policy}",
-            )
-        except ImportError as error:
-            # Optional-dependency miss (e.g. engine="vec" without
-            # numpy): retrying the same engine cannot succeed.
-            last_error = error
-            break
-        except Exception as error:  # noqa: BLE001 - isolation boundary
-            last_error = error
-    if degrade and spec.engine != "flat":
-        fallback = dataclasses.replace(spec, engine="flat")
-        attempts += 1
-        try:
-            result = call_with_deadline(
-                lambda: run_point(fallback, cache),
-                retry.timeout_s,
-                label=(
-                    f"point {spec.app}[{spec.size}] p{spec.policy} "
-                    "(degraded)"
-                ),
-            )
-            # Re-home the result on the original spec and tag it; the
-            # flat computation stayed cached under flat-engine keys.
-            return dataclasses.replace(
-                result, spec=spec, degraded_from=spec.engine
             )
         except Exception as error:  # noqa: BLE001 - isolation boundary
             last_error = error

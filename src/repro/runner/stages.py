@@ -339,7 +339,7 @@ def compute_braid(
     ``optimize_layout`` defaults to the policy's own layout flag
     (Policies 2+ use the interaction-aware layout, as in Figure 6).
     ``engine`` selects the braid engine
-    (:data:`repro.network.braidsim.ENGINES`); all engines produce
+    (:data:`repro.network.braidsim.ENGINES`); both engines produce
     bit-identical results, but the engine still keys the stage so
     timing-trajectory runs never serve one engine's cold cost from
     another's cached result.
@@ -624,11 +624,8 @@ class PointSpec:
 class PointResult:
     """All pipeline outputs for one grid point (JSON round-trippable).
 
-    ``degraded_from`` names the engine the point was *asked* to run
-    with when the fault-tolerance layer fell back to the ``flat``
-    engine (results are bit-identical across engines, so the numbers
-    are unaffected; only the execution path differs).  It is None for
-    points that ran on their requested engine.
+    ``degraded_from`` is always None; it stays in the JSON shape so
+    persisted points and cache records keep their bytes.
     """
 
     spec: PointSpec

@@ -175,7 +175,7 @@ def fig6_grid(sizes: Optional[Mapping[str, int]] = None) -> GridSpec:
 def fig6x_grid(sizes: Optional[Mapping[str, int]] = None) -> GridSpec:
     """The extended Fig. 6 plane: the paper's seven reactive policies
     plus the two classical-scheduler families (7 reservation-table,
-    8 matrix-scoreboard) over the same four applications."""
+    8 scoreboard) over the same four applications."""
     return GridSpec(
         apps=DEFAULT_APPS,
         sizes=dict(sizes) if sizes is not None else dict(SMALL_SIM_SIZES),
@@ -208,11 +208,6 @@ class SweepResult:
     def ok(self) -> bool:
         """True when every grid point completed."""
         return not self.failures
-
-    @property
-    def degraded(self) -> list[PointResult]:
-        """Points that fell back to the ``flat`` engine."""
-        return [p for p in self.points if p.degraded_from is not None]
 
     @property
     def cache_degraded(self) -> bool:
@@ -525,13 +520,13 @@ class SweepRunner:
         worker wedged *outside* it (e.g. stuck before the point even
         starts).  A worker serializes at most ``ceil(chunks /
         workers)`` chunks, each point of which gets its full retry
-        schedule plus one degradation attempt; ``pool_grace`` covers
-        process startup and backoff sleeps on top.
+        schedule; ``pool_grace`` covers process startup and backoff
+        sleeps on top.
         """
         timeout_s = self.retry.timeout_s
         if timeout_s is None:
             return None
-        per_point = timeout_s * (self.retry.max_attempts + 1)
+        per_point = timeout_s * self.retry.max_attempts
         longest = max(len(chunk) for _, chunk, _ in batch)
         waves = math.ceil(len(batch) / max(1, max_workers))
         return per_point * longest * waves + self.pool_grace

@@ -4,17 +4,18 @@ The optimized core (flat event ints, mesh bitmasks, cached routes,
 epoch early-outs) must be *bit-identical* to the pre-optimization
 simulator preserved in ``repro.network._braidsim_reference`` -- same
 schedule lengths, same braid/adaptive/drop counters, same utilization
-floats.  These tests sweep every policy over small application
-instances and over synthetic high-contention circuits (which exercise
-adaptive routing and the drop/re-inject path); the full Figure 6 grid
-is verified by ``python -m repro bench --reference`` (the CI perf job).
+floats.  These tests sweep every policy the seed loop runs (0-6 and the
+Policy 8 scoreboard) over small application instances and over
+synthetic high-contention circuits (which exercise adaptive routing and
+the drop/re-inject path); the full Figure 6 grid is verified by
+``python -m repro bench --reference`` (the CI perf job).
 
-The scheduler-family policies (7 reservation-table, 8 matrix-
-scoreboard) predate no seed loop to compare against, so their contract
-is pinned the other way: a committed golden JSON
-(``golden_policy_sched.json``) records their results on a small fixed
-grid, and ``TestSchedulerFamilyGolden`` recomputes and compares every
-field.  Refactors that change their scheduling decisions must update
+The scheduler-family policies (7 reservation-table, 8 scoreboard) are
+also pinned by a committed golden JSON (``golden_policy_sched.json``)
+recording their results on a small fixed grid, which
+``TestSchedulerFamilyGolden`` recomputes and compares field by field.
+Policy 7 has no seed loop to compare against, so the pin is part of its
+contract; refactors that change its scheduling decisions must update
 the golden file deliberately.
 """
 
@@ -38,6 +39,9 @@ from repro.runner.stages import POLICIES, compute_frontend, compute_layout
 
 GOLDEN_PATH = Path(__file__).parent / "golden_policy_sched.json"
 
+SEED_POLICIES = (0, 1, 2, 3, 4, 5, 6, 8)
+"""Every policy the seed loop runs (all but the reservation table)."""
+
 
 def assert_equivalent(circuit, placement, rows, cols, policy, distance,
                       factories=(), config=None, dag=None):
@@ -56,7 +60,7 @@ def assert_equivalent(circuit, placement, rows, cols, policy, distance,
 class TestSyntheticCircuits:
     """Hand-built circuits hitting contention, adaptivity, and drops."""
 
-    @pytest.mark.parametrize("policy", range(7))
+    @pytest.mark.parametrize("policy", SEED_POLICIES)
     def test_crossing_braids_tiny_mesh(self, policy):
         qubits = [f"q{i}" for i in range(4)]
         placement = naive_layout(qubits, GridShape(2, 2))
@@ -68,7 +72,7 @@ class TestSyntheticCircuits:
         result = assert_equivalent(c, placement, 2, 2, policy, 3)
         assert result.operations == 6
 
-    @pytest.mark.parametrize("policy", range(7))
+    @pytest.mark.parametrize("policy", SEED_POLICIES)
     def test_serializing_1x2_mesh_forces_drops(self, policy):
         qubits = ["q0", "q1"]
         placement = naive_layout(qubits, GridShape(1, 2))
@@ -78,7 +82,7 @@ class TestSyntheticCircuits:
         config = BraidSimConfig(adaptive_timeout=1, drop_timeout=3)
         assert_equivalent(c, placement, 1, 2, policy, 4, config=config)
 
-    @pytest.mark.parametrize("policy", (0, 1, 5, 6))
+    @pytest.mark.parametrize("policy", (0, 1, 5, 6, 8))
     def test_t_gates_with_factories(self, policy):
         qubits = [f"q{i}" for i in range(6)]
         placement = naive_layout(qubits, GridShape(2, 3))
@@ -99,7 +103,7 @@ class TestApplicationInstances:
     def cache(self):
         return StageCache()
 
-    @pytest.mark.parametrize("policy", range(7))
+    @pytest.mark.parametrize("policy", SEED_POLICIES)
     @pytest.mark.parametrize("app,size", [("sq", 2), ("gse", 3)])
     def test_policy_grid(self, cache, app, size, policy):
         fe = compute_frontend(cache, app, size, None)
@@ -116,7 +120,8 @@ class TestApplicationInstances:
 
     @pytest.mark.parametrize(
         "policy,distance",
-        [(1, 5), (6, 3)],  # p1/d5 hits adaptive routes, p6/d3 drops
+        # p1/d5 hits adaptive routes, p6/d3 and p8/d3 drop
+        [(1, 5), (6, 3), (8, 3)],
     )
     def test_contended_parallel_app(self, cache, policy, distance):
         """An Ising instance big enough to need adaptivity or drops."""
@@ -134,6 +139,38 @@ class TestApplicationInstances:
         assert optimized.adaptive_routes + optimized.drops > 0, (
             "instance too small to exercise contention handling"
         )
+
+
+class TestCloseFirstGoldenWithDrops:
+    """Drop-heavy close-first sims stay bit-identical to the seed loop.
+
+    Drops re-stamp arrivals, the subtlest transition of close-first
+    ordering: FIFO order (Policy 5) and the combined rule (Policy 6)
+    send a dropped op to the back, while the scoreboard (Policy 8)
+    keeps its program-order place.
+    """
+
+    def _congested(self):
+        qubits = [f"q{i}" for i in range(9)]
+        placement = naive_layout(qubits, GridShape(3, 3))
+        c = Circuit(qubits=qubits)
+        # Rotating long-range strides on a 3x3 mesh: overlapping routes
+        # hold links for d cycles and starve each other into drops.
+        for r in range(5):
+            for i in range(9):
+                j = (i + 1 + (r % 7)) % 9
+                if i != j:
+                    c.apply("CNOT", f"q{i}", f"q{j}")
+        return c, placement
+
+    def test_policies_5_6_and_8_with_aggressive_drops(self):
+        circuit, placement = self._congested()
+        config = BraidSimConfig(adaptive_timeout=1, drop_timeout=2)
+        for policy in (5, 6, 8):
+            result = assert_equivalent(
+                circuit, placement, 3, 3, policy, 9, config=config
+            )
+            assert result.drops > 0  # the scenario really drops
 
 
 class TestSchedulerFamilyGolden:

@@ -1,24 +1,24 @@
-"""Scheduler-family invariants: reservation tables and the scoreboard.
+"""Scheduler-family invariants: reservation tables and makespans.
 
 Property tests over Hypothesis-generated plans pin the contracts the
-classical-scheduler policies (7 reservation-table, 8 matrix-scoreboard)
-are built on:
+classical-scheduler policies (7 reservation-table, 8 scoreboard) are
+built on:
 
 * a reservation schedule never double-books a link-cycle slot (its
   bookings replay into a fresh :class:`ReservationTable` without
   conflict);
 * the achieved initiation interval is never below the link-pressure
   ``ii()`` lower bound;
-* the scoreboard never selects an op whose dependency row still has
-  unresolved bits (asserted inside an instrumented simulator);
 * both policies yield makespans at or above the plan's
   policy-independent critical path, and the reservation policy's
   simulated schedule length equals the planner's makespan exactly
   (no drops, no adaptive reroutes — periodic issue by construction).
 
-The ``check_sched`` IR pass is exercised both ways: clean artifacts
-produce zero diagnostics, and seeded defects (shifted reservations,
-lowered ii, corrupted matrix rows) are each flagged as errors.
+Policy 8 is also checked event by event against the seed loop in
+``test_policy_differential.py``.  The ``check_sched`` IR pass is
+exercised both ways: a clean schedule produces zero diagnostics, and
+seeded defects (shifted reservations, lowered ii, truncation) are each
+flagged as errors.
 """
 
 import dataclasses
@@ -30,17 +30,13 @@ from hypothesis import strategies as st
 from repro.analysis.ir_checks import check_sched
 from repro.network import (
     BraidMesh,
-    MatrixScoreboard,
     ReservationTable,
     build_reservation,
-    dependency_matrix,
     ii_lower_bound,
     reservation_schedule,
-    scoreboard_matrix,
 )
-from repro.network.braidsim import BraidSimulator, simulate_plan
+from repro.network.braidsim import simulate_plan
 from repro.network.plan import BraidPlan
-from repro.network.policies import POLICIES
 from repro.partition import GridShape, naive_layout
 from repro.qasm import Circuit
 
@@ -124,45 +120,6 @@ class TestReservationTable:
         assert table.conflict(0, 5, 0) == -1
 
 
-class TestMatrixScoreboard:
-    """The dependency bit-matrix primitive."""
-
-    def test_retire_clears_column(self):
-        board = MatrixScoreboard([0, 0b1, 0b11])
-        assert not board.row_clear(1)
-        board.retire(0, [[1, 2], [2], []])
-        assert board.row_clear(1)
-        assert not board.row_clear(2)
-        board.retire(1, [[1, 2], [2], []])
-        assert board.row_clear(2)
-
-    def test_ready_set_orders_by_program_index(self):
-        board = MatrixScoreboard([0, 0, 0])
-        board.add_ready(2)
-        board.add_ready(0)
-        assert board.ordered_ready() == [0, 2]
-        board.remove_ready(0)
-        assert board.ordered_ready() == [2]
-
-    def test_outstanding_counts_unresolved_rows(self):
-        board = MatrixScoreboard([0, 0b1])
-        assert board.outstanding() == 1
-        board.retire(0, [[1], []])
-        assert board.outstanding() == 0
-
-
-class _AssertingScoreboardSim(BraidSimulator):
-    """Flat scoreboard run that asserts the selection invariant."""
-
-    def _try_open(self, op, time):
-        assert self._scoreboard is not None
-        assert self._scoreboard.row_clear(op), (
-            f"scoreboard selected op {op} with unresolved dependencies"
-        )
-        assert self._remaining_preds[op] == 0
-        return super()._try_open(op, time)
-
-
 class TestSchedulerProperties:
     """Hypothesis-driven invariants over random small plans."""
 
@@ -201,20 +158,6 @@ class TestSchedulerProperties:
         assert result.drops == 0
         assert result.adaptive_routes == 0
 
-    @given(plan=small_plans())
-    @settings(max_examples=40, deadline=None)
-    def test_scoreboard_never_selects_blocked_op(self, plan):
-        result = _AssertingScoreboardSim(policy=POLICIES[8], plan=plan).run()
-        assert result.operations == plan.num_ops
-
-    @given(plan=small_plans())
-    @settings(max_examples=40, deadline=None)
-    def test_matrix_rows_match_in_degrees(self, plan):
-        matrix = dependency_matrix(plan)
-        for op, row in enumerate(matrix):
-            assert row.bit_count() == plan.in_degrees[op]
-            assert not row & (1 << op)
-
 
 class TestSchedMemo:
     """The per-plan memo returns identical artifacts per identity."""
@@ -222,7 +165,6 @@ class TestSchedMemo:
     def test_memo_reuses_per_plan(self):
         plan = _fixed_plan()
         assert reservation_schedule(plan) is reservation_schedule(plan)
-        assert scoreboard_matrix(plan) is scoreboard_matrix(plan)
 
 
 class TestCheckSchedPass:
@@ -263,16 +205,3 @@ class TestCheckSchedPass:
         )
         errors = self._errors(plan, schedule=bad)
         assert any("covers" in e for e in errors)
-
-    def test_self_dependent_matrix_row_is_flagged(self, plan):
-        matrix = list(dependency_matrix(plan))
-        matrix[0] |= 1
-        errors = self._errors(plan, matrix=matrix)
-        assert any("own predecessor" in e for e in errors)
-
-    def test_dropped_dependency_bit_is_flagged(self, plan):
-        matrix = list(dependency_matrix(plan))
-        victim = next(op for op, row in enumerate(matrix) if row)
-        matrix[victim] &= matrix[victim] - 1  # clear lowest bit
-        errors = self._errors(plan, matrix=matrix)
-        assert any("popcount" in e for e in errors)

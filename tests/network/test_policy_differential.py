@@ -1,44 +1,43 @@
-"""Cross-engine differential harness over the full 9-policy plane.
+"""Differential harness: the flat engine vs the seed loop, event by event.
 
-The scheduler-family policies (7 reservation-table, 8 matrix-
-scoreboard) have no seed-reference oracle — the preserved seed loop in
-``repro.network._braidsim_reference`` predates them and refuses to run
-them.  Their correctness oracle is *differential*: the flat and vec
-engines implement the same semantics through very different code paths
-(scalar event walk vs batched word-packed candidate filtering), so
-Hypothesis-generated circuits run through every (policy x engine) pair
-and must agree not just on the final counters but on the *entire event
+The flat engine (:mod:`repro.network.braidsim`) and the preserved seed
+loop (:mod:`repro.network._braidsim_reference`) implement the same
+semantics through very different code paths (int-packed heap events,
+link bitmasks and epoch early-outs vs tuple events and a route search
+per attempt), so Hypothesis-generated circuits run through both and
+must agree not just on the final counters but on the *entire event
 order* — every successful segment open, every close, every op
 completion, at the same cycle in the same sequence.
 
 Traces are recorded by a mixin that hooks the three state-changing
-methods both engines share (``_try_open`` success, ``_close_segment``,
-``_complete``); the vec engine's batched prefilter only short-circuits
-*failing* candidates, so identical traces mean identical scheduling
-decisions.
-
-On the numpy-absent matrix leg the vec half self-skips and the
-flat-engine determinism subset still runs (same circuit twice must
-yield the same trace), so the harness is load-bearing on every leg.
+methods both simulators share by name and arguments (``_try_open``
+success, ``_close_segment``, ``_complete``).  Every policy but 7 runs
+on both.  Policy 7 issues on reserved cycles the seed loop cannot
+follow, so the fixed scenarios check it against its planner instead
+(simulated length == reservation makespan, no drops, no adaptive
+routes); its property tests live in ``test_policies_sched.py``.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network import BraidMesh, BraidSimConfig, braidsim_vec
+from repro.network import (
+    BraidMesh,
+    BraidSimConfig,
+    ReferenceBraidSimulator,
+    reservation_schedule,
+)
 from repro.network.braidsim import BraidSimulator, simulate_plan
 from repro.network.plan import BraidPlan
 from repro.network.policies import ALL_POLICIES, POLICIES
 from repro.partition import GridShape, naive_layout
 from repro.qasm import Circuit
 
-np = braidsim_vec.np
-requires_numpy = pytest.mark.skipif(
-    np is None, reason="vec engine needs the numpy optional extra"
-)
-
 ALL_POLICY_NUMBERS = tuple(p.number for p in ALL_POLICIES)
+SEED_POLICY_NUMBERS = tuple(
+    p.number for p in ALL_POLICIES if p.family != "reservation"
+)
 
 _MESHES = ((1, 2), (2, 2), (2, 3), (3, 3))
 
@@ -75,9 +74,9 @@ def small_plans(draw):
 class _TraceMixin:
     """Record every scheduling decision as (kind, time, op[, segment]).
 
-    Both engines share these three methods (the vec engine overrides
-    only the candidate-selection loop above them), so the recorded
-    sequence is the engines' common observable behavior.
+    Both simulators define these three methods with the same names and
+    arguments, so the recorded sequence is their common observable
+    behavior.
     """
 
     def __init__(self, *args, **kwargs):
@@ -104,10 +103,8 @@ class _TracingFlat(_TraceMixin, BraidSimulator):
     pass
 
 
-if np is not None:
-
-    class _TracingVec(_TraceMixin, braidsim_vec.VecBraidSimulator):
-        pass
+class _TracingSeed(_TraceMixin, ReferenceBraidSimulator):
+    pass
 
 
 def _traced_run(cls, plan, policy, config=None):
@@ -115,15 +112,37 @@ def _traced_run(cls, plan, policy, config=None):
     return sim.run(), sim.trace
 
 
-def _assert_flat_vec_identical(plan, policy, config=None):
+def _traced_seed_run(plan, policy, config=None):
+    sim = _TracingSeed(
+        plan.circuit,
+        plan.placement,
+        BraidMesh(plan.rows, plan.cols),
+        POLICIES[policy],
+        plan.distance,
+        code=plan.code,
+        factory_routers=plan.factory_routers,
+        config=config,
+        dag=plan.dag,
+    )
+    return sim.run(), sim.trace
+
+
+def _assert_matches_oracle(plan, policy, config=None):
+    """Flat vs the seed loop (results and traces), or Policy 7 vs its
+    planner."""
     flat_result, flat_trace = _traced_run(
         _TracingFlat, plan, policy, config
     )
-    vec_result, vec_trace = _traced_run(_TracingVec, plan, policy, config)
-    assert vec_result == flat_result, (
-        f"policy {policy}: vec result diverged from flat"
+    if POLICIES[policy].family == "reservation":
+        schedule = reservation_schedule(plan)
+        assert flat_result.schedule_length == schedule.makespan
+        assert flat_result.drops == flat_result.adaptive_routes == 0
+        return flat_result, flat_trace
+    seed_result, seed_trace = _traced_seed_run(plan, policy, config)
+    assert flat_result == seed_result, (
+        f"policy {policy}: flat result diverged from the seed loop"
     )
-    assert vec_trace == flat_trace, (
+    assert flat_trace == seed_trace, (
         f"policy {policy}: engines agree on totals but took different "
         "scheduling decisions"
     )
@@ -131,7 +150,7 @@ def _assert_flat_vec_identical(plan, policy, config=None):
 
 
 def _wide_plan():
-    """8 simultaneously-ready crossing CNOTs: the batched vec path."""
+    """8 simultaneously-ready crossing CNOTs: wide issue rounds."""
     qubits = [f"q{i}" for i in range(16)]
     placement = naive_layout(qubits, GridShape(4, 4))
     circuit = Circuit(qubits=qubits)
@@ -144,35 +163,33 @@ def _wide_plan():
     )
 
 
-@requires_numpy
 class TestDifferentialHypothesis:
-    """Random circuits: flat and vec must make identical decisions."""
+    """Random circuits: flat and the seed loop make identical decisions."""
 
-    @pytest.mark.parametrize("policy", ALL_POLICY_NUMBERS)
+    @pytest.mark.parametrize("policy", SEED_POLICY_NUMBERS)
     @given(plan=small_plans())
     @settings(max_examples=25, deadline=None)
-    def test_flat_vs_vec_traces(self, policy, plan):
-        result, trace = _assert_flat_vec_identical(plan, policy)
+    def test_flat_vs_seed_traces(self, policy, plan):
+        result, trace = _assert_matches_oracle(plan, policy)
         assert result.operations == plan.num_ops
         done = [entry for entry in trace if entry[0] == "done"]
         assert len(done) == plan.num_ops
 
-    @pytest.mark.parametrize("policy", ALL_POLICY_NUMBERS)
+    @pytest.mark.parametrize("policy", SEED_POLICY_NUMBERS)
     @given(plan=small_plans())
     @settings(max_examples=15, deadline=None)
-    def test_flat_vs_vec_under_contention_config(self, policy, plan):
+    def test_flat_vs_seed_under_contention_config(self, policy, plan):
         config = BraidSimConfig(adaptive_timeout=1, drop_timeout=3)
-        _assert_flat_vec_identical(plan, policy, config)
+        _assert_matches_oracle(plan, policy, config)
 
 
-@requires_numpy
 class TestDifferentialFixed:
-    """Deterministic scenarios covering every policy on both engines."""
+    """Deterministic scenarios covering every policy against its oracle."""
 
     @pytest.mark.parametrize("policy", ALL_POLICY_NUMBERS)
     def test_wide_batched_rounds(self, policy):
         plan = _wide_plan()
-        result, _ = _assert_flat_vec_identical(plan, policy)
+        result, _ = _assert_matches_oracle(plan, policy)
         assert result.operations == 16
 
     @pytest.mark.parametrize("policy", ALL_POLICY_NUMBERS)
@@ -191,18 +208,24 @@ class TestDifferentialFixed:
             distance=3,
             factory_routers=((2, 0), (2, 3)),
         )
-        _assert_flat_vec_identical(plan, policy)
+        _assert_matches_oracle(plan, policy)
 
     @pytest.mark.parametrize("policy", ALL_POLICY_NUMBERS)
     def test_engine_selector_agrees_with_traced_run(self, policy):
         plan = _wide_plan()
         traced, _ = _traced_run(_TracingFlat, plan, policy)
         assert simulate_plan(plan, policy, engine="flat") == traced
-        assert simulate_plan(plan, policy, engine="vec") == traced
+        if POLICIES[policy].family == "reservation":
+            with pytest.raises(ValueError, match="check_sched"):
+                simulate_plan(plan, policy, engine="reference")
+        else:
+            assert simulate_plan(plan, policy, engine="reference") == traced
+        with pytest.raises(KeyError, match="unknown braid engine"):
+            simulate_plan(plan, policy, engine="turbo")
 
 
 class TestFlatDeterminism:
-    """Numpy-free subset: the flat engine replays identically."""
+    """The flat engine replays identically, Policy 7 included."""
 
     @pytest.mark.parametrize("policy", ALL_POLICY_NUMBERS)
     @given(plan=small_plans())

@@ -4,13 +4,11 @@ import json
 
 import pytest
 
-from repro.network import braidsim_vec
 from repro.runner import GridSpec, SweepRunner
 from repro.runner.bench import (
     BENCH_GRIDS,
     BenchReport,
     bench_grid,
-    compare_engines,
     compare_reports,
     run_bench,
 )
@@ -226,18 +224,13 @@ class TestAllStageGate:
 
 
 class TestEngineAxis:
-    """The engine axis: recorded in reports, raced by compare_engines."""
+    """The engine axis: recorded in reports."""
 
     def test_environment_records_run_config(self):
         report = run_bench(TINY)
         env = report.environment
         assert env["workers"] == report.workers == 1
         assert env["cpus"] >= 1
-        # numpy is recorded as its version string, or None when the
-        # vec extra is not installed — never missing.
-        assert "numpy" in env
-        if braidsim_vec.np is not None:
-            assert env["numpy"] == braidsim_vec.np.__version__
 
     def test_default_engine_is_flat(self):
         assert run_bench(TINY).engine == "flat"
@@ -249,17 +242,6 @@ class TestEngineAxis:
         path.write_text(json.dumps(payload), encoding="utf-8")
         assert BenchReport.load(path).engine == "flat"
 
-    @pytest.mark.skipif(
-        braidsim_vec.np is None, reason="vec engine needs numpy"
-    )
-    def test_vec_engine_bench_verifies_against_reference(self, tmp_path):
-        report = run_bench(TINY, reference=True, engine="vec")
-        assert report.engine == "vec"
-        assert report.equivalence_checked == 2
-        path = tmp_path / "vec.json"
-        report.save(path)
-        assert BenchReport.load(path) == report
-
     def test_explicit_grid_engine_is_kept(self):
         grid = GridSpec(
             apps=("sq",), sizes={"sq": 2}, policies=(0,), distance=3,
@@ -267,36 +249,6 @@ class TestEngineAxis:
         )
         # engine=None must not reset a grid's own engine choice.
         assert run_bench(grid).engine == "flat"
-
-
-class TestCompareEngines:
-    def test_not_slower_passes(self):
-        vec = _report(braid_speedup=8.0, engine="vec")
-        assert compare_engines(vec, _report()) == []
-
-    def test_regression_below_floor_fails(self):
-        vec = _report(braid_speedup=3.0, engine="vec")
-        failures = compare_engines(vec, _report(), tolerance=0.25)
-        assert failures and "regressed below" in failures[0]
-        assert "'vec'" in failures[0] and "'flat'" in failures[0]
-
-    def test_within_tolerance_passes(self):
-        vec = _report(braid_speedup=4.0, engine="vec")
-        assert compare_engines(vec, _report(), tolerance=0.25) == []
-
-    def test_grid_mismatch_fails(self):
-        failures = compare_engines(_report(grid="fig6"), _report())
-        assert failures and "grid mismatch" in failures[0]
-
-    def test_missing_reference_pass_fails(self):
-        failures = compare_engines(
-            _report(braid_speedup=None), _report()
-        )
-        assert failures and "reference passes" in failures[0]
-        failures = compare_engines(
-            _report(), _report(braid_speedup=None)
-        )
-        assert failures and "reference passes" in failures[0]
 
 
 class TestPlanBuildSplit:

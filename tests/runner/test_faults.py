@@ -1,8 +1,6 @@
 """Fault-tolerant sweep execution: isolation, retry/timeout/backoff,
-checkpoint-resume, quarantine, engine degradation, and the seeded
-fault-injection harness driving all of it deterministically."""
-
-import dataclasses
+checkpoint-resume, quarantine, and the seeded fault-injection harness
+driving all of it deterministically."""
 
 import pytest
 
@@ -321,111 +319,6 @@ class TestDeadline:
         assert outcome.error_type == "PointTimeout"
 
 
-class TestDegradation:
-    def test_vec_failure_degrades_to_flat(self):
-        # The vec attempt always dies; the flat fallback must carry the
-        # point with an explicit tag (works with or without numpy: a
-        # missing numpy raises ImportError before the injection point).
-        set_fault_plan(
-            FaultPlan(
-                [
-                    FaultAction(
-                        op="raise",
-                        stage="braid_sim",
-                        match='"engine": "vec"',
-                        once=False,
-                    )
-                ]
-            )
-        )
-        grid = dataclasses.replace(TINY, engine="vec")
-        result = SweepRunner(max_failures=None).run(grid)
-        assert result.ok
-        assert len(result.degraded) == 4
-        for point in result.points:
-            assert point.spec.engine == "vec"
-            assert point.degraded_from == "vec"
-
-    def test_degraded_results_match_flat_run(self):
-        clean = SweepRunner().run(TINY)
-        set_fault_plan(
-            FaultPlan(
-                [
-                    FaultAction(
-                        op="raise",
-                        stage="braid_sim",
-                        match='"engine": "vec"',
-                        once=False,
-                    )
-                ]
-            )
-        )
-        degraded = SweepRunner(max_failures=None).run(
-            dataclasses.replace(TINY, engine="vec")
-        )
-        # Identical numbers: only the spec engine and the tag differ.
-        for clean_p, degraded_p in zip(
-            clean.points, degraded.points
-        ):
-            assert degraded_p.braid == clean_p.braid
-            assert degraded_p.epr == clean_p.epr
-
-    def test_degraded_point_not_cached_under_vec_key(self, tmp_path):
-        set_fault_plan(
-            FaultPlan(
-                [
-                    FaultAction(
-                        op="raise",
-                        stage="braid_sim",
-                        match='"engine": "vec"',
-                        once=False,
-                    )
-                ]
-            )
-        )
-        cache = StageCache(tmp_path)
-        spec = PointSpec(
-            app="sq", size=2, policy=6, distance=3, engine="vec"
-        )
-        outcome = execute_point(spec, cache)
-        assert outcome.degraded_from == "vec"
-        # The vec point key must stay empty (caches never mix
-        # engines); the flat key holds the computed result.
-        assert cache.load_payload(spec.normalized().key()) is None
-        flat = dataclasses.replace(spec, engine="flat")
-        assert cache.load_payload(flat.normalized().key()) is not None
-
-    def test_import_error_skips_remaining_vec_attempts(
-        self, monkeypatch
-    ):
-        base = run_point(
-            PointSpec(app="sq", size=2, policy=6, distance=3),
-            StageCache(),
-        )
-        engines = []
-
-        def fake_run_point(spec, cache=None):
-            engines.append(spec.engine)
-            if spec.engine == "vec":
-                raise ImportError("numpy is required for engine='vec'")
-            return base
-
-        monkeypatch.setattr(
-            "repro.runner.stages.run_point", fake_run_point
-        )
-        outcome = execute_point(
-            PointSpec(
-                app="sq", size=2, policy=6, distance=3, engine="vec"
-            ),
-            StageCache(),
-            RetryPolicy(max_attempts=3),
-        )
-        # ImportError is unfixable by retrying: one vec attempt, then
-        # straight to the flat fallback.
-        assert engines == ["vec", "flat"]
-        assert outcome.degraded_from == "vec"
-
-
 class TestQuarantine:
     def test_corrupt_entry_quarantined_on_load(self, tmp_path):
         cache = StageCache(tmp_path)
@@ -595,9 +488,9 @@ class TestWorkerCrashRecovery:
         assert result.failures[0].error_type == "InjectedFault"
 
     def test_stalled_worker_recycled_by_watchdog(self, tmp_path):
-        # Budget math: per_point = 1.5s x (2 attempts + 1 degradation)
-        # x longest chunk (2) x 1 wave + 1s grace = 10s watchdog; the
-        # 20s stall is safely past it.  Two attempts at 1.5s each per
+        # Budget math: per_point = 1.5s x 2 attempts x longest chunk
+        # (2) x 1 wave + 1s grace = 7s watchdog; the 20s stall is
+        # safely past it.  Two attempts at 1.5s each per
         # millisecond-scale point keep a heavily loaded test machine
         # from turning a slow fork into a false point failure.
         clean = SweepRunner().run(TINY)

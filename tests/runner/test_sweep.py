@@ -68,40 +68,39 @@ class TestEngineAxis:
     def test_grid_engine_reaches_every_point(self):
         specs = GridSpec(
             apps=("sq",), sizes={"sq": 2}, policies=(0, 6), distance=3,
-            engine="vec",
+            engine="reference",
         ).expand()
-        assert specs and all(s.engine == "vec" for s in specs)
+        assert specs and all(s.engine == "reference" for s in specs)
 
     def test_default_engine_is_flat(self):
         assert all(s.engine == "flat" for s in TINY.expand())
 
     def test_engine_keys_the_point(self):
         flat = PointSpec(app="sq", size=2, policy=6, distance=3)
-        vec = PointSpec(
-            app="sq", size=2, policy=6, distance=3, engine="vec"
+        reference = PointSpec(
+            app="sq", size=2, policy=6, distance=3, engine="reference"
         )
-        assert flat.key() != vec.key()
-        assert flat.key().digest != vec.key().digest
+        assert flat.key() != reference.key()
+        assert flat.key().digest != reference.key().digest
 
     def test_engine_keys_the_braid_stage(self):
         from repro.runner.keys import StageKey
 
         base = dict(app="sq", size=2, policy=6, distance=3)
         flat = StageKey.make("braid_sim", engine="flat", **base)
-        vec = StageKey.make("braid_sim", engine="vec", **base)
-        assert flat.digest != vec.digest
+        reference = StageKey.make("braid_sim", engine="reference", **base)
+        assert flat.digest != reference.digest
 
-    def test_vec_point_matches_flat_result(self):
-        pytest.importorskip("numpy")
+    def test_reference_point_matches_flat_result(self):
         flat = run_point(
             PointSpec(app="sq", size=2, policy=6, distance=3)
         )
-        vec = run_point(
+        reference = run_point(
             PointSpec(
-                app="sq", size=2, policy=6, distance=3, engine="vec"
+                app="sq", size=2, policy=6, distance=3, engine="reference"
             )
         )
-        assert vec.braid == flat.braid
+        assert reference.braid == flat.braid
 
 
 class TestGridLists:
