@@ -21,8 +21,11 @@ masks, DAG arrays, the critical path — is precompiled into an immutable
 :class:`~repro.network.plan.BraidPlan`, built once per design point and
 shared by all seven policy simulations (see :mod:`repro.network.plan`):
 
-* heap entries are single ints (``time << 34 | seq``) with a side list
-  mapping ``seq`` to the event's kind and operation;
+* events live on a per-cycle calendar: a heap of distinct pending
+  cycles, plus per cycle the ops due then in scheduling order (``op``
+  for a braid expiry, ``~op`` for a local completion); a wake only
+  makes sure its cycle exists, and :meth:`BraidSimulator.run` is one
+  timestep loop that pops a cycle's whole list before processing it;
 * link occupancy is the mesh's bitmask core, so a route is free iff
   ``route_mask & occupied == 0`` and claims/releases are big-int OR/AND;
 * routes come precomputed from a shared :class:`~.routing.RouteTable`;
@@ -36,8 +39,8 @@ shared by all seven policy simulations (see :mod:`repro.network.plan`):
   policies merge the sorted closes and opens with two pointers.
 
 The scheduler families (policies 7 and 8) ride the same event loop:
-the reservation family (:mod:`.policies_sched`) gates
-``_eligible_opens`` on each segment's reserved cycle and wakes ops
+the reservation family (:mod:`.policies_sched`) admits an op to an
+issue round only on or after its segment's reserved cycle and wakes it
 exactly there, and the scoreboard family is a close-first policy that
 issues the oldest ready op (lowest program index) first.
 
@@ -150,14 +153,6 @@ class BraidSimResult:
 _WAITING, _READY, _HOLDING, _CLOSING, _DONE = range(5)
 
 
-# Event kinds, packed into the low bits of the per-seq meta entry.
-_EXPIRY, _LOCAL, _WAKE = range(3)
-
-_SEQ_BITS = 34
-_SEQ_LIMIT = 1 << _SEQ_BITS
-_SEQ_MASK = _SEQ_LIMIT - 1
-
-
 class BraidSimulator:
     """Single-run braid schedule simulator.
 
@@ -216,6 +211,14 @@ class BraidSimulator:
                 f"got distance={distance}; build a plan per distance",
                 artifact=f"plan for {plan.circuit.name!r}",
             )
+        elif mesh is not None and (mesh.rows, mesh.cols) != (
+            plan.rows, plan.cols
+        ):
+            raise PlanMismatchError(
+                f"plan was compiled for a {plan.rows}x{plan.cols} mesh, "
+                f"got a {mesh.rows}x{mesh.cols} mesh",
+                artifact=f"plan for {plan.circuit.name!r}",
+            )
         self.plan = plan
         self.circuit = plan.circuit
         self.dag = plan.dag
@@ -237,18 +240,13 @@ class BraidSimulator:
         self._arrival = [0] * n
         self._arrival_counter = itertools.count()
         self._ready_opens: set[int] = set()
-        self._closing: list[int] = []
-        # Event heap entries: time << 34 | seq, with the event's kind
-        # and op packed into _event_meta[seq].  Ordering is (time, seq),
-        # exactly the seed's (time, tiebreak) tuple order.  Meta entries
-        # are popped with their events, so memory tracks outstanding
-        # events, not every event ever scheduled.
-        self._events: list[int] = []
-        self._event_meta: dict[int, int] = {}
-        self._event_seq = 0
+        # Event calendar: a heap of distinct pending cycles, and per
+        # cycle the ops due then in scheduling order (``op`` for a braid
+        # expiry, ``~op`` for a local completion).  A wake carries no
+        # data, so it only makes sure its cycle exists.
+        self._cycles: list[int] = []
+        self._due: dict[int, list[int]] = {}
         self._completion_time = 0
-        self._busy_integral = 0
-        self._last_time = 0
         self._braids = 0
         self._adaptive = 0
         self._drops = 0
@@ -288,25 +286,107 @@ class BraidSimulator:
     def run(self) -> BraidSimResult:
         for op in self.plan.sources:
             self._make_ready(op, time=0)
-        self._schedule_event(0, _WAKE, -1)
-        events = self._events
-        meta = self._event_meta
+        self._due_at(0)
+        cycles = self._cycles
+        due = self._due
+        phase = self._phase
+        ready = self._ready_opens
+        mesh = self.mesh
+        # The seams a subclass may hook are bound once, not inlined.
+        try_open = self._try_open
+        close_segment = self._close_segment
+        complete = self._complete
+        sort_opens = self._sort_opens
+        closes_first = self.policy.closes_first
+        interleave = self.policy.interleave
+        reserved = self._resv.reserved if self._resv is not None else None
+        seg_index = self._segment_index
         max_cycles = self.config.max_cycles
         heappop = heapq.heappop
-        while events:
-            entry = heappop(events)
-            time = entry >> _SEQ_BITS
+        busy_integral = 0
+        last_time = 0
+        while cycles:
+            time = heappop(cycles)
             if time > max_cycles:
                 raise RuntimeError(
                     f"braid simulation exceeded {max_cycles} "
                     "cycles; likely livelock"
                 )
-            self._integrate_busy(time)
-            batch = [meta.pop(entry & _SEQ_MASK)]
-            while events and events[0] >> _SEQ_BITS == time:
-                batch.append(meta.pop(heappop(events) & _SEQ_MASK))
-            self._process_timestep(time, batch)
-        phase = self._phase
+            if time > last_time:
+                busy_integral += mesh.busy_links() * (time - last_time)
+                last_time = time
+            # The cycle's whole list is taken before any of it runs, so
+            # an event scheduled for this very cycle (a zero-cycle local
+            # op) forms a new timestep at the same cycle.
+            closes = []
+            for entry in due.pop(time):
+                if entry < 0:
+                    complete(~entry, time)
+                elif phase[entry] == _HOLDING:
+                    phase[entry] = _CLOSING
+                    closes.append(entry)
+            closes.sort()
+            # Fixpoint within the timestep: closes can complete
+            # operations, whose successors become ready and may open in
+            # the same cycle (the greedy "place as many braids as
+            # possible" rule).  A round's open candidates are the ready
+            # set as it stood before the round's closes; ops those
+            # closes ready open next round.  Closes only come from the
+            # cycle's list, so only the first round has any.
+            released_with_blocked = False
+            while True:
+                if not ready:
+                    opens = []
+                elif reserved is not None:
+                    # Reservation gate: an op issues only on (or after)
+                    # its segment's reserved cycle, where a wake was
+                    # scheduled when it became ready.
+                    opens = [
+                        op
+                        for op in ready
+                        if reserved[op][seg_index[op]] <= time
+                    ]
+                elif interleave:
+                    opens = list(ready)
+                else:
+                    opens = self._head_opens()
+                progress = bool(closes)
+                blocked = False
+                num_closes = len(closes)
+                if closes_first:
+                    # Closes in index order, then opens in policy order.
+                    if len(opens) > 1:
+                        opens = sort_opens(opens)
+                    for op in closes:
+                        close_segment(op, time)
+                    ci = num_closes
+                else:
+                    # Unprioritized: closes and opens interleave by
+                    # program order, a two-pointer merge of the two
+                    # sorted lists (an op is never both closing and
+                    # opening).  The policy's open ordering collapses to
+                    # op index here, exactly as the seed's merged sort
+                    # does.
+                    opens.sort()
+                    ci = 0
+                for op in opens:
+                    while ci < num_closes and closes[ci] < op:
+                        close_segment(closes[ci], time)
+                        ci += 1
+                    if try_open(op, time):
+                        progress = True
+                    else:
+                        blocked = True
+                for op in closes[ci:]:
+                    close_segment(op, time)
+                if closes:
+                    released_with_blocked = blocked
+                    closes = []
+                if not progress or not ready:
+                    break
+            if released_with_blocked and ready:
+                # Links freed this cycle; blocked opens retry next cycle.
+                self._due_at(time + 1)
         unfinished = [
             i for i in range(self.num_ops) if phase[i] != _DONE
         ]
@@ -322,7 +402,7 @@ class BraidSimulator:
             schedule_length=self._completion_time,
             critical_path=critical,
             mean_utilization=(
-                self._busy_integral / (total_time * self.mesh.num_links)
+                busy_integral / (total_time * self.mesh.num_links)
             ),
             operations=self.num_ops,
             braids=self._braids,
@@ -332,22 +412,16 @@ class BraidSimulator:
 
     # -- internals ------------------------------------------------------------
 
-    def _integrate_busy(self, now: int) -> None:
-        if now > self._last_time:
-            self._busy_integral += self.mesh.busy_links() * (
-                now - self._last_time
-            )
-            self._last_time = now
-
-    def _schedule_event(self, time: int, kind: int, op: int) -> None:
-        seq = self._event_seq
-        if seq >= _SEQ_LIMIT:
-            raise RuntimeError("braid simulation event counter overflow")
-        self._event_seq = seq + 1
-        self._event_meta[seq] = ((op + 1) << 2) | kind
-        heapq.heappush(self._events, (time << _SEQ_BITS) | seq)
+    def _due_at(self, cycle: int) -> list[int]:
+        """The calendar list of ``cycle``, queueing the cycle if new."""
+        entries = self._due.get(cycle)
+        if entries is None:
+            entries = self._due[cycle] = []
+            heapq.heappush(self._cycles, cycle)
+        return entries
 
     def _make_ready(self, op: int, time: int) -> None:
+        """Queue ``op``'s next braid segment, or start a local op."""
         if self._is_braid[op]:
             self._phase[op] = _READY
             self._wait_start[op] = time
@@ -358,13 +432,11 @@ class BraidSimulator:
                 # this segment issues (no event may exist there yet).
                 cycle = self._resv.reserved[op][self._segment_index[op]]
                 if cycle > time:
-                    self._schedule_event(cycle, _WAKE, -1)
+                    self._due_at(cycle)
         else:
             # Local op: runs unconditionally for its duration.
             self._phase[op] = _HOLDING
-            self._schedule_event(
-                time + self.tasks[op].local_cycles, _LOCAL, op
-            )
+            self._due_at(time + self.tasks[op].local_cycles).append(~op)
 
     def _complete(self, op: int, time: int) -> None:
         self._phase[op] = _DONE
@@ -376,35 +448,8 @@ class BraidSimulator:
             if remaining[succ] == 0:
                 self._make_ready(succ, time)
 
-    def _process_timestep(self, time: int, batch: list[int]) -> None:
-        phase = self._phase
-        for packed in batch:
-            kind = packed & 3
-            if kind == _LOCAL:
-                self._complete((packed >> 2) - 1, time)
-            elif kind == _EXPIRY:
-                op = (packed >> 2) - 1
-                if phase[op] == _HOLDING:
-                    phase[op] = _CLOSING
-                    self._closing.append(op)
-            # _WAKE entries only force a timestep.
-        self._issue_events(time)
-
-    def _eligible_opens(self, time: int) -> list[int]:
-        if self._resv is not None:
-            # Reservation gate: an op may only issue on (or after) its
-            # segment's reserved cycle; a _WAKE is always pending for
-            # gated ops, scheduled when they became ready.
-            reserved = self._resv.reserved
-            seg_index = self._segment_index
-            return [
-                op
-                for op in self._ready_opens
-                if reserved[op][seg_index[op]] <= time
-            ]
-        if self.policy.interleave:
-            return list(self._ready_opens)
-        # Policy 0: the lowest-index incomplete braid op proceeds alone.
+    def _head_opens(self) -> list[int]:
+        """Policy 0: the lowest-index incomplete braid op proceeds alone."""
         head = self._p0_head
         is_braid = self._is_braid
         phase = self._phase
@@ -459,93 +504,27 @@ class BraidSimulator:
         opens.sort(key=arrival.__getitem__)
         return opens
 
-    def _issue_events(self, time: int) -> None:
-        # Fixpoint within the timestep: closes can complete operations,
-        # whose successors become ready and may open in the same cycle
-        # (the greedy "place as many braids as possible" rule).  A
-        # round's open candidates are the ready set as it stood before
-        # the round's closes; ops those closes ready open next round.
-        closes_first = self.policy.closes_first
-        close_segment = self._close_segment
-        try_open = self._try_open
-        any_release_with_blocked = False
-        while True:
-            closes = self._closing
-            if closes:
-                closes.sort()
-                self._closing = []
-            opens = self._eligible_opens(time) if self._ready_opens else []
-            progress = False
-            blocked_any = False
-            if closes_first:
-                # Closes in index order, then opens in policy order.
-                if len(opens) > 1:
-                    opens = self._sort_opens(opens)
-                for op in closes:
-                    close_segment(op, time)
-                for op in opens:
-                    if try_open(op, time):
-                        progress = True
-                    else:
-                        blocked_any = True
-            else:
-                # Unprioritized: closes and opens interleave by program
-                # order, a two-pointer merge of the two sorted lists (an
-                # op is never both closing and opening).  The policy's
-                # open ordering collapses to op index here, exactly as
-                # the seed's merged sort does.
-                opens.sort()
-                ci = 0
-                num_closes = len(closes)
-                for op in opens:
-                    while ci < num_closes and closes[ci] < op:
-                        close_segment(closes[ci], time)
-                        ci += 1
-                    if try_open(op, time):
-                        progress = True
-                    else:
-                        blocked_any = True
-                for op in closes[ci:]:
-                    close_segment(op, time)
-            if closes:
-                progress = True
-                any_release_with_blocked |= blocked_any
-            if not progress or (not self._closing and not self._ready_opens):
-                break
-        if any_release_with_blocked and self._ready_opens:
-            # Links freed this cycle; blocked opens retry next cycle.
-            self._schedule_event(time + 1, _WAKE, -1)
-
     def _close_segment(self, op: int, time: int) -> None:
         self.mesh.release(op)
         self._segment_index[op] += 1
         if self._segment_index[op] >= len(self._segments[op]):
             self._complete(op, time)
         else:
-            self._phase[op] = _READY
-            self._wait_start[op] = time
-            self._arrival[op] = next(self._arrival_counter)
-            self._ready_opens.add(op)
-            if self._resv is not None:
-                cycle = self._resv.reserved[op][self._segment_index[op]]
-                if cycle > time:
-                    self._schedule_event(cycle, _WAKE, -1)
+            self._make_ready(op, time)
 
     def _try_open(self, op: int, time: int) -> bool:
         config = self.config
         mesh = self.mesh
+        epoch = mesh.epoch
         waited = time - self._wait_start[op]
         adaptive = waited >= config.adaptive_timeout
         path = None
-        mask = 0
         # Epoch early-out: a search that failed at this mesh epoch with
         # the same (or a wider) candidate set must fail again -- claims
         # since then only shrank the free set.
-        if self._fail_epoch[op] == mesh.epoch and (
-            self._fail_adaptive[op] or not adaptive
+        if self._fail_epoch[op] != epoch or (
+            adaptive and not self._fail_adaptive[op]
         ):
-            pass
-        else:
             src, dst, hold, min_len, dor_path, dor_mask = self._segments[
                 op
             ][self._segment_index[op]]
@@ -559,14 +538,12 @@ class BraidSimulator:
                     if cand_mask & occupied == 0:
                         path, mask = cand_path, cand_mask
                         break
-        if path is None:
-            if self._fail_epoch[op] == mesh.epoch:
-                # Keep an adaptive failure sticky within the epoch: a
-                # post-drop non-adaptive miss must not narrow the memo.
-                self._fail_adaptive[op] |= adaptive
-            else:
-                self._fail_epoch[op] = mesh.epoch
+            if path is None:
+                # Within a memoized epoch only a search wider than the
+                # memo runs, so this never narrows an adaptive memo.
+                self._fail_epoch[op] = epoch
                 self._fail_adaptive[op] = adaptive
+        if path is None:
             if waited >= config.drop_timeout:
                 # Drop and re-inject at the back of the ready queue.
                 self._drops += 1
@@ -575,11 +552,7 @@ class BraidSimulator:
             if not adaptive:
                 # Make sure the op is retried once adaptivity unlocks,
                 # even if no braid closes in the meantime.
-                self._schedule_event(
-                    self._wait_start[op] + config.adaptive_timeout,
-                    _WAKE,
-                    -1,
-                )
+                self._due_at(self._wait_start[op] + config.adaptive_timeout)
             return False
         # A found path implies the search branch ran, so the segment
         # fields (hold, min_len) are bound.
@@ -590,7 +563,7 @@ class BraidSimulator:
         self._phase[op] = _HOLDING
         self._braids += 1
         # Open takes this cycle; stabilize for `hold`; then close.
-        self._schedule_event(time + 1 + hold, _EXPIRY, op)
+        self._due_at(time + 1 + hold).append(op)
         return True
 
 

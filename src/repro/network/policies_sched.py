@@ -167,8 +167,12 @@ slot, so an attempt can only fail while ``ii`` is small."""
 def _schedule_at_ii(
     plan: "BraidPlan", ii: int, ii_lower: int
 ) -> ReservationSchedule | None:
-    """One modulo-scheduling attempt at a fixed ``ii`` (None = refit)."""
-    table = ReservationTable(ii)
+    """One modulo-scheduling attempt at a fixed ``ii`` (None = refit).
+
+    Scans the table's slots inline and books each first-fit window
+    unchecked; :meth:`ReservationTable.book` is the checked replay path.
+    """
+    slots = ReservationTable(ii).slots
     n = plan.num_ops
     tasks = plan.tasks
     is_braid = plan.is_braid
@@ -189,20 +193,23 @@ def _schedule_at_ii(
                 occupancy = hold + 2
                 if mask and occupancy > ii:
                     return None  # window self-overlaps at this ii
-                start = cursor
-                while True:
-                    offset = table.conflict(cursor, occupancy, mask)
-                    if offset < 0:
-                        break
-                    # Skip-ahead: any window anchored in
-                    # (cursor, cursor + offset] still covers the
-                    # conflicting slot, so jump past it.
-                    cursor += offset + 1
-                    if cursor - start >= ii:
-                        # A full period of anchor classes conflicts:
-                        # no cycle ever fits at this ii.
-                        return None
-                table.book(cursor, occupancy, mask)
+                # A full period of anchor classes conflicting means no
+                # cycle ever fits at this ii.
+                limit = cursor + ii
+                offset = 0
+                while offset < occupancy:
+                    if slots[(cursor + offset) % ii] & mask:
+                        # Skip-ahead: any window anchored in
+                        # (cursor, cursor + offset] still covers the
+                        # conflicting slot, so jump past it.
+                        cursor += offset + 1
+                        if cursor >= limit:
+                            return None
+                        offset = 0
+                    else:
+                        offset += 1
+                for cycle in range(cursor, cursor + occupancy):
+                    slots[cycle % ii] |= mask
                 opens.append(cursor)
                 cursor += 1 + hold  # the close cycle; completion point
             end = cursor

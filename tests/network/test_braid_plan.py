@@ -3,18 +3,21 @@
 The plan refactor moves every policy-independent setup product (tasks,
 prebound routes, DAG arrays, critical path) out of the simulator into a
 :class:`~repro.network.plan.BraidPlan` shared by all seven policies of
-a design point.  These tests pin three contracts:
+a design point.  These tests pin four contracts:
 
 * a plan-backed simulation is bit-identical to the reference loop for
   every policy (the plan must not observable-change anything);
 * a plan's arrays are *unchanged* after simulations run from it (the
   mutation guard hashes them before and after);
+* a caller's mesh must have the plan's shape, and a run leaves it
+  drained;
 * the process-wide memo builds one plan per design point and validates
   placement identity on hits.
 """
 
 import pytest
 
+from repro.analysis.diagnostics import PlanMismatchError
 from repro.network import (
     BraidMesh,
     BraidSimConfig,
@@ -129,6 +132,54 @@ class TestPlanImmutability:
                 plan=plan,
                 config=BraidSimConfig(max_detour=2),
             )
+
+    def test_plan_rejects_mismatched_mesh_shape(self):
+        # A mesh of another shape would take the plan's link ids and
+        # report an impossible utilization instead of failing.
+        cache = StageCache()
+        fe, machine = _contended_instance(cache)
+        plan = machine.plan(3, dag=fe.dag)
+        for rows, cols in (
+            (plan.rows + 1, plan.cols),
+            (plan.rows, plan.cols - 1),
+        ):
+            with pytest.raises(PlanMismatchError, match="mesh"):
+                BraidSimulator(
+                    policy=POLICIES[2],
+                    plan=plan,
+                    mesh=BraidMesh(rows, cols),
+                )
+        mesh = BraidMesh(plan.rows, plan.cols)
+        result = BraidSimulator(policy=POLICIES[2], plan=plan, mesh=mesh).run()
+        assert result == simulate_plan(plan, 2)
+
+
+class TestPlanCallerMesh:
+    """A plan run on the caller's mesh claims and releases every braid
+    there, whatever the policy family."""
+
+    @pytest.fixture(scope="class")
+    def plan(self):
+        fe, machine = _contended_instance(StageCache())
+        return machine.plan(3, dag=fe.dag)
+
+    @pytest.mark.parametrize("policy", range(9))
+    def test_plan_run_drains_callers_mesh(self, plan, policy):
+        mesh = BraidMesh(plan.rows, plan.cols)
+        first = BraidSimulator(
+            policy=POLICIES[policy], plan=plan, mesh=mesh
+        ).run()
+        assert first == simulate_plan(plan, policy)
+        # Every claim was released on the caller's mesh, not a copy.
+        assert mesh.epoch > 0
+        assert mesh.busy_links() == 0
+        assert mesh.occupied_mask == 0
+        # A drained mesh is as good as a fresh one for the next run.
+        again = BraidSimulator(
+            policy=POLICIES[policy], plan=plan, mesh=mesh
+        ).run()
+        assert again == first
+        assert mesh.busy_links() == 0
 
 
 class TestPlanMemo:

@@ -14,11 +14,14 @@ built on:
   simulated schedule length equals the planner's makespan exactly
   (no drops, no adaptive reroutes — periodic issue by construction).
 
-Policy 8 is also checked event by event against the seed loop in
-``test_policy_differential.py``.  The ``check_sched`` IR pass is
-exercised both ways: a clean schedule produces zero diagnostics, and
-seeded defects (shifted reservations, lowered ii, truncation) are each
-flagged as errors.
+The planner's inline first-fit scan is checked against a probe-loop
+oracle (skip-ahead over :meth:`ReservationTable.conflict`, then
+:meth:`ReservationTable.book`) on the golden-grid plans: every segment
+must take the earliest free window.  Policy 8 is also checked event by
+event against the seed loop in ``test_policy_differential.py``.  The
+``check_sched`` IR pass is exercised both ways: a clean schedule
+produces zero diagnostics, and seeded defects (shifted reservations,
+lowered ii, truncation) are each flagged as errors.
 """
 
 import dataclasses
@@ -30,6 +33,7 @@ from hypothesis import strategies as st
 from repro.analysis.ir_checks import check_sched
 from repro.network import (
     BraidMesh,
+    ReservationSchedule,
     ReservationTable,
     build_reservation,
     ii_lower_bound,
@@ -39,6 +43,8 @@ from repro.network.braidsim import simulate_plan
 from repro.network.plan import BraidPlan
 from repro.partition import GridShape, naive_layout
 from repro.qasm import Circuit
+from repro.runner import StageCache
+from repro.runner.stages import compute_frontend, compute_layout
 
 _MESHES = ((1, 2), (2, 2), (2, 3), (3, 3))
 
@@ -84,6 +90,63 @@ def _fixed_plan():
         BraidMesh(2, 2),
         distance=3,
     )
+
+
+def _probe_schedule_at_ii(plan, ii, ii_lower):
+    """Reference modulo-scheduling attempt: probe every candidate window
+    with ``table.conflict``, skip past each conflict, then ``book``."""
+    table = ReservationTable(ii)
+    ready = [0] * plan.num_ops
+    reserved = []
+    finish = [0] * plan.num_ops
+    makespan = 0
+    for op in range(plan.num_ops):
+        if not plan.is_braid[op]:
+            end = ready[op] + plan.tasks[op].local_cycles
+            reserved.append(())
+        else:
+            cursor = ready[op]
+            opens = []
+            for seg in plan.segments[op]:
+                hold, mask = seg[2], seg[5]
+                occupancy = hold + 2
+                if mask and occupancy > ii:
+                    return None
+                start = cursor
+                while True:
+                    offset = table.conflict(cursor, occupancy, mask)
+                    if offset < 0:
+                        break
+                    cursor += offset + 1
+                    if cursor - start >= ii:
+                        return None
+                table.book(cursor, occupancy, mask)
+                opens.append(cursor)
+                cursor += 1 + hold
+            end = cursor
+            reserved.append(tuple(opens))
+        finish[op] = end
+        makespan = max(makespan, end)
+        for succ in plan.successors[op]:
+            ready[succ] = max(ready[succ], end)
+    return ReservationSchedule(
+        reserved=tuple(reserved),
+        finish=tuple(finish),
+        ii=ii,
+        ii_lower=ii_lower,
+        makespan=makespan,
+    )
+
+
+def _probe_reservation(plan):
+    """Reference iterative modulo scheduling (same geometric ii growth)."""
+    ii_lower = ii_lower_bound(plan)
+    ii = ii_lower
+    while True:
+        schedule = _probe_schedule_at_ii(plan, ii, ii_lower)
+        if schedule is not None:
+            return schedule
+        ii += max(1, ii // 2)
 
 
 class TestReservationTable:
@@ -157,6 +220,44 @@ class TestSchedulerProperties:
         assert result.schedule_length == schedule.makespan
         assert result.drops == 0
         assert result.adaptive_routes == 0
+
+
+class TestFirstFitOracle:
+    """The planner's inline scan books the windows the probe loop finds."""
+
+    @pytest.fixture(scope="class")
+    def cache(self):
+        return StageCache()
+
+    @pytest.mark.parametrize("distance", (3, 5))
+    @pytest.mark.parametrize(
+        "app,size,refit",
+        [("gse", 3, True), ("im", 8, False), ("sq", 2, True)],
+    )
+    def test_matches_probe_loop_on_golden_grid(
+        self, cache, app, size, refit, distance
+    ):
+        fe = compute_frontend(cache, app, size, None)
+        machine = compute_layout(cache, app, size, None, True)
+        plan = BraidPlan.build(
+            machine.circuit,
+            machine.placement,
+            BraidMesh(machine.grid.rows, machine.grid.cols),
+            machine.code,
+            distance,
+            machine.factory_routers,
+            dag=fe.dag,
+        )
+        schedule = build_reservation(plan)
+        assert schedule == _probe_reservation(plan)
+        # gse[3] and sq[2] widen the table at least once; im[8] fits at
+        # the lower bound.
+        assert (schedule.ii > schedule.ii_lower) is refit
+
+    @given(plan=small_plans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_probe_loop_on_random_plans(self, plan):
+        assert build_reservation(plan) == _probe_reservation(plan)
 
 
 class TestSchedMemo:

@@ -2,12 +2,12 @@
 
 The flat engine (:mod:`repro.network.braidsim`) and the preserved seed
 loop (:mod:`repro.network._braidsim_reference`) implement the same
-semantics through very different code paths (int-packed heap events,
-link bitmasks and epoch early-outs vs tuple events and a route search
-per attempt), so Hypothesis-generated circuits run through both and
-must agree not just on the final counters but on the *entire event
-order* — every successful segment open, every close, every op
-completion, at the same cycle in the same sequence.
+semantics through very different code paths (a per-cycle event
+calendar, link bitmasks and epoch early-outs vs a tuple event heap and
+a route search per attempt), so Hypothesis-generated circuits run
+through both and must agree not just on the final counters but on the
+*entire event order* — every successful segment open, every close,
+every op completion, at the same cycle in the same sequence.
 
 Traces are recorded by a mixin that hooks the three state-changing
 methods both simulators share by name and arguments (``_try_open``
@@ -16,7 +16,17 @@ on both.  Policy 7 issues on reserved cycles the seed loop cannot
 follow, so the fixed scenarios check it against its planner instead
 (simulated length == reservation makespan, no drops, no adaptive
 routes); its property tests live in ``test_policies_sched.py``.
+
+Zero-cycle local ops pin the loop's timestep contract: an event
+scheduled for the current cycle forms a new timestep at that cycle,
+after the current one's issue rounds, exactly as in the seed loop.
+
+Beyond the small random plans, the sq[2] and gse[3] plans of the staged
+pipeline are traced in full (about 1k and 13k ops), with their real
+local-op latencies and with zero-cycle locals.
 """
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -29,10 +39,13 @@ from repro.network import (
     reservation_schedule,
 )
 from repro.network.braidsim import BraidSimulator, simulate_plan
+from repro.network.events import build_tasks
 from repro.network.plan import BraidPlan
 from repro.network.policies import ALL_POLICIES, POLICIES
 from repro.partition import GridShape, naive_layout
 from repro.qasm import Circuit
+from repro.runner import StageCache
+from repro.runner.stages import compute_frontend, compute_layout
 
 ALL_POLICY_NUMBERS = tuple(p.number for p in ALL_POLICIES)
 SEED_POLICY_NUMBERS = tuple(
@@ -40,6 +53,9 @@ SEED_POLICY_NUMBERS = tuple(
 )
 
 _MESHES = ((1, 2), (2, 2), (2, 3), (3, 3))
+
+# Golden-grid instances small enough to trace in full at d=3.
+_APPS = (("sq", 2), ("gse", 3))
 
 
 @st.composite
@@ -127,6 +143,43 @@ def _traced_seed_run(plan, policy, config=None):
     return sim.run(), sim.trace
 
 
+def _zero_cycle_tasks(plan):
+    """The plan's tasks rebuilt with every local op taking 0 cycles."""
+    return [
+        task if task.is_braid else dataclasses.replace(task, local_cycles=0)
+        for task in build_tasks(
+            plan.circuit,
+            plan.placement,
+            BraidMesh(plan.rows, plan.cols),
+            plan.code,
+            plan.distance,
+            plan.factory_routers,
+        )
+    ]
+
+
+def _assert_zero_cycle_locals_match(plan, policy, config=None):
+    """Flat vs the seed loop on tasks whose local ops finish at once."""
+    tasks = _zero_cycle_tasks(plan)
+    flat, seed = (
+        cls(
+            plan.circuit,
+            plan.placement,
+            BraidMesh(plan.rows, plan.cols),
+            POLICIES[policy],
+            plan.distance,
+            code=plan.code,
+            factory_routers=plan.factory_routers,
+            config=config,
+            dag=plan.dag,
+            tasks=tasks,
+        )
+        for cls in (_TracingFlat, _TracingSeed)
+    )
+    assert flat.run() == seed.run()
+    assert flat.trace == seed.trace
+
+
 def _assert_matches_oracle(plan, policy, config=None):
     """Flat vs the seed loop (results and traces), or Policy 7 vs its
     planner."""
@@ -182,6 +235,21 @@ class TestDifferentialHypothesis:
         config = BraidSimConfig(adaptive_timeout=1, drop_timeout=3)
         _assert_matches_oracle(plan, policy, config)
 
+    @pytest.mark.parametrize("policy", SEED_POLICY_NUMBERS)
+    @given(plan=small_plans())
+    @settings(max_examples=25, deadline=None)
+    def test_zero_cycle_locals_form_new_timesteps(self, policy, plan):
+        _assert_zero_cycle_locals_match(plan, policy)
+
+    @pytest.mark.parametrize("policy", SEED_POLICY_NUMBERS)
+    @given(plan=small_plans())
+    @settings(max_examples=15, deadline=None)
+    def test_zero_cycle_locals_under_contention_config(self, policy, plan):
+        # Retry wakes and drops then fall on cycles that zero-cycle
+        # completions also reach.
+        config = BraidSimConfig(adaptive_timeout=1, drop_timeout=3)
+        _assert_zero_cycle_locals_match(plan, policy, config)
+
 
 class TestDifferentialFixed:
     """Deterministic scenarios covering every policy against its oracle."""
@@ -210,6 +278,41 @@ class TestDifferentialFixed:
         )
         _assert_matches_oracle(plan, policy)
 
+    @pytest.mark.parametrize("policy", SEED_POLICY_NUMBERS)
+    def test_zero_cycle_local_chain(self, policy):
+        # Two zero-cycle locals in a row gate braid 2, whose route
+        # crosses braid 3's.  The second local finishes in a new
+        # timestep at cycle 0, after braid 3's first issue round.
+        qubits = [f"q{i}" for i in range(4)]
+        circuit = Circuit(qubits=qubits)
+        circuit.apply("H", "q0")
+        circuit.apply("X", "q0")
+        circuit.apply("CNOT", "q0", "q2")
+        circuit.apply("CNOT", "q1", "q3")
+        plan = BraidPlan.build(
+            circuit,
+            naive_layout(qubits, GridShape(1, 4)),
+            BraidMesh(1, 4),
+            distance=3,
+        )
+        _assert_zero_cycle_locals_match(plan, policy)
+
+    @pytest.mark.parametrize("policy", ALL_POLICY_NUMBERS)
+    def test_max_cycles_below_schedule_raises(self, policy):
+        plan = _wide_plan()
+        length = simulate_plan(plan, policy).schedule_length
+        config = BraidSimConfig(max_cycles=length - 1)
+        with pytest.raises(RuntimeError, match="likely livelock"):
+            _traced_run(_TracingFlat, plan, policy, config)
+        if POLICIES[policy].family != "reservation":
+            with pytest.raises(RuntimeError, match="likely livelock"):
+                _traced_seed_run(plan, policy, config)
+        # At the schedule length itself the guard stays quiet.
+        config = BraidSimConfig(max_cycles=length)
+        assert _traced_run(_TracingFlat, plan, policy, config)[0] == (
+            simulate_plan(plan, policy)
+        )
+
     @pytest.mark.parametrize("policy", ALL_POLICY_NUMBERS)
     def test_engine_selector_agrees_with_traced_run(self, policy):
         plan = _wide_plan()
@@ -222,6 +325,35 @@ class TestDifferentialFixed:
             assert simulate_plan(plan, policy, engine="reference") == traced
         with pytest.raises(KeyError, match="unknown braid engine"):
             simulate_plan(plan, policy, engine="turbo")
+
+
+class TestDifferentialApplications:
+    """Real application plans from the staged pipeline: the same event
+    order as the seed loop, thousands of events long."""
+
+    @pytest.fixture(scope="class")
+    def plans(self):
+        cache = StageCache()
+        plans = {}
+        for app, size in _APPS:
+            fe = compute_frontend(cache, app, size, None)
+            machine = compute_layout(cache, app, size, None, True)
+            plans[app, size] = machine.plan(3, dag=fe.dag)
+        return plans
+
+    @pytest.mark.parametrize("policy", ALL_POLICY_NUMBERS)
+    @pytest.mark.parametrize("app,size", _APPS)
+    def test_app_traces_match(self, plans, app, size, policy):
+        plan = plans[app, size]
+        result, trace = _assert_matches_oracle(plan, policy)
+        assert result.operations == plan.num_ops
+        done = [entry for entry in trace if entry[0] == "done"]
+        assert len(done) == plan.num_ops
+
+    @pytest.mark.parametrize("policy", SEED_POLICY_NUMBERS)
+    @pytest.mark.parametrize("app,size", _APPS)
+    def test_app_zero_cycle_locals(self, plans, app, size, policy):
+        _assert_zero_cycle_locals_match(plans[app, size], policy)
 
 
 class TestFlatDeterminism:
