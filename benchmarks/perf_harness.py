@@ -1,8 +1,9 @@
 """Perf harness driver: record/compare braid-stage benchmark reports.
 
-A thin command-line wrapper over :mod:`repro.runner.bench` (the same
-engine behind ``python -m repro bench``), kept under ``benchmarks/`` so
-the measurement workflow lives next to the paper's figure drivers.
+A thin command-line wrapper that runs ``python -m repro bench`` through
+the same process entry (:mod:`repro.__main__`, which also sets the
+collector policy), kept under ``benchmarks/`` so the measurement
+workflow lives next to the paper's figure drivers.
 
 Record this PR's trajectory point (repo root, ``BENCH_<n>.json``)::
 
@@ -35,9 +36,9 @@ if _SRC.is_dir() and str(_SRC) not in sys.path:
 
 
 def main(argv=None) -> int:
-    from repro.runner.cli import main as cli_main
+    from repro.__main__ import main as process_main
 
-    return cli_main(["bench", *(sys.argv[1:] if argv is None else argv)])
+    return process_main(["bench", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

@@ -667,7 +667,11 @@ class RemoteBackend:
             return result
         self.breaker.record_failure()
         assert last is not None
-        raise last
+        try:
+            raise last
+        finally:
+            # Break the cycle last -> traceback -> this frame -> last.
+            last = None
 
     def _injected(self, key) -> None:
         plan = active_plan()

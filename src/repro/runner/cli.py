@@ -845,7 +845,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
     cache = StageCache(args.cache_dir)
     if args.figure in ("fig6", "table2"):
         if args.results:
-            result = SweepResult.load(args.results)
+            try:
+                result = SweepResult.load(args.results)
+            except (
+                OSError, ValueError, KeyError, TypeError, AttributeError
+            ) as err:
+                print(
+                    f"error: unreadable sweep results {args.results}: "
+                    f"{err}",
+                    file=sys.stderr,
+                )
+                return 2
             points = result.points
             if not result.ok:
                 # A schema-2 report may be partial: say which points

@@ -509,7 +509,9 @@ def call_with_deadline(
             f"{label} exceeded its {timeout_s:g}s deadline"
         )
     if "error" in outcome:
-        raise outcome["error"]
+        # Popped, or outcome -> error -> traceback -> target's frame ->
+        # outcome would be a reference cycle.
+        raise outcome.pop("error")
     return outcome["value"]
 
 
@@ -533,7 +535,9 @@ def execute_point(
     token = spec.key().digest
     start = time.perf_counter()
     attempts = 0
-    last_error: Optional[BaseException] = None
+    # The last error is kept as text: holding the exception in a local
+    # would tie it to this frame through its traceback, in a cycle.
+    failure: Optional[tuple[str, str, str]] = None
     for attempt in range(1, retry.max_attempts + 1):
         attempts = attempt
         pause = retry.delay(attempt, token)
@@ -546,13 +550,16 @@ def execute_point(
                 label=f"point {spec.app}[{spec.size}] p{spec.policy}",
             )
         except Exception as error:  # noqa: BLE001 - isolation boundary
-            last_error = error
-    assert last_error is not None
+            failure = (
+                failure_stage(error), repr(error), type(error).__name__
+            )
+    assert failure is not None
+    stage, message, error_type = failure
     return PointFailure(
         spec=spec,
-        stage=failure_stage(last_error),
-        error=repr(last_error),
-        error_type=type(last_error).__name__,
+        stage=stage,
+        error=message,
+        error_type=error_type,
         attempts=attempts,
         elapsed_seconds=time.perf_counter() - start,
     )

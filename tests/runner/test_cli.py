@@ -1,9 +1,11 @@
 """CLI smoke tests: ``python -m repro run/sweep/report``."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -130,6 +132,182 @@ class TestCliSmoke:
         proc = _repro("report", "fig6")
         assert proc.returncode == 2
         assert "needs --results or --cache-dir" in proc.stderr
+
+
+def test_report_rejects_unreadable_results(tmp_path, capsys):
+    torn = tmp_path / "torn.json"
+    torn.write_text('{"points": [', encoding="utf-8")
+    no_app = tmp_path / "no_app.json"
+    no_app.write_text('{"points": [{"spec": {}}]}', encoding="utf-8")
+    not_object = tmp_path / "not_object.json"
+    not_object.write_text("[]", encoding="utf-8")
+    bad_stats = tmp_path / "bad_stats.json"
+    bad_stats.write_text('{"points": [], "stats": []}', encoding="utf-8")
+    for path in (tmp_path / "missing.json", torn, no_app, not_object, bad_stats):
+        assert main(["report", "fig6", "--results", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unreadable sweep results {path}: ")
+
+
+SMALL_SWEEP = (
+    "sweep",
+    "--apps",
+    "sq,gse",
+    "--size",
+    "small",
+    "--policies",
+    "0-8",
+    "--distance",
+    "3",
+)
+
+
+def _repro_owner(obj: object) -> str:
+    """``module.qualname`` of a type, function or method, or of an
+    instance's type; empty unless it belongs to ``repro``."""
+    owner = (
+        obj
+        if isinstance(obj, (type, types.FunctionType, types.MethodType))
+        else type(obj)
+    )
+    module = getattr(owner, "__module__", None) or ""
+    if module.partition(".")[0] != "repro":
+        return ""
+    return f"{module}.{owner.__qualname__}"
+
+
+def _repro_cyclic_garbage(argv: list[str]) -> tuple[int, list[str]]:
+    """Run ``cli.main(argv)`` and name the ``repro`` objects among the
+    cyclic garbage it leaves."""
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        code = main(argv)
+        gc.collect()
+        owned = sorted({_repro_owner(obj) for obj in gc.garbage} - {""})
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    return code, owned
+
+
+def test_no_repro_object_is_cyclic_garbage(tmp_path):
+    """``python -m repro`` never runs a full collection, so a cycle
+    that outlives two young passes is never freed.  That is safe only
+    while a command's cyclic garbage all comes from the standard
+    library (indented ``json.dumps``, argparse, imports), which dies
+    young."""
+    code, owned = _repro_cyclic_garbage(
+        [
+            *SMALL_SWEEP,
+            "--cache-dir",
+            str(tmp_path / "cache"),
+            "--out",
+            str(tmp_path / "sweep.json"),
+        ]
+    )
+    assert code == 0
+    assert owned == []
+
+
+def test_failed_points_leave_no_repro_cyclic_garbage(tmp_path):
+    """The same premise on the failure paths: retried points that keep
+    raising under a deadline, and a remote tier whose every call fails.
+    A kept exception would tie itself to a frame in its traceback."""
+    from repro.runner import FaultAction, FaultPlan, set_fault_plan
+
+    plan = tmp_path / "plan.json"
+    plan.write_text(
+        FaultPlan(
+            [
+                FaultAction(
+                    op="raise",
+                    stage="braid_sim",
+                    match='"policy": 0',
+                    once=False,
+                ),
+                FaultAction(op="remote_error", once=False),
+            ]
+        ).to_json(),
+        encoding="utf-8",
+    )
+    try:
+        code, owned = _repro_cyclic_garbage(
+            [
+                *TINY_SWEEP,
+                "--cache-dir",
+                str(tmp_path / "cache"),
+                "--remote-cache",
+                str(tmp_path / "remote"),
+                "--out",
+                str(tmp_path / "sweep.json"),
+                "--max-attempts",
+                "2",
+                "--timeout",
+                "60",
+                "--max-failures",
+                "-1",
+                "--fault-plan",
+                str(plan),
+            ]
+        )
+    finally:
+        set_fault_plan(None)
+    assert code == 3
+    payload = json.loads((tmp_path / "sweep.json").read_text())
+    assert [f["attempts"] for f in payload["failures"]] == [2]
+    assert payload["stats"]["remote"]["errors"] > 0
+    assert owned == []
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+@pytest.mark.slow
+def test_process_entry_changes_no_output(tmp_path):
+    """The process entry (no full collection, heap frozen at exit)
+    and the in-process ``cli.main`` (default collector) write the same
+    sweep."""
+    entry, library = tmp_path / "entry", tmp_path / "library"
+    proc = _repro(
+        *SMALL_SWEEP,
+        "--cache-dir",
+        str(entry / "cache"),
+        "--out",
+        str(entry / "sweep.json"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    code = main(
+        [
+            *SMALL_SWEEP,
+            "--cache-dir",
+            str(library / "cache"),
+            "--out",
+            str(library / "sweep.json"),
+        ]
+    )
+    assert code == 0
+
+    def points(side: Path) -> list:
+        return json.loads((side / "sweep.json").read_text())["points"]
+
+    assert len(points(entry)) == 18
+    assert points(entry) == points(library)
+    entry_tree, library_tree = _tree(entry / "cache"), _tree(library / "cache")
+    assert len(entry_tree) == 70
+    assert sorted(entry_tree) == sorted(library_tree)
+    assert [
+        name for name in entry_tree if entry_tree[name] != library_tree[name]
+    ] == []
+    # The `repro` script runs the same entry; tomllib is 3.11+ only.
+    pyproject = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert '\nrepro = "repro.__main__:main"\n' in pyproject
 
 
 TINY_SWEEP = (
