@@ -2,9 +2,8 @@
 
 * :mod:`repro.runner.keys` -- stable stage-invocation identities.
 * :mod:`repro.runner.cache` -- memory + on-disk JSON result cache.
-* :mod:`repro.runner.backends` -- pluggable disk-tier backends: local
-  directory with locks + checksums, gzip write policy, degrading
-  remote tier.
+* :mod:`repro.runner.backends` -- the disk store: checksummed,
+  gzipped, atomically written records and ``flock`` single-flight.
 * :mod:`repro.runner.stages` -- the pipeline stages + grid points.
 * :mod:`repro.runner.sweep` -- grid expansion, dedup, process fan-out,
   checkpoint/resume journaling.
@@ -20,17 +19,7 @@ through the stages, and ``docs/PERFORMANCE.md`` for the bench harness
 and the CI regression gate.
 """
 
-from .backends import (
-    CACHE_FORMAT_VERSION,
-    CircuitBreaker,
-    CorruptEntry,
-    GzipBackend,
-    LocalDirBackend,
-    RemoteBackend,
-    RemoteError,
-    RemoteTimeout,
-    default_backend,
-)
+from .backends import CACHE_FORMAT_VERSION, CorruptEntry, DiskStore
 from .bench import BenchReport, compare_reports, run_bench
 from .cache import CacheStats, StageCache
 from .faults import (
@@ -65,16 +54,10 @@ from .sweep import (
 __all__ = [
     "CACHE_FORMAT_VERSION",
     "CacheStats",
-    "CircuitBreaker",
     "CorruptEntry",
-    "GzipBackend",
-    "LocalDirBackend",
-    "RemoteBackend",
-    "RemoteError",
-    "RemoteTimeout",
+    "DiskStore",
     "StageCache",
     "StageKey",
-    "default_backend",
     "FaultAction",
     "FaultPlan",
     "InjectedFault",

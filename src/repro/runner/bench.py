@@ -99,12 +99,6 @@ class BenchReport:
             self-describing across machines.
         engine: Braid engine the sweep simulated with (reports
             recorded before the engine axis existed load as "flat").
-        cache_health: Backend-tier health snapshot
-            (:meth:`~repro.runner.cache.StageCache.backend_health`)
-            when the bench ran against a persistent cache — records a
-            degraded remote tier next to the timings it may have
-            influenced.  None for the default in-memory cache (and in
-            reports recorded before backends existed).
     """
 
     grid: str
@@ -117,7 +111,6 @@ class BenchReport:
     equivalence_checked: int = 0
     environment: dict = dataclasses.field(default_factory=dict)
     engine: str = "flat"
-    cache_health: Optional[dict] = None
 
     @property
     def braid_seconds(self) -> float:
@@ -285,9 +278,7 @@ def run_bench(
         engine: Braid engine for every point (None keeps the grid's
             own engine — "flat" for the presets).
         cache: Explicit stage cache (default: a fresh in-memory one,
-            so the measurement is genuinely cold).  When the cache has
-            a disk or remote backend, its health snapshot is recorded
-            in :attr:`BenchReport.cache_health`.
+            so the measurement is genuinely cold).
     """
     if isinstance(grid, str):
         spec = bench_grid(grid)
@@ -313,8 +304,6 @@ def run_bench(
         environment=_environment(result.workers),
         engine=spec.engine,
     )
-    if cache.backend is not None or cache.remote is not None:
-        report.cache_health = cache.backend_health()
     if reference:
         # After a parallel sweep the stage artifacts live in worker
         # processes; _reference_pass recomputes any missing prefix

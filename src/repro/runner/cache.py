@@ -1,17 +1,13 @@
-"""Two-level (memory + pluggable disk backend) stage result cache.
+"""Two-level (memory + local disk) stage result cache.
 
 The in-memory level stores live Python objects (circuits, machines,
 result dataclasses) so stage invocations sharing a prefix — the same
 frontend compilation across all seven braid policies, say — compute it
 once per process.  The disk level persists JSON payloads through a
-:mod:`~repro.runner.backends` backend (by default a local directory
-with gzip write policy, integrity checksums, and single-flight
-cross-process locking), so sweeps resume across processes and sessions
-and reports re-render without re-simulating.  An optional *remote*
-tier (:class:`~repro.runner.backends.RemoteBackend`) is read-through /
-write-through best-effort: a dead shared endpoint degrades the cache
-to local-only (tagged in :class:`CacheStats`) instead of failing the
-sweep.
+:class:`~repro.runner.backends.DiskStore` (checksummed records, gzip
+above 4 KiB, atomic writes, and single-flight ``flock`` leadership
+across the worker processes of one host), so sweeps resume across
+processes and sessions and reports re-render without re-simulating.
 
 Cached artifacts are shared by reference: treat them as immutable.
 """
@@ -19,7 +15,6 @@ Cached artifacts are shared by reference: treat them as immutable.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import time
 from pathlib import Path
@@ -29,11 +24,10 @@ from .backends import (
     CACHE_FORMAT_VERSION,
     SUPPORTED_CACHE_FORMATS,
     CorruptEntry,
+    DiskStore,
     FlightLease,
-    RemoteBackend,
-    RemoteError,
     decode_record,
-    default_backend,
+    encode_record,
     make_record,
     stored_entry_sizes,
 )
@@ -68,10 +62,6 @@ class CacheStats:
         waits: Single-flight follower loads per stage — this process
             waited for another worker's compute, then loaded it (also
             counted in ``disk_hits``).
-        remote: Remote-tier event counters (``hits``, ``misses``,
-            ``pushes``, ``errors``, ``corrupt``) plus the sticky
-            ``degraded`` flag (1 once the circuit breaker opened and
-            the cache fell back to local-only operation).
     """
 
     hits: dict[str, int] = dataclasses.field(default_factory=dict)
@@ -79,7 +69,6 @@ class CacheStats:
     misses: dict[str, int] = dataclasses.field(default_factory=dict)
     seconds: dict[str, float] = dataclasses.field(default_factory=dict)
     waits: dict[str, int] = dataclasses.field(default_factory=dict)
-    remote: dict[str, int] = dataclasses.field(default_factory=dict)
 
     def record_hit(self, stage: str) -> None:
         self.hits[stage] = self.hits.get(stage, 0) + 1
@@ -96,12 +85,6 @@ class CacheStats:
     def record_wait(self, stage: str) -> None:
         self.waits[stage] = self.waits.get(stage, 0) + 1
 
-    def record_remote(self, event: str, count: int = 1) -> None:
-        self.remote[event] = self.remote.get(event, 0) + count
-
-    def mark_remote_degraded(self) -> None:
-        self.remote["degraded"] = 1
-
     def merge(self, other: "CacheStats") -> None:
         """Fold another process's counters into this one."""
         for counter, theirs in (
@@ -113,13 +96,6 @@ class CacheStats:
         ):
             for stage, count in theirs.items():
                 counter[stage] = counter.get(stage, 0) + count
-        for event, count in other.remote.items():
-            if event == "degraded":
-                # Sticky state flag, not an event count: any degraded
-                # worker makes the merged sweep degraded.
-                self.remote[event] = max(self.remote.get(event, 0), count)
-            else:
-                self.remote[event] = self.remote.get(event, 0) + count
 
     def computed(self, stage: str) -> int:
         """How many times ``stage`` was actually executed."""
@@ -140,7 +116,6 @@ class CacheStats:
             "misses": dict(self.misses),
             "seconds": dict(self.seconds),
             "waits": dict(self.waits),
-            "remote": dict(self.remote),
         }
 
     @classmethod
@@ -151,7 +126,6 @@ class CacheStats:
             misses=dict(payload.get("misses", {})),
             seconds=dict(payload.get("seconds", {})),
             waits=dict(payload.get("waits", {})),
-            remote=dict(payload.get("remote", {})),
         )
 
     def summary(self) -> str:
@@ -167,16 +141,6 @@ class CacheStats:
             if stage in self.seconds:
                 part += f", {self.seconds[stage]:.2f}s"
             parts.append(part)
-        if self.remote:
-            bits = [
-                f"{self.remote[event]} {event}"
-                for event in ("hits", "misses", "pushes", "errors")
-                if self.remote.get(event)
-            ]
-            if self.remote.get("degraded"):
-                bits.append("degraded to local-only")
-            if bits:
-                parts.append("remote: " + ", ".join(bits))
         return "; ".join(parts) if parts else "empty"
 
 
@@ -186,37 +150,13 @@ class StageCache:
     Args:
         disk_dir: Directory for JSON payloads; None disables the disk
             level.  Layout: ``<disk_dir>/<stage>/<digest>.json``,
-            served through :func:`~repro.runner.backends
-            .default_backend` (gzip over a locking local directory).
-        backend: Explicit :class:`~repro.runner.backends.CacheBackend`
-            (overrides the default built from ``disk_dir``).
-        remote: Shared read-through/write-through tier: a
-            :class:`~repro.runner.backends.RemoteBackend` or an
-            endpoint string (directory, ``file://``, or ``http(s)://``
-            URL).  Strictly best-effort — outages degrade the cache to
-            local-only (see :attr:`CacheStats.remote`), they never
-            fail a caller.
-        single_flight: Serialize concurrent computes of one missing
-            key across processes through the backend's lock file (only
-            applies to stages persisted with both serializers).
+            served through a :class:`~repro.runner.backends.DiskStore`.
     """
 
-    def __init__(
-        self,
-        disk_dir: Optional[Union[str, os.PathLike]] = None,
-        backend=None,
-        remote: Optional[Union[str, os.PathLike, RemoteBackend]] = None,
-        single_flight: bool = True,
-    ):
+    def __init__(self, disk_dir: Optional[Union[str, os.PathLike]] = None):
         self._memory: dict[StageKey, Any] = {}
-        if backend is None and disk_dir is not None:
-            backend = default_backend(disk_dir)
-        self.backend = backend
-        self.disk_dir = Path(backend.root) if backend is not None else None
-        if remote is not None and not isinstance(remote, RemoteBackend):
-            remote = RemoteBackend(str(remote))
-        self.remote = remote
-        self.single_flight = single_flight
+        self.disk = DiskStore(disk_dir) if disk_dir is not None else None
+        self.disk_dir = self.disk.root if self.disk is not None else None
         self.stats = CacheStats()
         # Nested-compute bookkeeping for self-time attribution: each
         # frame accumulates the inclusive seconds of its child stages.
@@ -248,41 +188,30 @@ class StageCache:
                 hits are trusted: they were verified on the way in.
 
         Stages persisted with *both* serializers run under
-        single-flight stampede control: concurrent processes missing
-        the same key elect one leader through the backend's lock file;
-        the rest wait, then load the leader's entry (counted in
-        :attr:`CacheStats.waits`).  A leader that crashes mid-compute
-        is detected (dead pid / stale lock) and taken over.
+        single-flight stampede control: a process missing the key
+        blocks on the store's lock for it, then loads the entry again.
+        A waiter finds the leader's entry there (counted in
+        :attr:`CacheStats.waits`); the leader, or a waiter whose entry
+        cannot be used, computes and stores it.  The kernel releases a
+        dead leader's lock, so the next waiter leads.
         """
         if key in self._memory:
             self.stats.record_hit(key.stage)
             return self._memory[key]
-        loadable = (
-            self.backend is not None or self.remote is not None
-        ) and from_jsonable is not None
+        loadable = self.disk is not None and from_jsonable is not None
         if loadable:
             payload = self.load_payload(key)
             if payload is not None:
                 return self._admit(key, payload, from_jsonable, verify)
         lease: Optional[FlightLease] = None
-        if (
-            self.single_flight
-            and self.backend is not None
-            and from_jsonable is not None
-            and to_jsonable is not None
-        ):
-            while True:
-                lease = self.backend.wait_or_lead(key.stage, key.digest)
-                if lease is not None:
-                    break
+        if loadable and to_jsonable is not None:
+            lease = self.disk.lock(key.stage, key.digest)
+        try:
+            if lease is not None:
                 payload = self.load_payload(key)
                 if payload is not None:
                     self.stats.record_wait(key.stage)
                     return self._admit(key, payload, from_jsonable, verify)
-                # The leader's entry vanished before we could load it
-                # (e.g. a corrupt write was quarantined): loop back and
-                # contend for leadership ourselves.
-        try:
             self.stats.record_miss(key.stage)
             start = time.perf_counter()
             self._child_seconds.append(0.0)
@@ -307,7 +236,7 @@ class StageCache:
             if verify is not None:
                 verify(value)
             self._memory[key] = value
-            if self.backend is not None and to_jsonable is not None:
+            if self.disk is not None and to_jsonable is not None:
                 self.store_payload(key, to_jsonable(value))
             return value
         finally:
@@ -337,81 +266,22 @@ class StageCache:
         to ``<disk_dir>/quarantine/<stage>/`` with a ``.reason.txt``
         sidecar before the miss is reported, so corrupt entries are
         preserved as evidence instead of being silently recomputed
-        over.  A local miss falls through to the remote tier (when
-        configured); a fetched record is re-persisted locally so the
-        next load is local.
+        over.
         """
-        record: Optional[dict] = None
-        if self.backend is not None:
-            try:
-                record = self.backend.load(key.stage, key.digest)
-            except CorruptEntry as error:
-                self.quarantine(
-                    self.backend.entry_path(key.stage, key.digest),
-                    error.reason,
-                )
-                record = None
-        if record is None:
-            record = self._remote_fetch(key)
+        if self.disk is None:
+            return None
+        try:
+            record = self.disk.load(key.stage, key.digest)
+        except CorruptEntry as error:
+            self.quarantine(
+                self.disk.entry_path(key.stage, key.digest), error.reason
+            )
+            return None
         if record is None:
             return None
         if record.get("format") not in SUPPORTED_CACHE_FORMATS:
             return None
         return record.get("value")
-
-    def _remote_fetch(self, key: StageKey) -> Optional[dict]:
-        """Read-through from the shared tier; never raises."""
-        remote = self.remote
-        if remote is None:
-            return None
-        was_degraded = remote.degraded
-        try:
-            data = remote.fetch(key.stage, key.digest, key=key)
-        except RemoteError:
-            self.stats.record_remote("errors")
-            self._note_remote_state()
-            return None
-        self._note_remote_state()
-        if data is None:
-            if not was_degraded:
-                self.stats.record_remote("misses")
-            return None
-        try:
-            record = decode_record(data)
-        except CorruptEntry:
-            self.stats.record_remote("corrupt")
-            return None
-        self.stats.record_remote("hits")
-        if (
-            self.backend is not None
-            and record.get("format") in SUPPORTED_CACHE_FORMATS
-        ):
-            try:
-                # Populate the local tier so future loads (and other
-                # local workers) skip the network.
-                self.backend.store(key.stage, key.digest, record)
-            except OSError:
-                pass
-        return record
-
-    def _remote_push(self, key: StageKey, data: bytes) -> None:
-        """Write-through to the shared tier; never raises."""
-        remote = self.remote
-        if remote is None:
-            return
-        was_degraded = remote.degraded
-        try:
-            remote.push(key.stage, key.digest, data, key=key)
-        except RemoteError:
-            self.stats.record_remote("errors")
-        else:
-            if not was_degraded:
-                self.stats.record_remote("pushes")
-        self._note_remote_state()
-
-    def _note_remote_state(self) -> None:
-        if self.remote is not None and self.remote.degraded:
-            self.stats.mark_remote_degraded()
 
     def quarantine(self, path: Path, reason: str) -> Optional[Path]:
         """Move a problematic disk entry aside with a reason sidecar.
@@ -468,23 +338,21 @@ class StageCache:
     def store_payload(self, key: StageKey, payload: Any) -> None:
         """Atomically persist a JSON payload for ``key``.
 
-        The record carries a sha256 of its (JSON-normalized) payload;
-        the backend's write policy decides the bytes (gzip above the
-        threshold by default).  The exact stored bytes are then pushed
-        best-effort to the remote tier, when one is configured.
+        The record carries a sha256 of its (JSON-normalized) payload
+        and is encoded by :func:`~repro.runner.backends.encode_record`
+        (gzip at 4 KiB and above).
         """
-        if self.backend is None:
+        if self.disk is None:
             return
         record = make_record(key.describe(), payload)
-        data = self.backend.store(key.stage, key.digest, record)
+        self.disk.store(key.stage, key.digest, record)
         plan = active_plan()
         if plan is not None:
             self._apply_store_faults(plan, key, record)
-        self._remote_push(key, data)
 
     def _apply_store_faults(self, plan, key: StageKey, record: dict) -> None:
         """Damage the just-written entry per the active fault plan."""
-        path = self.backend.entry_path(key.stage, key.digest)
+        path = self.disk.entry_path(key.stage, key.digest)
         for action in plan.check("store", key):
             if action.op == "corrupt":
                 path.write_text("{corrupt", encoding="utf-8")
@@ -499,8 +367,8 @@ class StageCache:
                 sha = damaged.get("sha256") or "0" * 64
                 head = "1" if sha[0] == "0" else "0"
                 damaged["sha256"] = head + sha[1:]
-                self.backend.write_bytes(
-                    key.stage, key.digest, self.backend.encode(damaged)
+                self.disk.write_bytes(
+                    key.stage, key.digest, encode_record(damaged)
                 )
 
     def iter_payloads(self, stage: str) -> Iterator[dict[str, Any]]:
@@ -538,24 +406,12 @@ class StageCache:
             return 0
         return sum(1 for _ in quarantine.glob("*/*.reason.txt"))
 
-    def backend_health(self) -> dict[str, Any]:
-        """Lock/gzip/breaker health of the configured tiers."""
-        return {
-            "local": (
-                self.backend.health() if self.backend is not None else None
-            ),
-            "remote": (
-                self.remote.health() if self.remote is not None else None
-            ),
-        }
-
     def disk_stats(self) -> dict[str, Any]:
         """Entry counts, byte sizes, and age range of the disk level.
 
         Per-stage (and total) ``raw_bytes`` report the uncompressed
         payload sizes next to the stored ``bytes``, so the gzip
-        policy's savings are visible; ``backend`` carries the tier
-        health report (locks, gzip counters, circuit breaker).
+        policy's savings are visible.
         """
         stages: dict[str, dict[str, Any]] = {}
         total_entries = 0
@@ -603,7 +459,6 @@ class StageCache:
             "total_raw_bytes": total_raw,
             "total_compressed_entries": total_compressed,
             "quarantined": self.quarantined_count(),
-            "backend": self.backend_health(),
         }
 
     def prune(
@@ -643,7 +498,7 @@ class StageCache:
 
         Legacy (format 1, checksum-less, uncompressed) entries are
         re-encoded in place as current-format records — sha256
-        checksum recorded, gzip above the backend's threshold.
+        checksum recorded, gzip at 4 KiB and above.
         Entries already matching the current policy byte-for-byte are
         left untouched (record encoding and gzip are deterministic, so
         re-running migrate is idempotent).  Undecodable entries are
@@ -656,7 +511,7 @@ class StageCache:
         unchanged = 0
         stale = 0
         failed: list[str] = []
-        if self.backend is None:
+        if self.disk is None:
             return {
                 "migrated": 0, "unchanged": 0, "stale": 0, "failed": [],
             }
@@ -683,12 +538,12 @@ class StageCache:
                 fresh = make_record(
                     record.get("key") or {}, record.get("value")
                 )
-                encoded = self.backend.encode(fresh)
+                encoded = encode_record(fresh)
                 if encoded == data:
                     unchanged += 1
                     continue
                 try:
-                    self.backend.write_bytes(
+                    self.disk.write_bytes(
                         stage_dir.name, path.stem, encoded
                     )
                 except OSError:
@@ -814,5 +669,5 @@ class StageCache:
         return len(self._memory)
 
     def _path(self, key: StageKey) -> Path:
-        assert self.backend is not None
-        return self.backend.entry_path(key.stage, key.digest)
+        assert self.disk is not None
+        return self.disk.entry_path(key.stage, key.digest)

@@ -21,7 +21,7 @@ Subcommands:
   cache (``verify`` audits payload checksums and round-trip-validates
   persisted ``lowered`` circuits; ``migrate`` re-encodes legacy
   entries with checksums and the gzip write policy; ``stats`` reports
-  raw vs. stored bytes and backend health).
+  raw vs. stored bytes).
 * ``check`` -- static IR verification of every compiled artifact of a
   sweep grid through :mod:`repro.analysis` (zero diagnostics on a
   healthy build).
@@ -152,16 +152,6 @@ def _add_point_options(parser: argparse.ArgumentParser) -> None:
         "--cache-dir",
         default=None,
         help="on-disk JSON stage cache directory",
-    )
-    parser.add_argument(
-        "--remote-cache",
-        default=None,
-        metavar="ENDPOINT",
-        help=(
-            "shared cache tier: a directory, file:// path, or "
-            "http(s):// URL; best-effort — an outage degrades to "
-            "local-only caching, never fails the run"
-        ),
     )
     parser.add_argument(
         "--verify-stages",
@@ -385,12 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="prune/migrate: restrict to one stage directory",
     )
-    cache_cmd.add_argument(
-        "--remote-cache",
-        default=None,
-        metavar="ENDPOINT",
-        help="stats: include this remote tier's health in the report",
-    )
 
     check = sub.add_parser(
         "check",
@@ -489,16 +473,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         window=args.window,
         engine=args.engine,
     )
-    if args.remote_cache and not args.cache_dir:
-        print(
-            "--remote-cache needs --cache-dir (the local tier); "
-            "ignoring it",
-            file=sys.stderr,
-        )
-    cache = StageCache(
-        args.cache_dir,
-        remote=args.remote_cache if args.cache_dir else None,
-    )
+    cache = StageCache(args.cache_dir)
     result = run_point(spec, cache)
     payload = result.to_jsonable()
     text = json.dumps(payload, indent=None if args.compact else 1)
@@ -606,18 +581,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         timeout_s=args.timeout,
     )
     journal = journal_path(args.out) if args.out else None
-    if args.remote_cache and not args.cache_dir:
-        print(
-            "--remote-cache needs --cache-dir (the local tier); "
-            "ignoring it",
-            file=sys.stderr,
-        )
     runner = SweepRunner(
         cache_dir=args.cache_dir,
         workers=args.workers,
         retry=retry,
         max_failures=max_failures,
-        remote=args.remote_cache if args.cache_dir else None,
     )
     try:
         result = runner.run(grid, journal=journal, resume=args.resume)
@@ -637,12 +605,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     print(f"cache: {result.stats.summary()}", file=sys.stderr)
-    if result.cache_degraded:
-        print(
-            "remote cache tier degraded to local-only (circuit "
-            "breaker open; results are unaffected)",
-            file=sys.stderr,
-        )
     if not result.ok:
         print(render_failures(result.failures), file=sys.stderr)
     if args.out:
@@ -732,7 +694,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    cache = StageCache(args.cache_dir, remote=args.remote_cache)
+    cache = StageCache(args.cache_dir)
     if args.action == "stats":
         print(json.dumps(cache.disk_stats(), indent=1))
         return 0

@@ -209,9 +209,6 @@ _ACTION_OPS = (
     "stall",
     "torn",
     "flip",
-    "remote_error",
-    "remote_timeout",
-    "remote_hang",
 )
 
 _ACTION_SITES = {
@@ -222,9 +219,6 @@ _ACTION_SITES = {
     "stall": "chunk",
     "torn": "store",
     "flip": "store",
-    "remote_error": "remote",
-    "remote_timeout": "remote",
-    "remote_hang": "remote",
 }
 
 
@@ -242,9 +236,7 @@ class FaultAction:
             (truncate the just-persisted entry mid-write, simulating a
             crash between write and rename durability), ``flip``
             (rewrite the entry with a wrong sha256, simulating bit
-            rot), ``remote_error`` / ``remote_timeout`` /
-            ``remote_hang`` (make the next remote cache call fail with
-            a 5xx-style error, time out, or block for ``seconds``).
+            rot).
         stage: Stage name the action targets (ignored for ``stall``).
         nth: Fire on the nth *matching* call seen by the process
             (1-based; counters are per process).
@@ -289,7 +281,6 @@ class FaultPlan:
 
     The plan is consulted by :class:`~repro.runner.cache.StageCache` on
     every stage miss (``compute`` site) and disk write (``store``
-    site), by the remote cache tier on every fetch/push (``remote``
     site), and by the parallel chunk runner (``chunk`` site).  Install
     with :func:`set_fault_plan`; worker processes inherit it through
     the :data:`FAULT_PLAN_ENV` environment variable.
@@ -389,11 +380,10 @@ class FaultPlan:
     ) -> list[FaultAction]:
         """Count one call at ``site`` and fire any due actions.
 
-        ``raise``/``kill`` actions raise (or exit) from here; ``sleep``,
-        ``stall``, and ``remote_hang`` block here; fired ``corrupt`` /
-        ``torn`` / ``flip`` / ``remote_*`` actions are *returned* so
-        the caller (the cache's disk writer or the remote backend) can
-        apply the damage itself.
+        ``raise``/``kill`` actions raise (or exit) from here; ``sleep``
+        and ``stall`` block here; fired ``corrupt`` / ``torn`` /
+        ``flip`` actions are *returned* so the caller (the cache's disk
+        writer) can apply the damage itself.
         """
         due: list[tuple[int, FaultAction]] = []
         with self._lock:
@@ -423,7 +413,7 @@ class FaultPlan:
                         "process; raising instead"
                     )
                 os._exit(73)
-            if action.op in ("sleep", "stall", "remote_hang"):
+            if action.op in ("sleep", "stall"):
                 time.sleep(action.seconds)
             fired.append(action)
         return fired

@@ -209,11 +209,6 @@ class SweepResult:
         """True when every grid point completed."""
         return not self.failures
 
-    @property
-    def cache_degraded(self) -> bool:
-        """True when the shared cache tier fell back to local-only."""
-        return bool(self.stats.remote.get("degraded"))
-
     def to_jsonable(self) -> dict:
         return {
             "schema": SWEEP_SCHEMA_VERSION,
@@ -344,7 +339,6 @@ def _run_chunk(
     spec_payloads: list[dict],
     cache_dir: Optional[str],
     retry_payload: Optional[dict],
-    remote_endpoint: Optional[str] = None,
 ) -> dict:
     """Worker entry point: run one chunk of points, isolated per point."""
     plan = active_plan()
@@ -352,7 +346,7 @@ def _run_chunk(
         # "stall" injection point: a wedged worker the pool-level
         # watchdog must recycle (cooperative deadlines can't see it).
         plan.check("chunk")
-    cache = StageCache(cache_dir, remote=remote_endpoint)
+    cache = StageCache(cache_dir)
     retry = (
         RetryPolicy.from_jsonable(retry_payload)
         if retry_payload is not None
@@ -399,12 +393,6 @@ class SweepRunner:
         pool_grace: Additive slack (seconds) on the pool watchdog
             budget derived from ``retry.timeout_s``; only meaningful
             when a per-point deadline is set.
-        remote: Optional shared cache endpoint (directory, ``file://``
-            path, or ``http(s)://`` URL) for the default cache's
-            remote tier; worker processes get their own connection to
-            the same endpoint.  Best-effort only — an outage degrades
-            to local caching (``stats.remote["degraded"]``), it never
-            fails the sweep.
     """
 
     def __init__(
@@ -416,10 +404,9 @@ class SweepRunner:
         max_failures: Optional[int] = 0,
         pool_retries: int = 2,
         pool_grace: float = 30.0,
-        remote: Optional[str] = None,
     ):
         if cache is None:
-            cache = StageCache(cache_dir, remote=remote)
+            cache = StageCache(cache_dir)
         self.cache = cache
         self.workers = max(1, workers)
         self.retry = retry if retry is not None else RetryPolicy()
@@ -597,11 +584,6 @@ class SweepRunner:
             else None
         )
         retry_payload = self.retry.to_jsonable()
-        remote_endpoint = (
-            self.cache.remote.endpoint
-            if self.cache.remote is not None
-            else None
-        )
         stats = CacheStats()
         queue: deque[tuple[int, list[PointSpec], int]] = deque(
             (cid, chunk, 0) for cid, chunk in enumerate(chunks)
@@ -618,7 +600,6 @@ class SweepRunner:
                     [spec.to_jsonable() for spec in chunk],
                     cache_dir,
                     retry_payload,
-                    remote_endpoint,
                 ): (cid, chunk, tries)
                 for cid, chunk, tries in batch
             }
@@ -710,7 +691,7 @@ def _dedup(specs: Iterable[PointSpec]) -> list[PointSpec]:
 def _diff(after: CacheStats, before: CacheStats) -> CacheStats:
     """Counters accumulated between two snapshots of the same cache."""
     result = CacheStats()
-    for name in ("hits", "disk_hits", "misses", "seconds", "waits", "remote"):
+    for name in ("hits", "disk_hits", "misses", "seconds", "waits"):
         now, then, out = (
             getattr(after, name),
             getattr(before, name),
@@ -720,8 +701,4 @@ def _diff(after: CacheStats, before: CacheStats) -> CacheStats:
             delta = count - then.get(stage, 0)
             if delta:
                 out[stage] = delta
-    # ``degraded`` is a sticky state flag, not an event counter: a
-    # cache already degraded before the sweep stays visibly degraded.
-    if after.remote.get("degraded"):
-        result.remote["degraded"] = 1
     return result

@@ -1,39 +1,37 @@
-"""Crash-safe cache backends: record checksums, gzip write policy,
-single-flight locking (8-way multiprocessing stress + staleness
-takeover), the degrading remote tier, and the seeded backend fault
-modes (torn write, checksum flip, remote outage)."""
+"""The disk store: record checksums, gzip encoding, flock
+single-flight (deterministic interleavings + 8-way multiprocessing
+stress + leader kill), and the seeded store fault modes (torn write,
+checksum flip)."""
 
+import errno
+import fcntl
 import gzip
 import json
 import multiprocessing
 import os
-import subprocess
+import threading
 import time
+import types
 from pathlib import Path
 
 import pytest
 
 from repro.runner import (
-    CircuitBreaker,
     CorruptEntry,
+    DiskStore,
     FaultAction,
     FaultPlan,
-    GridSpec,
-    RemoteBackend,
-    RemoteError,
-    RemoteTimeout,
-    RetryPolicy,
     StageCache,
     StageKey,
-    SweepRunner,
     set_fault_plan,
 )
+from repro.runner import backends
 from repro.runner.backends import (
     CACHE_FORMAT_VERSION,
-    GzipBackend,
-    LocalDirBackend,
+    GZIP_THRESHOLD,
+    FlightLease,
     decode_record,
-    default_backend,
+    encode_record,
     make_record,
     payload_checksum,
     stored_entry_sizes,
@@ -41,8 +39,6 @@ from repro.runner.backends import (
 from repro.runner.cli import main as cli_main
 
 KEY = StageKey.make("demo", x=1)
-
-ONE_POINT = GridSpec(apps=("sq",), sizes={"sq": 2}, policies=(6,), distance=3)
 
 
 @pytest.fixture(autouse=True)
@@ -65,8 +61,7 @@ class TestRecordFormat:
         record = make_record(KEY.describe(), {"v": [1, 2, 3]})
         assert record["format"] == CACHE_FORMAT_VERSION
         assert record["sha256"] == payload_checksum(record["value"])
-        data = LocalDirBackend("unused").encode(record)
-        assert decode_record(data) == record
+        assert decode_record(encode_record(record)) == record
 
     def test_normalizes_non_string_dict_keys(self):
         # int dict keys sort numerically before persistence but
@@ -110,111 +105,357 @@ class TestRecordFormat:
 
 
 # ---------------------------------------------------------------------------
-# Gzip write policy
+# Gzip encoding
 
 
-class TestGzipBackend:
+class TestGzipEncoding:
     def test_small_records_stay_plain_json(self, tmp_path):
-        backend = default_backend(tmp_path)
-        backend.store("demo", KEY.digest, make_record(KEY.describe(), {"v": 1}))
-        raw = backend.entry_path("demo", KEY.digest).read_bytes()
+        store = DiskStore(tmp_path)
+        store.store("demo", KEY.digest, make_record(KEY.describe(), {"v": 1}))
+        raw = store.entry_path("demo", KEY.digest).read_bytes()
         assert raw[:1] == b"{"
-        assert backend.plain_writes == 1
 
     def test_large_records_gzip_and_round_trip(self, tmp_path):
-        backend = default_backend(tmp_path)
+        store = DiskStore(tmp_path)
         payload = {"rows": [[i] * 40 for i in range(200)]}
         record = make_record(KEY.describe(), payload)
-        backend.store("demo", KEY.digest, record)
-        path = backend.entry_path("demo", KEY.digest)
+        store.store("demo", KEY.digest, record)
+        path = store.entry_path("demo", KEY.digest)
         stored, raw, compressed = stored_entry_sizes(path)
         assert compressed and stored < raw
-        assert backend.compressed_writes == 1
-        assert backend.load("demo", KEY.digest) == record
+        assert store.load("demo", KEY.digest) == record
 
     def test_legacy_uncompressed_entries_load_forever(self, tmp_path):
-        backend = default_backend(tmp_path)
+        store = DiskStore(tmp_path)
         legacy = {"format": 1, "key": KEY.describe(), "value": {"v": 3}}
-        path = backend.entry_path("demo", KEY.digest)
+        path = store.entry_path("demo", KEY.digest)
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps(legacy), encoding="utf-8")
-        assert backend.load("demo", KEY.digest) == legacy
+        assert store.load("demo", KEY.digest) == legacy
 
-    def test_encoding_is_deterministic(self, tmp_path):
-        backend = default_backend(tmp_path)
+    def test_encoding_is_deterministic(self):
         record = make_record(
             KEY.describe(), {"rows": [[i] * 40 for i in range(200)]}
         )
-        assert backend.encode(record) == backend.encode(record)
+        assert encode_record(record) == encode_record(record)
 
-    def test_health_reports_byte_counters(self, tmp_path):
-        backend = default_backend(tmp_path)
-        backend.store("demo", KEY.digest, make_record(KEY.describe(), {"v": 1}))
-        report = backend.health()
-        assert report["backend"] == "local"
-        assert report["gzip"]["plain_writes"] == 1
-        assert report["gzip"]["raw_bytes_written"] > 0
+    def test_bytes_are_indented_json_gzipped_at_level_6(self):
+        # The stored bytes are a format: ``cache migrate`` finds
+        # current entries by comparing them, and a sweep must leave the
+        # same cache tree as every earlier version of the store.
+        small = make_record(KEY.describe(), {"v": 1})
+        plain = (json.dumps(small, indent=1) + "\n").encode("utf-8")
+        assert encode_record(small) == plain
+        large = make_record(
+            KEY.describe(), {"rows": [[i] * 40 for i in range(200)]}
+        )
+        plain = (json.dumps(large, indent=1) + "\n").encode("utf-8")
+        assert encode_record(large) == gzip.compress(
+            plain, compresslevel=6, mtime=0
+        )
+
+    def test_gzip_threshold_is_inclusive(self):
+        def padded(pad):
+            record = make_record(KEY.describe(), {"pad": "a" * pad})
+            return record, len(json.dumps(record, indent=1)) + 1
+
+        _, base = padded(0)
+        below, below_size = padded(GZIP_THRESHOLD - 1 - base)
+        at, at_size = padded(GZIP_THRESHOLD - base)
+        assert (below_size, at_size) == (GZIP_THRESHOLD - 1, GZIP_THRESHOLD)
+        assert encode_record(below)[:1] == b"{"
+        assert encode_record(at)[:2] == b"\x1f\x8b"
+
+
+class TestDiskStore:
+    def test_failed_replace_keeps_the_old_entry(self, tmp_path, monkeypatch):
+        store = DiskStore(tmp_path)
+        old = make_record(KEY.describe(), {"v": "old"})
+        store.store("demo", KEY.digest, old)
+
+        def no_space(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(backends.os, "replace", no_space)
+        with pytest.raises(OSError, match="No space"):
+            store.store(
+                "demo", KEY.digest, make_record(KEY.describe(), {"v": "new"})
+            )
+        monkeypatch.undo()
+        assert store.load("demo", KEY.digest) == old
+        assert [p.name for p in (tmp_path / "demo").iterdir()] == [
+            f"{KEY.digest}.json"
+        ], "temporary file left behind"
 
 
 # ---------------------------------------------------------------------------
 # Single-flight (in-process semantics)
 
 
+def _start(fn, name=None):
+    """Run ``fn`` on a daemon thread; its return value lands in the
+    thread's ``results`` list."""
+    results = []
+    thread = threading.Thread(
+        target=lambda: results.append(fn()), name=name, daemon=True
+    )
+    thread.results = results
+    thread.start()
+    return thread
+
+
 class TestSingleFlightLocal:
     def test_leader_then_follower(self, tmp_path):
-        backend = LocalDirBackend(tmp_path, lock_poll=0.01)
-        lease = backend.wait_or_lead("demo", KEY.digest)
-        assert lease is not None
+        store = DiskStore(tmp_path)
+        lease = store.lock("demo", KEY.digest)
         assert lease.lock_path.exists()
-        backend.store("demo", KEY.digest, make_record(KEY.describe(), {"v": 1}))
-        # Entry now exists: a second caller must not lead.
-        assert backend.wait_or_lead("demo", KEY.digest) is None
+        follower = StageCache(tmp_path)
+        thread = _start(
+            lambda: follower.get_or_compute(
+                KEY, lambda: {"v": "follower"}, **_identity_cache_args()
+            )
+        )
+        store.store(
+            "demo", KEY.digest, make_record(KEY.describe(), {"v": "leader"})
+        )
         lease.release()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert thread.results == [{"v": "leader"}]
         assert not lease.lock_path.exists()
         lease.release()  # idempotent
 
-    def test_dead_pid_lock_taken_over(self, tmp_path):
-        backend = LocalDirBackend(tmp_path, lock_poll=0.01)
-        # A real-but-dead pid: wait() reaps the child, so the pid is
-        # free by the time we probe it.
-        child = subprocess.Popen(["true"])
-        child.wait()
-        dead = child.pid
-        lock = backend.lock_path("demo", KEY.digest)
-        lock.parent.mkdir(parents=True)
-        import platform
-
-        lock.write_text(
-            json.dumps(
-                {"pid": dead, "host": platform.node(), "time": time.time()}
-            ),
-            encoding="utf-8",
-        )
-        lease = backend.wait_or_lead("demo", KEY.digest)
-        assert lease is not None
-        assert backend.lock_takeovers == 1
+    def test_second_lock_blocks_until_release(self, tmp_path):
+        store = DiskStore(tmp_path)
+        first = store.lock("demo", KEY.digest)
+        second = _start(lambda: store.lock("demo", KEY.digest))
+        second.join(timeout=0.2)
+        assert second.is_alive() and not second.results
+        first.release()
+        second.join(timeout=10)
+        assert not second.is_alive()
+        [lease] = second.results
+        assert lease.lock_path.exists()
         lease.release()
 
-    def test_old_lock_taken_over_by_age(self, tmp_path):
-        backend = LocalDirBackend(
-            tmp_path, lock_stale_after=0.01, lock_poll=0.01
-        )
-        lock = backend.lock_path("demo", KEY.digest)
+    def test_leftover_lock_file_does_not_block(self, tmp_path):
+        # A killed leader's lock file: still there, but nobody holds it.
+        lock = DiskStore(tmp_path).lock_path("demo", KEY.digest)
         lock.parent.mkdir(parents=True)
-        # A live-holder lock (our own pid) that is simply too old.
-        import platform
-
-        lock.write_text(
-            json.dumps(
-                {"pid": os.getpid(), "host": platform.node(), "time": 0}
-            ),
-            encoding="utf-8",
+        lock.write_text("left by a killed leader", encoding="utf-8")
+        cache = StageCache(tmp_path)
+        thread = _start(
+            lambda: cache.get_or_compute(
+                KEY, lambda: {"v": 1}, **_identity_cache_args()
+            )
         )
-        os.utime(lock, (1, 1))
-        lease = backend.wait_or_lead("demo", KEY.digest)
-        assert lease is not None
-        assert backend.lock_takeovers == 1
+        thread.join(timeout=10)
+        assert thread.results == [{"v": 1}]
+        assert not lock.exists()
+
+    def test_old_lock_of_a_live_leader_is_never_taken_over(self, tmp_path):
+        computes = []
+        computing = threading.Event()
+        finish = threading.Event()
+
+        def compute_a():
+            computes.append("A")
+            computing.set()
+            assert finish.wait(timeout=30)
+            return {"v": "A"}
+
+        def compute_b():
+            computes.append("B")
+            return {"v": "B"}
+
+        leader = StageCache(tmp_path)
+        a = _start(
+            lambda: leader.get_or_compute(
+                KEY, compute_a, **_identity_cache_args()
+            )
+        )
+        assert computing.wait(timeout=10)
+        os.utime(tmp_path / "demo" / f"{KEY.digest}.lock", (1, 1))
+        follower = StageCache(tmp_path)
+        b = _start(
+            lambda: follower.get_or_compute(
+                KEY, compute_b, **_identity_cache_args()
+            )
+        )
+        b.join(timeout=0.5)  # time enough for a takeover to compute
+        finish.set()
+        for thread in (a, b):
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert computes == ["A"]
+        assert b.results == [{"v": "A"}]
+
+    def test_waiter_relocks_a_replaced_lock_file(self, tmp_path, monkeypatch):
+        # flock's trap: waiter A has opened the lock file; the holder
+        # then releases it (unlinking the path) and B locks a new file
+        # there, all before A's flock returns.  A holds a lock on the
+        # old inode then, and must go round again instead of leading.
+        store = DiskStore(tmp_path)
+        holder = store.lock("demo", KEY.digest)
+        opened = threading.Event()
+        proceed = threading.Event()
+        relocking = threading.Event()
+        calls = []
+
+        def flock(fd, operation):
+            if threading.current_thread().name == "A":
+                calls.append(fd)
+                if len(calls) == 1:
+                    opened.set()
+                    assert proceed.wait(timeout=10)
+                elif len(calls) == 2:
+                    relocking.set()
+            fcntl.flock(fd, operation)
+
+        monkeypatch.setattr(
+            backends,
+            "fcntl",
+            types.SimpleNamespace(LOCK_EX=fcntl.LOCK_EX, flock=flock),
+        )
+        waiter = _start(lambda: store.lock("demo", KEY.digest), name="A")
+        assert opened.wait(timeout=10)
+        holder.release()
+        b = store.lock("demo", KEY.digest)
+        proceed.set()
+        assert relocking.wait(timeout=10), "A led on the unlinked file"
+        waiter.join(timeout=0.2)
+        assert waiter.is_alive() and not waiter.results, "A led beside B"
+        b.release()
+        waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        [lease] = waiter.results
+        assert isinstance(lease, FlightLease) and lease.lock_path.exists()
         lease.release()
+
+    def test_follower_counts_a_wait_not_a_miss(self, tmp_path, monkeypatch):
+        store = DiskStore(tmp_path)
+        lease = store.lock("demo", KEY.digest)
+        locking = threading.Event()
+
+        def flock(fd, operation):
+            if threading.current_thread().name == "follower":
+                locking.set()
+            fcntl.flock(fd, operation)
+
+        monkeypatch.setattr(
+            backends,
+            "fcntl",
+            types.SimpleNamespace(LOCK_EX=fcntl.LOCK_EX, flock=flock),
+        )
+        follower = StageCache(tmp_path)
+        thread = _start(
+            lambda: follower.get_or_compute(
+                KEY, lambda: {"v": "follower"}, **_identity_cache_args()
+            ),
+            name="follower",
+        )
+        # Past its first (missing) load, the follower is at the lock.
+        assert locking.wait(timeout=10)
+        store.store(
+            "demo", KEY.digest, make_record(KEY.describe(), {"v": "leader"})
+        )
+        lease.release()
+        thread.join(timeout=10)
+        assert thread.results == [{"v": "leader"}]
+        assert follower.stats.waits == {"demo": 1}
+        assert follower.stats.disk_hits == {"demo": 1}
+        assert follower.stats.misses == {}
+
+    def test_failed_compute_releases_the_lock(self, tmp_path):
+        def fail():
+            raise RuntimeError("compute failed")
+
+        with pytest.raises(RuntimeError, match="compute failed"):
+            StageCache(tmp_path).get_or_compute(
+                KEY, fail, **_identity_cache_args()
+            )
+        assert not list((tmp_path / "demo").glob("*.lock"))
+        retry = _start(
+            lambda: StageCache(tmp_path).get_or_compute(
+                KEY, lambda: {"v": 2}, **_identity_cache_args()
+            )
+        )
+        retry.join(timeout=10)
+        assert not retry.is_alive(), "the failed leader kept its lock"
+        assert retry.results == [{"v": 2}]
+
+    def test_waiter_relocks_after_the_lock_file_is_removed(
+        self, tmp_path, monkeypatch
+    ):
+        # Waiter A has opened the lock file; the holder then releases
+        # it (unlinking the path) and nobody locks the path before A's
+        # flock returns.  A holds a lock on an unlinked inode then, and
+        # must lead on a fresh file at the path instead.
+        store = DiskStore(tmp_path)
+        holder = store.lock("demo", KEY.digest)
+        opened = threading.Event()
+        proceed = threading.Event()
+        calls = []
+
+        def flock(fd, operation):
+            if threading.current_thread().name == "A":
+                calls.append(fd)
+                if len(calls) == 1:
+                    opened.set()
+                    assert proceed.wait(timeout=10)
+            fcntl.flock(fd, operation)
+
+        monkeypatch.setattr(
+            backends,
+            "fcntl",
+            types.SimpleNamespace(LOCK_EX=fcntl.LOCK_EX, flock=flock),
+        )
+        waiter = _start(lambda: store.lock("demo", KEY.digest), name="A")
+        assert opened.wait(timeout=10)
+        holder.release()
+        assert not holder.lock_path.exists()
+        proceed.set()
+        waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        [lease] = waiter.results
+        assert len(calls) == 2, "A led on the unlinked file"
+        assert lease.lock_path.exists()
+        contender = _start(lambda: store.lock("demo", KEY.digest))
+        contender.join(timeout=0.2)
+        assert contender.is_alive(), "A's lock is not on the path's file"
+        lease.release()
+        contender.join(timeout=10)
+        [second] = contender.results
+        second.release()
+
+    def test_filesystem_without_locks_leads_unlocked(
+        self, tmp_path, monkeypatch
+    ):
+        def flock(fd, operation):
+            raise OSError(errno.ENOLCK, "No locks available")
+
+        monkeypatch.setattr(
+            backends,
+            "fcntl",
+            types.SimpleNamespace(LOCK_EX=fcntl.LOCK_EX, flock=flock),
+        )
+        store = DiskStore(tmp_path)
+        first = store.lock("demo", KEY.digest)
+        second = _start(lambda: store.lock("demo", KEY.digest))
+        second.join(timeout=10)
+        assert not second.is_alive(), "the unlocked fallback blocked"
+        first.release()
+        second.results[0].release()
+        cache = StageCache(tmp_path)
+        computed = _start(
+            lambda: cache.get_or_compute(
+                KEY, lambda: {"v": 3}, **_identity_cache_args()
+            )
+        )
+        computed.join(timeout=10)
+        assert computed.results == [{"v": 3}]
+        assert StageCache(tmp_path).load_payload(KEY) == {"v": 3}
+        assert not list((tmp_path / "demo").glob("*.lock"))
 
     def test_followers_load_instead_of_recomputing(self, tmp_path):
         computes = []
@@ -247,9 +488,6 @@ def _hammer_worker(root, log_path, out_path, barrier, plan_json):
     if plan_json is not None:
         set_fault_plan(FaultPlan.from_json(plan_json))
     cache = StageCache(root)
-    inner = cache.backend.inner
-    inner.lock_poll = 0.01
-    inner.lock_stale_after = 2.0  # bound zombie-pid takeover time
     key = StageKey.make("demo", x=1)
 
     def compute():
@@ -291,8 +529,7 @@ def _run_workers(tmp_path, count, plan_json=None):
     pending = list(workers)
     while pending and time.time() < deadline:
         # Join with a short timeout so exited children are reaped
-        # promptly -- a zombie pid would look alive to the
-        # staleness probe.
+        # promptly.
         for worker in list(pending):
             worker.join(timeout=0.05)
             if worker.exitcode is not None:
@@ -467,155 +704,22 @@ class TestStoreFaults:
 
 
 # ---------------------------------------------------------------------------
-# Remote tier
-
-
-class TestRemoteBackend:
-    def test_file_endpoint_push_then_fetch(self, tmp_path):
-        store = tmp_path / "store"
-        remote = RemoteBackend(f"file://{store}")
-        record = make_record(KEY.describe(), {"v": 9})
-        data = json.dumps(record).encode()
-        remote.push("demo", KEY.digest, data)
-        assert remote.fetch("demo", KEY.digest) == data
-        assert remote.fetch("demo", "0" * 24) is None  # miss, not error
-        assert remote.health()["protocol"] == "file"
-
-    def test_write_through_and_read_through(self, tmp_path):
-        store = tmp_path / "store"
-        writer = StageCache(tmp_path / "a", remote=str(store))
-        writer.get_or_compute(KEY, lambda: {"v": 3}, **_identity_cache_args())
-        assert writer.stats.remote["pushes"] == 1
-        assert (store / "demo" / f"{KEY.digest}.json").exists()
-
-        reader = StageCache(tmp_path / "b", remote=str(store))
-        value = reader.get_or_compute(
-            KEY, lambda: 1 / 0, **_identity_cache_args()
-        )
-        assert value == {"v": 3}
-        assert reader.stats.remote["hits"] == 1
-        # The fetch populated the local tier: next load skips the net.
-        assert (tmp_path / "b" / "demo" / f"{KEY.digest}.json").exists()
-
-    def test_pushed_bytes_are_the_stored_bytes(self, tmp_path):
-        store = tmp_path / "store"
-        cache = StageCache(tmp_path / "a", remote=str(store))
-        payload = {"rows": [[i] * 40 for i in range(200)]}  # gzips
-        cache.get_or_compute(KEY, lambda: payload, **_identity_cache_args())
-        local = (tmp_path / "a" / "demo" / f"{KEY.digest}.json").read_bytes()
-        pushed = (store / "demo" / f"{KEY.digest}.json").read_bytes()
-        assert pushed == local
-        assert pushed[:2] == b"\x1f\x8b"
-
-    def test_outage_opens_breaker_and_degrades(self, tmp_path):
-        set_fault_plan(FaultPlan([FaultAction(op="remote_error", once=False)]))
-        remote = RemoteBackend(
-            str(tmp_path / "store"),
-            retry=RetryPolicy(max_attempts=2, base_delay=0.001),
-            breaker=CircuitBreaker(threshold=2),
-        )
-        cache = StageCache(tmp_path / "local", remote=remote)
-        for x in range(3):
-            key = StageKey.make("demo", x=x)
-            value = cache.get_or_compute(
-                key, lambda: {"x": x}, **_identity_cache_args()
-            )
-            assert value == {"x": x}, "outage must never fail the caller"
-        assert remote.degraded
-        assert cache.stats.remote["degraded"] == 1
-        assert remote.retries > 0
-        health = cache.backend_health()["remote"]
-        assert health["breaker"]["state"] == "open"
-        # Breaker open: later calls skip the network entirely.
-        fetches_before = remote.fetches
-        cache.load_payload(StageKey.make("demo", x=99))
-        assert remote.fetches == fetches_before
-
-    def test_injected_timeout_and_hang(self, tmp_path):
-        store = tmp_path / "store"
-        record_bytes = json.dumps(
-            make_record(KEY.describe(), {"v": 1})
-        ).encode()
-        (store / "demo").mkdir(parents=True)
-        (store / "demo" / f"{KEY.digest}.json").write_bytes(record_bytes)
-
-        set_fault_plan(FaultPlan([FaultAction(op="remote_timeout")]))
-        remote = RemoteBackend(
-            str(store), retry=RetryPolicy(max_attempts=1)
-        )
-        with pytest.raises(RemoteTimeout):
-            remote.fetch("demo", KEY.digest)
-        set_fault_plan(None)
-
-        # A hang longer than the per-call budget becomes a timeout.
-        set_fault_plan(
-            FaultPlan([FaultAction(op="remote_hang", seconds=0.1)])
-        )
-        hung = RemoteBackend(
-            str(store), retry=RetryPolicy(max_attempts=1), timeout_s=0.05
-        )
-        with pytest.raises(RemoteTimeout):
-            hung.fetch("demo", KEY.digest)
-
-    def test_http_5xx_is_a_remote_error(self):
-        remote = RemoteBackend(
-            "http://127.0.0.1:9",  # discard port: connection refused
-            retry=RetryPolicy(max_attempts=1),
-            timeout_s=0.5,
-        )
-        assert remote.is_http
-        with pytest.raises(RemoteError):
-            remote.fetch("demo", KEY.digest)
-        assert remote.breaker.consecutive_failures == 1
-
-    def test_sweep_survives_remote_outage_bit_identically(self, tmp_path):
-        clean = SweepRunner(cache_dir=tmp_path / "clean").run(ONE_POINT)
-        assert clean.ok
-
-        set_fault_plan(
-            FaultPlan([FaultAction(op="remote_error", once=False)])
-        )
-        runner = SweepRunner(
-            cache=StageCache(
-                tmp_path / "local",
-                remote=RemoteBackend(
-                    str(tmp_path / "store"),
-                    retry=RetryPolicy(max_attempts=1),
-                    breaker=CircuitBreaker(threshold=1),
-                ),
-            )
-        )
-        result = runner.run(ONE_POINT)
-        assert result.ok
-        assert result.cache_degraded
-        assert result.stats.remote["degraded"] == 1
-        assert [p.to_jsonable() for p in result.points] == [
-            p.to_jsonable() for p in clean.points
-        ]
-
-
-# ---------------------------------------------------------------------------
 # Stats plumbing
 
 
 class TestStatsPlumbing:
-    def test_waits_and_remote_round_trip_and_merge(self):
+    def test_waits_round_trip_and_merge(self):
         from repro.runner import CacheStats
 
         stats = CacheStats()
         stats.record_wait("demo")
-        stats.record_remote("hits", 2)
-        stats.mark_remote_degraded()
         again = CacheStats.from_dict(stats.as_dict())
         assert again.as_dict() == stats.as_dict()
 
         other = CacheStats()
-        other.record_remote("hits")
-        other.mark_remote_degraded()
+        other.record_wait("demo")
         stats.merge(other)
-        assert stats.remote["hits"] == 3
-        assert stats.remote["degraded"] == 1  # max, not sum
-        assert "degraded to local-only" in stats.summary()
+        assert stats.waits == {"demo": 2}
 
     def test_disk_stats_reports_raw_and_compressed(self, tmp_path):
         cache = StageCache(tmp_path)
@@ -627,8 +731,6 @@ class TestStatsPlumbing:
         assert demo["compressed_entries"] == 1
         assert demo["raw_bytes"] > demo["bytes"]
         assert stats["total_raw_bytes"] > stats["total_bytes"]
-        assert stats["backend"]["local"]["gzip"]["compressed_writes"] == 1
-        assert stats["backend"]["remote"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -694,29 +796,12 @@ class TestBackendCli:
         cache.store_payload(KEY, {"rows": [[i] * 40 for i in range(200)]})
         return cache
 
-    def test_stats_surfaces_bytes_and_health(self, tmp_path, capsys):
+    def test_stats_surfaces_bytes(self, tmp_path, capsys):
         self._seed(tmp_path)
         assert cli_main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["total_compressed_entries"] == 1
         assert payload["total_raw_bytes"] > payload["total_bytes"]
-        assert payload["backend"]["local"]["backend"] == "local"
-
-    def test_stats_includes_remote_health(self, tmp_path, capsys):
-        self._seed(tmp_path)
-        code = cli_main(
-            [
-                "cache",
-                "stats",
-                "--cache-dir",
-                str(tmp_path),
-                "--remote-cache",
-                str(tmp_path / "store"),
-            ]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["backend"]["remote"]["breaker"]["state"] == "closed"
 
     def test_migrate_cli(self, tmp_path, capsys):
         cache = StageCache(tmp_path)

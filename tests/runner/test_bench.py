@@ -1,6 +1,7 @@
 """Bench harness: stage timing capture, reference gate, baselines."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,12 @@ from repro.runner.bench import (
 
 TINY = GridSpec(
     apps=("sq",), sizes={"sq": 2}, policies=(0, 6), distance=3
+)
+CI_BASELINE = (
+    Path(__file__).resolve().parents[2]
+    / "benchmarks"
+    / "baselines"
+    / "bench_ci.json"
 )
 
 
@@ -138,6 +145,14 @@ class TestCompareReports:
             _report(braid_speedup=None), _report()
         )
         assert failures and "braid_speedup" in failures[0]
+
+    def test_committed_ci_baseline_loads(self):
+        # CI gates ``bench --grid tiny`` against this file, so every key
+        # in it must still be a BenchReport field.
+        baseline = BenchReport.load(CI_BASELINE)
+        assert baseline.grid == "tiny"
+        assert baseline.stage_seconds["braid_sim"] > 0
+        assert compare_reports(baseline, baseline) == []
 
 
 class TestAllStageGate:

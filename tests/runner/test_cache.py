@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import threading
 
+from repro.runner.backends import make_record
 from repro.runner.cache import CACHE_FORMAT_VERSION, CacheStats, StageCache
 from repro.runner.keys import StageKey
 
@@ -118,6 +120,36 @@ class TestDiskLevel:
             KEY, lambda: Payload(99), from_jsonable=_revive
         )
         assert result == Payload(99)
+
+    def test_unsupported_format_entry_is_recomputed(self, tmp_path):
+        # A checksummed record in a format this code does not read
+        # (say, from a newer checkout) must be recomputed and
+        # overwritten under the lock, not waited on forever.
+        record = make_record(KEY.describe(), {"value": 7})
+        record["format"] = CACHE_FORMAT_VERSION + 1
+        path = tmp_path / "demo" / f"{KEY.digest}.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(record), encoding="utf-8")
+        cache = StageCache(tmp_path)
+        results = []
+        worker = threading.Thread(
+            target=lambda: results.append(
+                cache.get_or_compute(
+                    KEY,
+                    lambda: Payload(99),
+                    to_jsonable=dataclasses.asdict,
+                    from_jsonable=_revive,
+                )
+            ),
+            daemon=True,
+        )
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive(), "get_or_compute never returned"
+        assert results == [Payload(99)]
+        stored = json.loads(path.read_text(encoding="utf-8"))
+        assert stored["format"] == CACHE_FORMAT_VERSION
+        assert stored["value"] == {"value": 99}
 
     def test_iter_payloads(self, tmp_path):
         cache = StageCache(tmp_path)

@@ -212,9 +212,9 @@ def test_no_repro_object_is_cyclic_garbage(tmp_path):
 
 
 def test_failed_points_leave_no_repro_cyclic_garbage(tmp_path):
-    """The same premise on the failure paths: retried points that keep
-    raising under a deadline, and a remote tier whose every call fails.
-    A kept exception would tie itself to a frame in its traceback."""
+    """The same premise on the failure path: retried points that keep
+    raising under a deadline.  A kept exception would tie itself to a
+    frame in its traceback."""
     from repro.runner import FaultAction, FaultPlan, set_fault_plan
 
     plan = tmp_path / "plan.json"
@@ -227,7 +227,6 @@ def test_failed_points_leave_no_repro_cyclic_garbage(tmp_path):
                     match='"policy": 0',
                     once=False,
                 ),
-                FaultAction(op="remote_error", once=False),
             ]
         ).to_json(),
         encoding="utf-8",
@@ -238,8 +237,6 @@ def test_failed_points_leave_no_repro_cyclic_garbage(tmp_path):
                 *TINY_SWEEP,
                 "--cache-dir",
                 str(tmp_path / "cache"),
-                "--remote-cache",
-                str(tmp_path / "remote"),
                 "--out",
                 str(tmp_path / "sweep.json"),
                 "--max-attempts",
@@ -257,7 +254,6 @@ def test_failed_points_leave_no_repro_cyclic_garbage(tmp_path):
     assert code == 3
     payload = json.loads((tmp_path / "sweep.json").read_text())
     assert [f["attempts"] for f in payload["failures"]] == [2]
-    assert payload["stats"]["remote"]["errors"] > 0
     assert owned == []
 
 
