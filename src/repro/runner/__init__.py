@@ -7,8 +7,8 @@
 * :mod:`repro.runner.stages` -- the pipeline stages + grid points.
 * :mod:`repro.runner.sweep` -- grid expansion, dedup, process fan-out,
   checkpoint/resume journaling.
-* :mod:`repro.runner.faults` -- retry/backoff/deadline policies,
-  per-point failure records, deterministic fault injection.
+* :mod:`repro.runner.faults` -- run-once point isolation, per-point
+  failure records, deterministic fault injection.
 * :mod:`repro.runner.bench` -- cold-cache stage timing + regression gate.
 * :mod:`repro.runner.report` -- figure/table rendering from the cache.
 * :mod:`repro.runner.cli` -- ``python -m repro``
@@ -27,8 +27,6 @@ from .faults import (
     FaultPlan,
     InjectedFault,
     PointFailure,
-    PointTimeout,
-    RetryPolicy,
     SweepAborted,
     execute_point,
     set_fault_plan,
@@ -62,8 +60,6 @@ __all__ = [
     "FaultPlan",
     "InjectedFault",
     "PointFailure",
-    "PointTimeout",
-    "RetryPolicy",
     "SweepAborted",
     "execute_point",
     "set_fault_plan",

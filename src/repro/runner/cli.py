@@ -6,12 +6,12 @@ Subcommands:
   result as JSON (and caches it if ``--cache-dir`` is given).
 * ``sweep`` -- a declarative grid (or the ``fig6`` preset) through the
   :class:`~repro.runner.sweep.SweepRunner`, with shared-work dedup,
-  optional process parallelism, and fault tolerance (per-point
-  isolation, ``--max-failures``/``--fail-fast``, retries with
-  ``--max-attempts``/``--retry-delay``, per-point ``--timeout``,
-  checkpoint ``--resume``); persists results as JSON.  Exit codes:
-  0 = every point completed, 3 = completed with isolated failures
-  (listed in the report), 1 = aborted past the failure budget.
+  optional process parallelism, and fault tolerance (each point runs
+  once, isolated, under a ``--max-failures`` budget; ``--resume``
+  re-runs only what did not finish); persists results as JSON.  Exit
+  codes: 0 = every point completed, 3 = completed with isolated
+  failures (listed in the report), 1 = aborted past the failure
+  budget, 2 = malformed arguments.
 * ``report`` -- re-render Figures 6-9 and Tables 1-2 from cached
   results (``--cache-dir``) or a saved sweep file (``--results``).
 * ``bench`` -- cold-cache stage-timing measurement through
@@ -46,7 +46,7 @@ from .bench import (
     run_bench,
 )
 from .cache import StageCache
-from .faults import RetryPolicy, SweepAborted
+from .faults import SweepAborted
 from .report import render_failures
 from .stages import TECH_PRESETS, PointSpec, run_point
 from .sweep import (
@@ -63,10 +63,8 @@ from .sweep import (
 __all__ = ["main", "build_parser"]
 
 
-def _validate_names(
-    apps: Sequence[str], policies: Sequence[int]
-) -> Optional[str]:
-    """Return an error message for unknown app/policy names, else None."""
+def _validate_names(apps: Sequence[str], policies: Sequence[int]) -> None:
+    """Raise ValueError naming an unknown app or policy."""
     from ..apps.registry import get_app
     from ..network.policies import POLICIES
 
@@ -74,17 +72,17 @@ def _validate_names(
         for app in apps:
             get_app(app)
     except KeyError as error:
-        return str(error.args[0])
+        raise ValueError(error.args[0]) from None
     for policy in policies:
         if policy not in POLICIES:
-            return (
+            raise ValueError(
                 f"unknown braid policy {policy!r}; "
                 f"available: {sorted(POLICIES)}"
             )
-    return None
 
 
 def _parse_size(value: str, app: str) -> Optional[int]:
+    """Parse a ``--size`` knob; ValueError names a malformed value."""
     if value == "default":
         return None
     if value == "small":
@@ -92,19 +90,34 @@ def _parse_size(value: str, app: str) -> Optional[int]:
         from ..apps.registry import get_app
 
         return SMALL_SIM_SIZES[get_app(app).name]
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(
+            f'--size {value!r} is not an integer, "small" or "default"'
+        ) from None
 
 
 def _parse_policies(value: str) -> tuple[int, ...]:
-    """Parse ``"6"``, ``"0,3,6"``, or ``"0-6"`` into policy numbers."""
+    """Parse ``"6"``, ``"0,3,6"``, or ``"0-6"`` into policy numbers;
+    ValueError names an empty, malformed or reversed part."""
     policies: list[int] = []
     for part in value.split(","):
         part = part.strip()
-        if "-" in part:
-            low, high = part.split("-", 1)
-            policies.extend(range(int(low), int(high) + 1))
-        else:
-            policies.append(int(part))
+        low, dash, high = part.partition("-")
+        try:
+            first = int(low)
+            last = int(high) if dash else first
+        except ValueError:
+            raise ValueError(
+                f"--policies {value!r}: {part!r} is not a policy "
+                "or a low-high range"
+            ) from None
+        if first > last:
+            raise ValueError(
+                f"--policies {value!r}: range {part!r} is reversed"
+            )
+        policies.extend(range(first, last + 1))
     return tuple(dict.fromkeys(policies))
 
 
@@ -233,44 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "abort once more than N points have failed (0 = fail fast, "
             "the default; negative = never abort, isolate everything)"
-        ),
-    )
-    sweep.add_argument(
-        "--fail-fast",
-        action="store_true",
-        help="explicit spelling of --max-failures 0",
-    )
-    sweep.add_argument(
-        "--max-attempts",
-        type=int,
-        default=1,
-        metavar="N",
-        help="attempts per point before it is recorded as failed",
-    )
-    sweep.add_argument(
-        "--retry-delay",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help=(
-            "base exponential-backoff delay between attempts "
-            "(deterministically jittered; see --jitter-seed)"
-        ),
-    )
-    sweep.add_argument(
-        "--jitter-seed",
-        type=int,
-        default=0,
-        help="seed for the deterministic backoff jitter",
-    )
-    sweep.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "per-point deadline; a point past it counts as failed "
-            "(and wedged workers are recycled)"
         ),
     )
     sweep.add_argument(
@@ -456,14 +431,16 @@ def _apply_stage_verification(args: argparse.Namespace) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    error = _validate_names([args.app], [args.policy])
-    if error:
+    try:
+        _validate_names([args.app], [args.policy])
+        size = _parse_size(args.size, args.app)
+    except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     _apply_stage_verification(args)
     spec = PointSpec(
         app=args.app,
-        size=_parse_size(args.size, args.app),
+        size=size,
         inline_depth=args.inline_depth,
         policy=args.policy,
         regions=args.regions,
@@ -487,9 +464,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     apps = tuple(a.strip() for a in args.apps.split(",") if a.strip())
-    policies = _parse_policies(args.policies)
-    error = _validate_names(apps, policies)
-    if error:
+    try:
+        if not apps:
+            raise ValueError(f"--apps {args.apps!r} names no application")
+        policies = _parse_policies(args.policies)
+        _validate_names(apps, policies)
+        sizes = (
+            {app: _parse_size(args.size, app) for app in apps}
+            if args.size != "default"
+            else None
+        )
+    except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     _apply_stage_verification(args)
@@ -527,9 +512,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         grid = GridSpec(
             apps=apps,
-            sizes={app: _parse_size(args.size, app) for app in apps}
-            if args.size != "default"
-            else None,
+            sizes=sizes,
             policies=policies,
             inline_depths=(args.inline_depth,),
             regions=args.regions,
@@ -539,18 +522,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             window=args.window,
             engine=args.engine,
         )
-    max_failures: Optional[int] = args.max_failures
-    if args.fail_fast:
-        if max_failures != 0:
-            print(
-                "error: --fail-fast conflicts with a nonzero "
-                "--max-failures",
-                file=sys.stderr,
-            )
-            return 2
-        max_failures = 0
-    elif max_failures is not None and max_failures < 0:
-        max_failures = None
+    max_failures = args.max_failures if args.max_failures >= 0 else None
     if args.resume and not args.out:
         print(
             "error: --resume needs --out (the journal lives at "
@@ -574,17 +546,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
             return 2
         set_fault_plan(plan)
-    retry = RetryPolicy(
-        max_attempts=args.max_attempts,
-        base_delay=args.retry_delay,
-        jitter_seed=args.jitter_seed,
-        timeout_s=args.timeout,
-    )
     journal = journal_path(args.out) if args.out else None
     runner = SweepRunner(
         cache_dir=args.cache_dir,
         workers=args.workers,
-        retry=retry,
         max_failures=max_failures,
     )
     try:
@@ -618,7 +583,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             else:
                 print(
                     f"journal kept at {journal}; rerun with --resume "
-                    "to retry only the failed points",
+                    "to re-run only the failed points",
                     file=sys.stderr,
                 )
     else:
@@ -860,8 +825,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
             if args.apps
             else ("sq", "im")
         )
-        error = _validate_names(apps, [])
-        if error:
+        try:
+            _validate_names(apps, [])
+        except ValueError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
         print(renderers.render_fig8(cache, apps=apps))

@@ -1,25 +1,25 @@
-"""Fault tolerance for sweep execution: isolation, retry, injection.
+"""Fault isolation and injection for sweep execution.
 
-Production sweeps must survive partial failure: one point that raises,
-one worker OOM-killed mid-chunk, or one hung simulation must not lose
-the whole sweep.  This module provides the primitives the
+A sweep must survive partial failure: one point that raises, or one
+worker OOM-killed mid-chunk, must not lose the whole sweep.  This
+module provides the primitives the
 :class:`~repro.runner.sweep.SweepRunner` builds on:
 
-* :class:`RetryPolicy` -- bounded attempts with deterministic
-  exponential backoff (jitter derived from a seed, never from
-  wall-clock entropy) and an optional per-point deadline.
 * :class:`PointFailure` -- the structured record a failed grid point
   leaves behind (spec, failing stage, exception repr, attempts,
   elapsed), JSON round-trippable so sweep reports carry it.
-* :func:`execute_point` -- run one grid point under a policy: catch,
-  retry with backoff and enforce the deadline before giving up.
+* :func:`execute_point` -- run one grid point once; an exception
+  becomes a :class:`PointFailure`.  Every stage is a pure function of
+  its :class:`~repro.runner.keys.StageKey`, so a point that raised
+  would raise again: nothing retries it within the run, and ``sweep
+  --resume`` re-runs it in a later one.
 * :exc:`SweepAborted` -- raised by the runner when failures exceed its
   ``max_failures`` budget (``0`` keeps the historical fail-fast
   behavior).
-* :class:`FaultPlan` -- a seeded, deterministic fault-injection plan
-  (raise on the nth stage call, sleep past the deadline, kill the
-  worker process, corrupt the just-written disk entry, stall a chunk)
-  wired into :class:`~repro.runner.cache.StageCache` behind
+* :class:`FaultPlan` -- a deterministic fault-injection plan (raise on
+  the nth stage call, kill the worker process, corrupt, truncate or
+  checksum-flip the just-written disk entry) wired into
+  :class:`~repro.runner.cache.StageCache` behind
   :func:`set_fault_plan` / the ``REPRO_FAULT_PLAN`` environment
   variable, so every failure mode above is reproducibly testable.
 
@@ -30,13 +30,12 @@ one module-attribute read per stage miss.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
 import threading
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (stages
     # imports cache, cache hooks into this module)
@@ -45,18 +44,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (stages
 
 __all__ = [
     "InjectedFault",
-    "PointTimeout",
     "SweepAborted",
-    "RetryPolicy",
     "PointFailure",
     "FaultAction",
     "FaultPlan",
     "FAULT_PLAN_ENV",
     "set_fault_plan",
     "active_plan",
-    "call_with_deadline",
     "execute_point",
-    "failure_stage",
 ]
 
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
@@ -66,10 +61,6 @@ worker processes (set by :func:`set_fault_plan`)."""
 
 class InjectedFault(RuntimeError):
     """Deterministic failure raised by an active :class:`FaultPlan`."""
-
-
-class PointTimeout(RuntimeError):
-    """A grid point exceeded its :attr:`RetryPolicy.timeout_s` deadline."""
 
 
 class SweepAborted(RuntimeError):
@@ -85,85 +76,21 @@ class SweepAborted(RuntimeError):
         self.failures = failures
 
 
-def failure_stage(error: BaseException) -> str:
-    """The pipeline stage an exception escaped from.
-
-    :class:`~repro.runner.cache.StageCache` tags exceptions raised
-    inside stage computations with the innermost stage's name; untagged
-    exceptions (raised outside any stage) report as ``"point"``.
-    """
-    if isinstance(error, PointTimeout):
-        return "timeout"
-    return getattr(error, "_repro_stage", "point")
-
-
-@dataclasses.dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retries with deterministic exponential backoff.
-
-    Attributes:
-        max_attempts: Attempts per point (1 = no retry).
-        base_delay: Backoff before attempt 2 in seconds; attempt ``n``
-            waits ``base_delay * backoff**(n-2)`` (capped by
-            ``max_delay``) plus deterministic jitter.
-        backoff: Exponential growth factor between attempts.
-        max_delay: Upper bound on any single backoff sleep.
-        jitter_seed: Seed for the deterministic jitter fraction (the
-            jitter is a hash of seed, point identity, and attempt --
-            never wall-clock entropy, so schedules replay exactly).
-        timeout_s: Per-point deadline in seconds (None = unbounded).
-    """
-
-    max_attempts: int = 1
-    base_delay: float = 0.0
-    backoff: float = 2.0
-    max_delay: float = 30.0
-    jitter_seed: int = 0
-    timeout_s: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.base_delay < 0 or self.backoff < 1:
-            raise ValueError("base_delay must be >= 0 and backoff >= 1")
-
-    def delay(self, attempt: int, token: str = "") -> float:
-        """Backoff before ``attempt`` (2-based; attempt 1 never waits).
-
-        The jitter fraction in ``[0, 1)`` is derived from
-        ``(jitter_seed, token, attempt)`` so two processes retrying the
-        same point desynchronize identically on every replay.
-        """
-        if attempt <= 1 or self.base_delay <= 0:
-            return 0.0
-        raw = self.base_delay * self.backoff ** (attempt - 2)
-        seed = f"{self.jitter_seed}:{token}:{attempt}".encode("utf-8")
-        word = int.from_bytes(hashlib.sha256(seed).digest()[:8], "big")
-        jitter = word / 2**64  # deterministic fraction in [0, 1)
-        return min(raw * (1.0 + jitter), self.max_delay)
-
-    def to_jsonable(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_jsonable(cls, payload: dict) -> "RetryPolicy":
-        return cls(**payload)
-
-
 @dataclasses.dataclass(frozen=True)
 class PointFailure:
-    """Structured record of one grid point that exhausted its policy.
+    """Structured record of one grid point that failed.
 
     Attributes:
         spec: The failed point's spec (JSON round-trippable).
-        stage: Innermost pipeline stage the final error escaped from
-            (``"timeout"`` for deadline misses, ``"pool"`` for worker
-            crashes the pool could not recover from).
-        error: ``repr`` of the final exception.
-        error_type: Final exception class name.
-        attempts: How many executions were tried (degradation retries
-            included).
-        elapsed_seconds: Wall-clock spent across every attempt.
+        stage: Innermost pipeline stage the error escaped from
+            (``"pool"`` for a chunk lost with its worker in every pool
+            round).
+        error: ``repr`` of the exception.
+        error_type: Exception class name.
+        attempts: 1 for a point that raised; the number of pool rounds
+            for a point whose chunk was lost.
+        elapsed_seconds: Wall-clock of the failed run (0 for a lost
+            chunk).
     """
 
     spec: "PointSpec"
@@ -201,22 +128,10 @@ class PointFailure:
 # Deterministic fault injection
 
 
-_ACTION_OPS = (
-    "raise",
-    "sleep",
-    "kill",
-    "corrupt",
-    "stall",
-    "torn",
-    "flip",
-)
-
 _ACTION_SITES = {
     "raise": "compute",
-    "sleep": "compute",
     "kill": "compute",
     "corrupt": "store",
-    "stall": "chunk",
     "torn": "store",
     "flip": "store",
 }
@@ -227,20 +142,16 @@ class FaultAction:
     """One injected fault.
 
     Attributes:
-        op: ``raise`` (exception inside a stage computation), ``sleep``
-            (delay a stage past its deadline), ``kill`` (hard-exit the
-            worker process, producing ``BrokenProcessPool``),
-            ``corrupt`` (overwrite the just-persisted disk entry with
-            garbage), ``stall`` (non-cooperative delay at the start of
-            a parallel chunk, simulating a wedged worker), ``torn``
-            (truncate the just-persisted entry mid-write, simulating a
-            crash between write and rename durability), ``flip``
-            (rewrite the entry with a wrong sha256, simulating bit
-            rot).
-        stage: Stage name the action targets (ignored for ``stall``).
+        op: ``raise`` (exception inside a stage computation), ``kill``
+            (hard-exit the worker process, producing
+            ``BrokenProcessPool``), ``corrupt`` (overwrite the
+            just-persisted disk entry with garbage), ``torn`` (truncate
+            the just-persisted entry mid-write, simulating a crash
+            between write and rename durability), ``flip`` (rewrite
+            the entry with a wrong sha256, simulating bit rot).
+        stage: Stage name the action targets.
         nth: Fire on the nth *matching* call seen by the process
             (1-based; counters are per process).
-        seconds: Sleep/stall duration.
         match: Optional substring that must appear in the stage key's
             canonical description (e.g. ``'"policy": 0'`` to hit
             only policy-0 simulations).
@@ -252,14 +163,14 @@ class FaultAction:
     op: str
     stage: Optional[str] = None
     nth: int = 1
-    seconds: float = 0.0
     match: Optional[str] = None
     once: bool = True
 
     def __post_init__(self) -> None:
-        if self.op not in _ACTION_OPS:
+        if self.op not in _ACTION_SITES:
             raise ValueError(
-                f"unknown fault op {self.op!r}; available: {_ACTION_OPS}"
+                f"unknown fault op {self.op!r}; "
+                f"available: {tuple(_ACTION_SITES)}"
             )
         if self.nth < 1:
             raise ValueError("nth is 1-based and must be >= 1")
@@ -277,18 +188,15 @@ class FaultAction:
 
 
 class FaultPlan:
-    """A seeded, replayable set of injected faults.
+    """A replayable set of injected faults.
 
     The plan is consulted by :class:`~repro.runner.cache.StageCache` on
     every stage miss (``compute`` site) and disk write (``store``
-    site), and by the parallel chunk runner (``chunk`` site).  Install
-    with :func:`set_fault_plan`; worker processes inherit it through
-    the :data:`FAULT_PLAN_ENV` environment variable.
+    site).  Install with :func:`set_fault_plan`; worker processes
+    inherit it through the :data:`FAULT_PLAN_ENV` environment variable.
 
     Args:
         actions: The faults to inject.
-        seed: Recorded for report provenance (jitter and ordering are
-            derived from action definitions, not from this seed).
         state_dir: Directory for cross-process once-markers.  Without
             it, ``once`` is tracked per process only -- a ``kill``
             action would then re-fire in every replacement worker.
@@ -297,12 +205,10 @@ class FaultPlan:
     def __init__(
         self,
         actions: list[FaultAction],
-        seed: int = 0,
         state_dir: Optional[Union[str, os.PathLike]] = None,
         installer_pid: Optional[int] = None,
     ):
         self.actions = list(actions)
-        self.seed = seed
         self.state_dir = Path(state_dir) if state_dir is not None else None
         self.installer_pid = installer_pid
         self._counts = [0] * len(self.actions)
@@ -314,7 +220,6 @@ class FaultPlan:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "seed": self.seed,
                 "state_dir": (
                     str(self.state_dir) if self.state_dir else None
                 ),
@@ -330,7 +235,6 @@ class FaultPlan:
             actions=[
                 FaultAction.from_jsonable(a) for a in payload["actions"]
             ],
-            seed=payload.get("seed", 0),
             state_dir=payload.get("state_dir"),
             installer_pid=payload.get("installer_pid"),
         )
@@ -380,10 +284,9 @@ class FaultPlan:
     ) -> list[FaultAction]:
         """Count one call at ``site`` and fire any due actions.
 
-        ``raise``/``kill`` actions raise (or exit) from here; ``sleep``
-        and ``stall`` block here; fired ``corrupt`` / ``torn`` /
-        ``flip`` actions are *returned* so the caller (the cache's disk
-        writer) can apply the damage itself.
+        ``raise``/``kill`` actions raise (or exit) from here; fired
+        ``corrupt`` / ``torn`` / ``flip`` actions are *returned* so the
+        caller (the cache's disk writer) can apply the damage itself.
         """
         due: list[tuple[int, FaultAction]] = []
         with self._lock:
@@ -413,8 +316,6 @@ class FaultPlan:
                         "process; raising instead"
                     )
                 os._exit(73)
-            if action.op in ("sleep", "stall"):
-                time.sleep(action.seconds)
             fired.append(action)
         return fired
 
@@ -463,93 +364,31 @@ def active_plan() -> Optional[FaultPlan]:
 
 
 # ---------------------------------------------------------------------------
-# Deadlines and isolated execution
-
-
-def call_with_deadline(
-    fn: Callable[[], Any],
-    timeout_s: Optional[float],
-    label: str = "point",
-) -> Any:
-    """Run ``fn`` with a cooperative wall-clock deadline.
-
-    The computation runs on a daemon worker thread; exceeding the
-    deadline raises :exc:`PointTimeout` and abandons the thread (pure
-    stage computations write idempotent values into the cache, so a
-    straggler finishing late is harmless).  ``timeout_s=None`` calls
-    ``fn`` inline with no thread.
-    """
-    if timeout_s is None:
-        return fn()
-    outcome: dict[str, Any] = {}
-
-    def target() -> None:
-        try:
-            outcome["value"] = fn()
-        except BaseException as error:  # noqa: BLE001 - re-raised below
-            outcome["error"] = error
-
-    thread = threading.Thread(
-        target=target, name=f"deadline-{label}", daemon=True
-    )
-    thread.start()
-    thread.join(timeout_s)
-    if thread.is_alive():
-        raise PointTimeout(
-            f"{label} exceeded its {timeout_s:g}s deadline"
-        )
-    if "error" in outcome:
-        # Popped, or outcome -> error -> traceback -> target's frame ->
-        # outcome would be a reference cycle.
-        raise outcome.pop("error")
-    return outcome["value"]
+# Isolated execution
 
 
 def execute_point(
-    spec: "PointSpec",
-    cache,
-    retry: Optional[RetryPolicy] = None,
-    sleep: Callable[[float], None] = time.sleep,
+    spec: "PointSpec", cache
 ) -> Union["PointResult", "PointFailure"]:
-    """Run one grid point under a retry policy; never raises.
+    """Run one grid point once; never raises.
 
-    The point is attempted up to ``retry.max_attempts`` times with
-    deterministic backoff between attempts and the per-point deadline
-    enforced on each.  Exhausted points return a :class:`PointFailure`
-    instead of raising.
+    An exception escaping the point becomes a :class:`PointFailure`.
+    Its stage is the innermost stage the exception escaped from, which
+    :class:`~repro.runner.cache.StageCache` tags on it, or ``"point"``
+    for one raised outside any stage.
     """
     from .stages import run_point
 
-    retry = retry if retry is not None else RetryPolicy()
     spec = spec.normalized()
-    token = spec.key().digest
     start = time.perf_counter()
-    attempts = 0
-    # The last error is kept as text: holding the exception in a local
-    # would tie it to this frame through its traceback, in a cycle.
-    failure: Optional[tuple[str, str, str]] = None
-    for attempt in range(1, retry.max_attempts + 1):
-        attempts = attempt
-        pause = retry.delay(attempt, token)
-        if pause:
-            sleep(pause)
-        try:
-            return call_with_deadline(
-                lambda: run_point(spec, cache),
-                retry.timeout_s,
-                label=f"point {spec.app}[{spec.size}] p{spec.policy}",
-            )
-        except Exception as error:  # noqa: BLE001 - isolation boundary
-            failure = (
-                failure_stage(error), repr(error), type(error).__name__
-            )
-    assert failure is not None
-    stage, message, error_type = failure
-    return PointFailure(
-        spec=spec,
-        stage=stage,
-        error=message,
-        error_type=error_type,
-        attempts=attempts,
-        elapsed_seconds=time.perf_counter() - start,
-    )
+    try:
+        return run_point(spec, cache)
+    except Exception as error:  # noqa: BLE001 - isolation boundary
+        return PointFailure(
+            spec=spec,
+            stage=getattr(error, "_repro_stage", "point"),
+            error=repr(error),
+            error_type=type(error).__name__,
+            attempts=1,
+            elapsed_seconds=time.perf_counter() - start,
+        )

@@ -18,46 +18,36 @@ frontend at most ``k`` times; with ``workers <= groups`` the split
 degenerates to one chunk per group and every frontend is compiled
 exactly once across the pool, as before.
 
-Execution is fault tolerant (see :mod:`repro.runner.faults`):
+Execution is fault tolerant (see :mod:`repro.runner.faults`), with
+one recovery path per failure kind:
 
-* every point runs isolated -- an exception becomes a structured
+* every point runs once, isolated -- an exception becomes a structured
   :class:`~repro.runner.faults.PointFailure` inside the
   :class:`SweepResult` instead of losing the sweep, up to the runner's
   ``max_failures`` budget (0, the default, keeps fail-fast semantics
   by raising :exc:`~repro.runner.faults.SweepAborted` on the first
   failure);
-* points retry with deterministic exponential backoff and a per-point
-  deadline under a :class:`~repro.runner.faults.RetryPolicy`;
-* a crashed worker (``BrokenProcessPool``) or a wedged chunk only
-  costs its unfinished chunks, which are re-queued on a rebuilt pool;
+* a crashed worker (``BrokenProcessPool``) only costs its pool's
+  unfinished chunks, which are re-queued on a rebuilt pool
+  :data:`POOL_RETRIES` times;
 * completed points are journaled to ``<out>.partial.jsonl`` as they
-  land, so an interrupted sweep resumes (``python -m repro sweep
-  --resume``) without recomputing journaled points.
+  land, so an interrupted or partly failed sweep resumes (``python -m
+  repro sweep --resume``) without recomputing journaled points.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 import time
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures import TimeoutError as FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from ..apps.registry import SIM_SIZES
 from .cache import CacheStats, StageCache
-from .faults import (
-    PointFailure,
-    RetryPolicy,
-    SweepAborted,
-    active_plan,
-    execute_point,
-)
+from .faults import PointFailure, SweepAborted, execute_point
 from .stages import PointResult, PointSpec, frontend_key
 
 __all__ = [
@@ -70,6 +60,7 @@ __all__ = [
     "load_journal",
     "SMALL_SIM_SIZES",
     "SWEEP_SCHEMA_VERSION",
+    "POOL_RETRIES",
 ]
 
 DEFAULT_APPS: tuple[str, ...] = ("gse", "sq", "sha1", "im")
@@ -82,6 +73,13 @@ SMALL_SIM_SIZES: dict[str, int] = dict(SIM_SIZES)
 """Per-app "small" instance sizes (a copy of the registry's
 :data:`~repro.apps.registry.SIM_SIZES`, shared with the calibration
 layer)."""
+
+POOL_RETRIES = 2
+"""Times a chunk lost with a crashed worker is re-queued on a rebuilt
+pool before its points are recorded as failures.  One dead worker
+makes ``ProcessPoolExecutor`` fail *every* pending future of its pool,
+so without the re-queue a single OOM kill would fail every chunk in
+flight."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -194,8 +192,8 @@ class SweepResult:
         stats: Cache hit/miss counters for this sweep (all workers).
         elapsed_seconds: Wall-clock time of the sweep.
         workers: Process count used (1 = in-process serial).
-        failures: Structured records of every point that exhausted its
-            retry policy (empty on a fully successful sweep).
+        failures: Structured records of every point that failed
+            (empty on a fully successful sweep).
     """
 
     points: list[PointResult]
@@ -335,29 +333,13 @@ def load_journal(path: Union[str, Path]) -> dict[str, PointResult]:
 # Worker entry point
 
 
-def _run_chunk(
-    spec_payloads: list[dict],
-    cache_dir: Optional[str],
-    retry_payload: Optional[dict],
-) -> dict:
+def _run_chunk(spec_payloads: list[dict], cache_dir: Optional[str]) -> dict:
     """Worker entry point: run one chunk of points, isolated per point."""
-    plan = active_plan()
-    if plan is not None:
-        # "stall" injection point: a wedged worker the pool-level
-        # watchdog must recycle (cooperative deadlines can't see it).
-        plan.check("chunk")
     cache = StageCache(cache_dir)
-    retry = (
-        RetryPolicy.from_jsonable(retry_payload)
-        if retry_payload is not None
-        else RetryPolicy()
-    )
     points: list[dict] = []
     failures: list[dict] = []
     for payload in spec_payloads:
-        outcome = execute_point(
-            PointSpec.from_jsonable(payload), cache, retry
-        )
+        outcome = execute_point(PointSpec.from_jsonable(payload), cache)
         if isinstance(outcome, PointFailure):
             failures.append(outcome.to_jsonable())
         else:
@@ -381,18 +363,10 @@ class SweepRunner:
             work-stealing chunks of frontend-sharing groups out to a
             process pool (splitting the braid stage inside a group
             when workers outnumber groups).
-        retry: Per-point retry/backoff/deadline policy (default: one
-            attempt, no deadline).
         max_failures: Failure budget.  The sweep aborts with
             :exc:`~repro.runner.faults.SweepAborted` once *more* than
             this many points have failed; ``0`` (default) is the
             historical fail-fast behavior, ``None`` never aborts.
-        pool_retries: How many times a chunk lost to a crashed or
-            wedged worker is re-queued on a rebuilt pool before its
-            points are recorded as failures.
-        pool_grace: Additive slack (seconds) on the pool watchdog
-            budget derived from ``retry.timeout_s``; only meaningful
-            when a per-point deadline is set.
     """
 
     def __init__(
@@ -400,19 +374,13 @@ class SweepRunner:
         cache: Optional[StageCache] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         workers: int = 1,
-        retry: Optional[RetryPolicy] = None,
         max_failures: Optional[int] = 0,
-        pool_retries: int = 2,
-        pool_grace: float = 30.0,
     ):
         if cache is None:
             cache = StageCache(cache_dir)
         self.cache = cache
         self.workers = max(1, workers)
-        self.retry = retry if retry is not None else RetryPolicy()
         self.max_failures = max_failures
-        self.pool_retries = max(0, pool_retries)
-        self.pool_grace = pool_grace
 
     def run(
         self,
@@ -454,7 +422,7 @@ class SweepRunner:
         before = CacheStats.from_dict(self.cache.stats.as_dict())
         if self.workers == 1 or len(todo) <= 1:
             for spec in todo:
-                outcome = execute_point(spec, self.cache, self.retry)
+                outcome = execute_point(spec, self.cache)
                 if isinstance(outcome, PointFailure):
                     failures.append(outcome)
                     self._maybe_abort(failures)
@@ -497,48 +465,6 @@ class SweepRunner:
             failures=list(failures),
         )
 
-    def _pool_budget(
-        self, batch: Sequence[tuple], max_workers: int
-    ) -> Optional[float]:
-        """Watchdog budget for one pool round (None = no deadline).
-
-        The cooperative per-point deadline inside each worker is the
-        precise mechanism; this budget is the backstop that catches a
-        worker wedged *outside* it (e.g. stuck before the point even
-        starts).  A worker serializes at most ``ceil(chunks /
-        workers)`` chunks, each point of which gets its full retry
-        schedule; ``pool_grace`` covers process startup and backoff
-        sleeps on top.
-        """
-        timeout_s = self.retry.timeout_s
-        if timeout_s is None:
-            return None
-        per_point = timeout_s * self.retry.max_attempts
-        longest = max(len(chunk) for _, chunk, _ in batch)
-        waves = math.ceil(len(batch) / max(1, max_workers))
-        return per_point * longest * waves + self.pool_grace
-
-    def _fail_chunk(
-        self,
-        failures: list[PointFailure],
-        chunk: Sequence[PointSpec],
-        tries: int,
-        error: str,
-        error_type: str,
-        stage: str,
-    ) -> None:
-        for spec in chunk:
-            failures.append(
-                PointFailure(
-                    spec=spec,
-                    stage=stage,
-                    error=error,
-                    error_type=error_type,
-                    attempts=tries + 1,
-                    elapsed_seconds=0.0,
-                )
-            )
-
     def _run_parallel(
         self,
         specs: Sequence[PointSpec],
@@ -555,11 +481,11 @@ class SweepRunner:
         per group.  The pool queue is the steal queue: idle workers
         take whichever chunk is next.
 
-        The pool is *recyclable*: a chunk lost to a crashed worker
-        (``BrokenProcessPool``) or to a wedged worker (the watchdog
-        budget expiring) is re-queued up to ``pool_retries`` times on
-        a freshly built pool; only the unfinished chunks are re-run,
-        results that already landed are kept.
+        A worker that dies (OOM kill, segfault) breaks its pool, and
+        every chunk still pending in it fails with
+        ``BrokenProcessPool``.  Those chunks are re-queued on a freshly
+        built pool, up to :data:`POOL_RETRIES` times; results that
+        already landed are kept.
         """
         groups: dict[str, list[PointSpec]] = {}
         for spec in specs:
@@ -583,49 +509,45 @@ class SweepRunner:
             if self.cache.disk_dir is not None
             else None
         )
-        retry_payload = self.retry.to_jsonable()
         stats = CacheStats()
-        queue: deque[tuple[int, list[PointSpec], int]] = deque(
-            (cid, chunk, 0) for cid, chunk in enumerate(chunks)
-        )
-        while queue:
-            batch = list(queue)
-            queue.clear()
-            max_workers = min(self.workers, len(batch))
-            budget = self._pool_budget(batch, max_workers)
-            pool = ProcessPoolExecutor(max_workers=max_workers)
-            futures = {
-                pool.submit(
-                    _run_chunk,
-                    [spec.to_jsonable() for spec in chunk],
-                    cache_dir,
-                    retry_payload,
-                ): (cid, chunk, tries)
-                for cid, chunk, tries in batch
-            }
-            hung = False
-            try:
-                for future in as_completed(
-                    list(futures), timeout=budget
-                ):
-                    cid, chunk, tries = futures.pop(future)
+        rounds = 0
+        while chunks:
+            rounds += 1
+            lost: list[list[PointSpec]] = []
+            with ProcessPoolExecutor(
+                max_workers=min(self.workers, len(chunks))
+            ) as pool:
+                futures = {
+                    pool.submit(
+                        _run_chunk,
+                        [spec.to_jsonable() for spec in chunk],
+                        cache_dir,
+                    ): chunk
+                    for chunk in chunks
+                }
+                for future in as_completed(futures):
+                    chunk = futures[future]
                     try:
                         payload = future.result()
-                    except (BrokenProcessPool, OSError) as error:
-                        # Worker crashed (OOM-kill, segfault): rebuild
-                        # the pool and re-queue only this chunk.
-                        self._recycle_chunk(
-                            queue, failures, cid, chunk, tries,
-                            repr(error), type(error).__name__, "pool",
-                        )
-                        continue
                     except Exception as error:
-                        # The chunk runner itself failed before any
-                        # per-point isolation could engage.
-                        self._recycle_chunk(
-                            queue, failures, cid, chunk, tries,
-                            repr(error), type(error).__name__, "pool",
-                        )
+                        # A dead worker (OOM kill, segfault) fails every
+                        # chunk pending in its pool with
+                        # BrokenProcessPool; none of this chunk's points
+                        # landed.
+                        if rounds <= POOL_RETRIES:
+                            lost.append(chunk)
+                        else:
+                            for spec in chunk:
+                                failures.append(
+                                    PointFailure(
+                                        spec=spec,
+                                        stage="pool",
+                                        error=repr(error),
+                                        error_type=type(error).__name__,
+                                        attempts=rounds,
+                                        elapsed_seconds=0.0,
+                                    )
+                                )
                         continue
                     stats.merge(CacheStats.from_dict(payload["stats"]))
                     for failure_payload in payload["failures"]:
@@ -637,43 +559,9 @@ class SweepRunner:
                         done[point.spec.key().digest] = point
                         if journal is not None:
                             _journal_append(journal, point)
-            except FuturesTimeout:
-                hung = True
-            for future, (cid, chunk, tries) in futures.items():
-                self._recycle_chunk(
-                    queue,
-                    failures,
-                    cid,
-                    chunk,
-                    tries,
-                    f"chunk {cid} unfinished after the pool "
-                    f"{'watchdog budget expired' if hung else 'broke'}",
-                    "PointTimeout" if hung else "BrokenProcessPool",
-                    "timeout" if hung else "pool",
-                )
-            # A wedged worker never drains its queue: don't block on
-            # it -- abandon the pool and let the process reap at exit.
-            pool.shutdown(wait=not hung, cancel_futures=True)
+            chunks = lost
             self._maybe_abort(failures)
         return stats
-
-    def _recycle_chunk(
-        self,
-        queue: deque,
-        failures: list[PointFailure],
-        cid: int,
-        chunk: list[PointSpec],
-        tries: int,
-        error: str,
-        error_type: str,
-        stage: str,
-    ) -> None:
-        if tries < self.pool_retries:
-            queue.append((cid, chunk, tries + 1))
-        else:
-            self._fail_chunk(
-                failures, chunk, tries, error, error_type, stage
-            )
 
 
 def _dedup(specs: Iterable[PointSpec]) -> list[PointSpec]:

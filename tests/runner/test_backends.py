@@ -564,7 +564,6 @@ class TestSingleFlightStress:
         # holding the lock and a follower must take over.
         plan = FaultPlan(
             [FaultAction(op="kill", stage="demo")],
-            seed=7,
             state_dir=str(tmp_path / "state"),
             # This (parent) process installs the plan; without the pid
             # the first worker would claim installership and refuse to

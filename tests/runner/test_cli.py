@@ -42,6 +42,41 @@ class TestArgParsing:
         assert _parse_size("small", "sq") == 3
         assert _parse_size("7", "sq") == 7
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--policies", "0-x"],
+            ["sweep", "--policies", ","],
+            ["sweep", "--policies", "6-2"],
+            ["sweep", "--apps", ""],
+            ["sweep", "--size", "abc"],
+            ["run", "sq", "--size", "abc"],
+        ],
+    )
+    def test_malformed_or_empty_grid_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: "), captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--max-attempts", "2"],
+            ["--retry-delay", "0.5"],
+            ["--jitter-seed", "1"],
+            ["--timeout", "60"],
+            ["--fail-fast"],
+        ],
+    )
+    def test_retry_and_deadline_options_are_gone(self, flag, capsys):
+        # A point runs once; a script still passing these must hear
+        # about it rather than have them silently ignored.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--apps", "sq", *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestEngineFlags:
     def test_engine_choices_on_run_sweep_bench(self):
@@ -212,9 +247,8 @@ def test_no_repro_object_is_cyclic_garbage(tmp_path):
 
 
 def test_failed_points_leave_no_repro_cyclic_garbage(tmp_path):
-    """The same premise on the failure path: retried points that keep
-    raising under a deadline.  A kept exception would tie itself to a
-    frame in its traceback."""
+    """The same premise on the failure path: a point that raises.  A
+    kept exception would tie itself to a frame in its traceback."""
     from repro.runner import FaultAction, FaultPlan, set_fault_plan
 
     plan = tmp_path / "plan.json"
@@ -239,10 +273,6 @@ def test_failed_points_leave_no_repro_cyclic_garbage(tmp_path):
                 str(tmp_path / "cache"),
                 "--out",
                 str(tmp_path / "sweep.json"),
-                "--max-attempts",
-                "2",
-                "--timeout",
-                "60",
                 "--max-failures",
                 "-1",
                 "--fault-plan",
@@ -253,7 +283,7 @@ def test_failed_points_leave_no_repro_cyclic_garbage(tmp_path):
         set_fault_plan(None)
     assert code == 3
     payload = json.loads((tmp_path / "sweep.json").read_text())
-    assert [f["attempts"] for f in payload["failures"]] == [2]
+    assert [f["attempts"] for f in payload["failures"]] == [1]
     assert owned == []
 
 
@@ -423,28 +453,6 @@ class TestSweepFaultCli:
         assert "sweep aborted" in stderr
         assert "FAILED sq[2]" in stderr
 
-    def test_retry_flags_recover_exit_0(self, tmp_path, capsys):
-        code = main(
-            [
-                *TINY_SWEEP,
-                "--max-attempts",
-                "2",
-                "--fault-plan",
-                self._plan_file(
-                    tmp_path, op="raise", stage="braid_sim"
-                ),
-            ]
-        )
-        assert code == 0
-        assert "swept 2 points" in capsys.readouterr().err
-
-    def test_fail_fast_conflicts_with_budget(self, capsys):
-        code = main(
-            [*TINY_SWEEP, "--fail-fast", "--max-failures", "2"]
-        )
-        assert code == 2
-        assert "conflicts" in capsys.readouterr().err
-
     def test_resume_requires_out(self, capsys):
         code = main([*TINY_SWEEP, "--resume"])
         assert code == 2
@@ -452,8 +460,41 @@ class TestSweepFaultCli:
 
     def test_unreadable_fault_plan_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "plan.json"
-        bad.write_text("{not json", encoding="utf-8")
-        code = main([*TINY_SWEEP, "--fault-plan", str(bad)])
+        for text in (
+            "{not json",
+            # An unknown fault op.
+            '{"actions": [{"op": "sleep", "stage": "braid_sim"}]}',
+        ):
+            bad.write_text(text, encoding="utf-8")
+            code = main([*TINY_SWEEP, "--fault-plan", str(bad)])
+            assert code == 2
+            assert "unreadable fault plan" in capsys.readouterr().err
+
+    def test_plan_with_deadline_era_fields_exits_2(self, tmp_path, capsys):
+        # The shape FaultPlan.to_json wrote while plans carried a seed
+        # and every action a ``seconds`` field.
+        old = tmp_path / "plan.json"
+        old.write_text(
+            json.dumps(
+                {
+                    "seed": 0,
+                    "state_dir": None,
+                    "installer_pid": None,
+                    "actions": [
+                        {
+                            "op": "raise",
+                            "stage": "braid_sim",
+                            "nth": 1,
+                            "match": None,
+                            "once": True,
+                            "seconds": 0.0,
+                        }
+                    ],
+                }
+            ),
+            encoding="utf-8",
+        )
+        code = main([*TINY_SWEEP, "--fault-plan", str(old)])
         assert code == 2
         assert "unreadable fault plan" in capsys.readouterr().err
 
@@ -478,3 +519,61 @@ class TestSweepFaultCli:
         assert code == 0
         stats_payload = json.loads(capsys.readouterr().out)
         assert stats_payload["quarantined"] == 1
+
+
+@pytest.mark.slow
+def test_chaos_sweep_isolates_planned_faults(tmp_path):
+    """The chaos scenario through the shipped CLI: a worker hard-killed
+    mid-braid, a permanently failing point and a corrupted disk entry,
+    injected into a two-worker sweep.  Exactly the planned failure is
+    isolated (exit 3), every survivor equals a fault-free run, and the
+    corrupt entry is quarantined."""
+    from repro.runner import FaultAction, FaultPlan
+
+    state = tmp_path / "chaos-state"
+    plan = tmp_path / "chaos-plan.json"
+    plan.write_text(
+        FaultPlan(
+            [
+                FaultAction(op="kill", stage="braid_sim"),
+                FaultAction(
+                    op="raise",
+                    stage="braid_sim",
+                    match='"policy": 0',
+                    once=False,
+                ),
+                FaultAction(op="corrupt", stage="point"),
+            ],
+            state_dir=state,
+        ).to_json(),
+        encoding="utf-8",
+    )
+    grid = ("--apps", "sq", "--size", "2", "--distance", "3")
+    chaos_cache = tmp_path / "chaos-cache"
+    chaos = _repro(
+        "sweep", *grid, "--policies", "0-6", "--workers", "2",
+        "--max-failures", "-1", "--cache-dir", str(chaos_cache),
+        "--fault-plan", str(plan), "--out", str(tmp_path / "chaos.json"),
+    )
+    assert chaos.returncode == 3, chaos.stderr
+    clean = _repro(
+        "sweep", *grid, "--policies", "1-6",
+        "--cache-dir", str(tmp_path / "clean-cache"),
+        "--out", str(tmp_path / "clean.json"),
+    )
+    assert clean.returncode == 0, clean.stderr
+    # Both one-shot faults fired: the kill and the corruption.
+    assert (state / "action-0.fired").exists()
+    assert (state / "action-2.fired").exists()
+
+    chaos_report = json.loads((tmp_path / "chaos.json").read_text())
+    clean_report = json.loads((tmp_path / "clean.json").read_text())
+    assert len(chaos_report["failures"]) == 1, chaos_report["failures"]
+    assert chaos_report["failures"][0]["spec"]["policy"] == 0
+    survivors = {p["spec"]["policy"]: p for p in chaos_report["points"]}
+    expected = {p["spec"]["policy"]: p for p in clean_report["points"]}
+    assert sorted(survivors) == list(range(1, 7))
+    assert survivors == expected
+
+    verify = _repro("cache", "verify", "--cache-dir", str(chaos_cache))
+    assert json.loads(verify.stdout)["quarantined_total"] == 1

@@ -1,6 +1,6 @@
-"""Fault-tolerant sweep execution: isolation, retry/timeout/backoff,
-checkpoint-resume, quarantine, and the seeded fault-injection harness
-driving all of it deterministically."""
+"""Fault-tolerant sweep execution: run-once isolation, crash re-queue,
+checkpoint-resume, quarantine, and the fault-injection harness driving
+all of it deterministically."""
 
 import pytest
 
@@ -8,9 +8,9 @@ from repro.runner import (
     FaultAction,
     FaultPlan,
     GridSpec,
+    InjectedFault,
     PointFailure,
     PointSpec,
-    RetryPolicy,
     StageCache,
     SweepAborted,
     SweepResult,
@@ -19,8 +19,7 @@ from repro.runner import (
     run_point,
     set_fault_plan,
 )
-from repro.runner.faults import call_with_deadline
-from repro.runner.sweep import journal_path, load_journal
+from repro.runner.sweep import POOL_RETRIES, journal_path, load_journal
 
 # Tiny instances keep every simulation in the milliseconds range.
 TINY = GridSpec(
@@ -42,47 +41,6 @@ def _jsonable(points):
     return [p.to_jsonable() for p in points]
 
 
-class TestRetryPolicy:
-    def test_first_attempt_never_waits(self):
-        policy = RetryPolicy(max_attempts=3, base_delay=1.0)
-        assert policy.delay(1, "token") == 0.0
-
-    def test_backoff_grows_and_replays_deterministically(self):
-        policy = RetryPolicy(
-            max_attempts=4, base_delay=0.1, jitter_seed=7
-        )
-        delays = [policy.delay(n, "tok") for n in (2, 3, 4)]
-        again = [policy.delay(n, "tok") for n in (2, 3, 4)]
-        assert delays == again
-        assert delays[0] < delays[1] < delays[2]
-        # Jitter stays within one base-delay fraction of the raw curve.
-        assert 0.1 <= delays[0] <= 0.2
-
-    def test_jitter_depends_on_seed_and_token(self):
-        a = RetryPolicy(max_attempts=2, base_delay=0.1, jitter_seed=1)
-        b = RetryPolicy(max_attempts=2, base_delay=0.1, jitter_seed=2)
-        assert a.delay(2, "tok") != b.delay(2, "tok")
-        assert a.delay(2, "tok") != a.delay(2, "other")
-
-    def test_max_delay_caps(self):
-        policy = RetryPolicy(
-            max_attempts=9, base_delay=10.0, max_delay=0.5
-        )
-        assert policy.delay(9, "t") == 0.5
-
-    def test_round_trip(self):
-        policy = RetryPolicy(
-            max_attempts=3, base_delay=0.2, timeout_s=4.5
-        )
-        assert RetryPolicy.from_jsonable(policy.to_jsonable()) == policy
-
-    def test_rejects_invalid(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_delay=-1.0)
-
-
 class TestPointFailure:
     def test_round_trip(self):
         failure = PointFailure(
@@ -95,6 +53,21 @@ class TestPointFailure:
         )
         revived = PointFailure.from_jsonable(failure.to_jsonable())
         assert revived == failure
+
+
+class TestFaultAction:
+    @pytest.mark.parametrize("op", ["sleep", "stall"])
+    def test_removed_ops_rejected(self, op):
+        with pytest.raises(ValueError, match="unknown fault op"):
+            FaultAction(op=op, stage="braid_sim")
+
+    def test_seconds_field_rejected(self):
+        # Neither op that read it remains, so a plan carrying the field
+        # is refused rather than silently half-applied.
+        with pytest.raises(TypeError):
+            FaultAction.from_jsonable(
+                {"op": "raise", "stage": "braid_sim", "seconds": 0.0}
+            )
 
 
 class TestSweepResultSchema:
@@ -126,11 +99,11 @@ class TestSweepResultSchema:
         result.failures.append(
             PointFailure(
                 spec=PointSpec(app="sq", size=2, policy=1, distance=3),
-                stage="timeout",
-                error="PointTimeout('slow')",
-                error_type="PointTimeout",
+                stage="pool",
+                error="BrokenProcessPool('worker died')",
+                error_type="BrokenProcessPool",
                 attempts=3,
-                elapsed_seconds=1.5,
+                elapsed_seconds=0.0,
             )
         )
         path = tmp_path / "sweep.json"
@@ -221,102 +194,46 @@ class TestIsolation:
         assert survivors == expected
 
 
-class TestRetry:
-    def test_transient_raise_recovered_on_retry(self):
+class TestRunOnce:
+    """Stages are pure functions of their keys, so a point that raised
+    would raise again: it fails at once and is never re-run within the
+    sweep.  ``resume`` is the one path that re-runs it."""
+
+    SPEC = PointSpec(app="sq", size=2, policy=6, distance=3)
+
+    def test_transient_fault_fails_the_point(self):
+        # A one-shot fault: any second attempt would succeed.
         set_fault_plan(
             FaultPlan([FaultAction(op="raise", stage="braid_sim")])
         )
-        result = SweepRunner(
-            retry=RetryPolicy(max_attempts=2)
-        ).run(TINY)
-        assert result.ok
-        assert len(result.points) == 4
-        # The failed attempt recomputed the braid stage once more.
-        assert result.stats.computed("braid_sim") == 5
-
-    def test_backoff_sleeps_between_attempts(self):
-        naps = []
-        set_fault_plan(
-            FaultPlan([FaultAction(op="raise", stage="braid_sim")])
-        )
-        cache = StageCache()
-        outcome = execute_point(
-            PointSpec(app="sq", size=2, policy=6, distance=3),
-            cache,
-            RetryPolicy(max_attempts=2, base_delay=0.01),
-            sleep=naps.append,
-        )
-        assert not isinstance(outcome, PointFailure)
-        assert len(naps) == 1 and 0.01 <= naps[0] <= 0.02
-
-    def test_exhausted_attempts_fail_with_count(self):
-        set_fault_plan(
-            FaultPlan(
-                [
-                    FaultAction(
-                        op="raise", stage="braid_sim", once=False
-                    )
-                ]
-            )
-        )
-        outcome = execute_point(
-            PointSpec(app="sq", size=2, policy=6, distance=3),
-            StageCache(),
-            RetryPolicy(max_attempts=3),
-        )
+        outcome = execute_point(self.SPEC, StageCache())
         assert isinstance(outcome, PointFailure)
-        assert outcome.attempts == 3
+        assert outcome.attempts == 1
         assert outcome.stage == "braid_sim"
+        assert outcome.error_type == "InjectedFault"
 
-
-class TestDeadline:
-    def test_call_with_deadline_passes_value_and_errors(self):
-        assert call_with_deadline(lambda: 42, timeout_s=5.0) == 42
-        with pytest.raises(KeyError):
-            call_with_deadline(
-                lambda: {}["missing"], timeout_s=5.0
-            )
-
-    def test_timeout_then_recover(self):
-        # The injected sleep must dwarf the deadline, and the deadline
-        # must dwarf a tiny point's real runtime (milliseconds) so a
-        # loaded test machine can't time out uninjected points.
+    def test_failed_stage_is_called_once(self):
         set_fault_plan(
             FaultPlan(
                 [
-                    FaultAction(
-                        op="sleep", stage="braid_sim", seconds=3.0
-                    )
+                    # Call 1 raises; a re-run would reach call 2.
+                    FaultAction(op="raise", stage="braid_sim"),
+                    FaultAction(op="raise", stage="braid_sim", nth=2),
                 ]
             )
         )
-        result = SweepRunner(
-            retry=RetryPolicy(max_attempts=2, timeout_s=1.0)
-        ).run(TINY)
-        assert result.ok
-        assert len(result.points) == 4
-
-    def test_timeout_exhausted_reports_timeout_stage(self):
-        set_fault_plan(
-            FaultPlan(
-                [
-                    FaultAction(
-                        op="sleep",
-                        stage="braid_sim",
-                        seconds=1.5,
-                        once=False,
-                    )
-                ]
-            )
-        )
-        outcome = execute_point(
-            PointSpec(app="sq", size=2, policy=6, distance=3),
-            StageCache(),
-            RetryPolicy(max_attempts=1, timeout_s=0.3),
-        )
+        outcome = execute_point(self.SPEC, StageCache())
         assert isinstance(outcome, PointFailure)
-        assert outcome.stage == "timeout"
-        assert outcome.error_type == "PointTimeout"
+        assert "action 0" in outcome.error
+        # Action 1 never fired, so the next call is call 2.
+        with pytest.raises(InjectedFault, match="action 1"):
+            run_point(self.SPEC, StageCache())
+
+    def test_healthy_point_matches_run_point(self):
+        outcome = execute_point(self.SPEC, StageCache())
+        assert outcome.to_jsonable() == run_point(
+            self.SPEC, StageCache()
+        ).to_jsonable()
 
 
 class TestQuarantine:
@@ -417,6 +334,31 @@ class TestJournalResume:
         # The journal now holds every point again.
         assert len(load_journal(journal)) == 4
 
+    def test_resume_reruns_only_failed_points(self, tmp_path):
+        journal = tmp_path / "sweep.json.partial.jsonl"
+        clean = SweepRunner().run(TINY)
+        set_fault_plan(
+            FaultPlan(
+                [
+                    FaultAction(
+                        op="raise",
+                        stage="braid_sim",
+                        match='"policy": 0',
+                        once=False,
+                    )
+                ]
+            )
+        )
+        faulty = SweepRunner(max_failures=None).run(TINY, journal=journal)
+        assert len(faulty.failures) == 2
+        # Failures are not journaled: only the survivors are.
+        assert len(load_journal(journal)) == 2
+        set_fault_plan(None)
+        resumed = SweepRunner().run(TINY, journal=journal, resume=True)
+        assert resumed.ok
+        assert resumed.stats.computed("point") == 2
+        assert _jsonable(resumed.points) == _jsonable(clean.points)
+
     def test_fresh_run_truncates_stale_journal(self, tmp_path):
         journal = tmp_path / "sweep.json.partial.jsonl"
         journal.write_text("garbage\n", encoding="utf-8")
@@ -464,7 +406,8 @@ class TestWorkerCrashRecovery:
         self, tmp_path
     ):
         # No state_dir: every replacement worker re-fires the kill, so
-        # the chunk exhausts its pool retries and fails structurally.
+        # each chunk is lost in every pool round and its points fail
+        # structurally, each exactly once.
         set_fault_plan(
             FaultPlan([FaultAction(op="kill", stage="braid_sim")])
         )
@@ -472,11 +415,19 @@ class TestWorkerCrashRecovery:
             cache_dir=tmp_path / "cache",
             workers=2,
             max_failures=None,
-            pool_retries=1,
         ).run(TINY)
-        assert not result.ok
+        assert result.points == []
+        assert len(result.failures) == 4
+        assert {f.spec.key().digest for f in result.failures} == {
+            s.key().digest for s in TINY.expand()
+        }
         assert all(f.stage == "pool" for f in result.failures)
-        assert len(result.points) + len(result.failures) >= 4
+        assert all(
+            f.error_type == "BrokenProcessPool" for f in result.failures
+        )
+        assert [f.attempts for f in result.failures] == [
+            POOL_RETRIES + 1
+        ] * 4
 
     def test_kill_in_main_process_degrades_to_raise(self):
         # Serial sweeps must never hard-exit the interpreter.
@@ -487,91 +438,12 @@ class TestWorkerCrashRecovery:
         assert len(result.failures) == 1
         assert result.failures[0].error_type == "InjectedFault"
 
-    def test_stalled_worker_recycled_by_watchdog(self, tmp_path):
-        # Budget math: per_point = 1.5s x 2 attempts x longest chunk
-        # (2) x 1 wave + 1s grace = 7s watchdog; the 20s stall is
-        # safely past it.  Two attempts at 1.5s each per
-        # millisecond-scale point keep a heavily loaded test machine
-        # from turning a slow fork into a false point failure.
-        clean = SweepRunner().run(TINY)
-        set_fault_plan(
-            FaultPlan(
-                [FaultAction(op="stall", seconds=20.0)],
-                state_dir=tmp_path / "fault-state",
-            )
-        )
-        result = SweepRunner(
-            cache_dir=tmp_path / "cache",
-            workers=2,
-            max_failures=None,
-            retry=RetryPolicy(max_attempts=2, timeout_s=1.5),
-            pool_grace=1.0,
-        ).run(TINY)
-        assert result.ok, [f.to_jsonable() for f in result.failures]
-        assert _jsonable(result.points) == _jsonable(clean.points)
-
 
 @pytest.mark.slow
 class TestChaos:
-    """The acceptance scenario: a seeded plan injecting a worker kill,
-    a transient raise, a hung point, and a corrupt disk entry into a
-    tiny grid must leave isolated failures, recovered retries, and
-    surviving results bit-identical to a fault-free run."""
-
-    def test_seeded_chaos_sweep(self, tmp_path):
-        clean = SweepRunner().run(TINY)
-        plan = FaultPlan(
-            [
-                # A worker hard-killed mid-braid: chunk requeued on a
-                # rebuilt pool.
-                FaultAction(op="kill", stage="braid_sim"),
-                # One braid simulation sleeps past its deadline once.
-                FaultAction(
-                    op="sleep", stage="braid_sim", seconds=4.0
-                ),
-                # Policy-0 points of sq fail every attempt: permanent,
-                # isolated failures.
-                FaultAction(
-                    op="raise",
-                    stage="braid_sim",
-                    match='"policy": 0',
-                    once=False,
-                ),
-                # One persisted point entry is corrupted on disk.
-                FaultAction(op="corrupt", stage="point"),
-            ],
-            seed=1234,
-            state_dir=tmp_path / "fault-state",
-        )
-        set_fault_plan(plan)
-        result = SweepRunner(
-            cache_dir=tmp_path / "cache",
-            workers=2,
-            max_failures=None,
-            retry=RetryPolicy(
-                max_attempts=2, base_delay=0.01, timeout_s=2.0
-            ),
-        ).run(TINY)
-        set_fault_plan(None)
-        # Both policy-0 points failed; both policy-6 points survived.
-        assert len(result.failures) == 2
-        assert {f.spec.policy for f in result.failures} == {0}
-        assert {p.spec.policy for p in result.points} == {6}
-        survivors = {
-            p.spec.key().digest: p.to_jsonable() for p in result.points
-        }
-        expected = {
-            p.spec.key().digest: p.to_jsonable()
-            for p in clean.points
-            if p.spec.policy == 6
-        }
-        assert survivors == expected
-        # The corrupted disk entry is caught (and quarantined) by
-        # cache verification.
-        report = StageCache(tmp_path / "cache").verify()
-        assert len(report["corrupt"]) <= 1
-        total = report["quarantined_total"]
-        assert total <= 1
+    """Fault plans travel to worker processes as JSON.  The chaos
+    sweep itself (a worker kill, a permanent raise and a corrupt disk
+    entry through the CLI) runs in ``tests/runner/test_cli.py``."""
 
     def test_plan_round_trips_through_json(self, tmp_path):
         plan = FaultPlan(
@@ -584,10 +456,8 @@ class TestChaos:
                     match='"policy": 0',
                 ),
             ],
-            seed=99,
             state_dir=tmp_path,
         )
         revived = FaultPlan.from_json(plan.to_json())
         assert revived.actions == plan.actions
-        assert revived.seed == 99
         assert revived.state_dir == tmp_path
