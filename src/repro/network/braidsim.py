@@ -80,16 +80,17 @@ __all__ = [
 ]
 
 ENGINES = ("flat", "reference")
-"""Selectable braid engines.
+"""Engines :func:`simulate_plan` accepts.
 
-* ``"flat"`` — this module's optimized flat-structure event loop (the
-  default everywhere).
+* ``"flat"`` — this module's optimized flat-structure event loop, the
+  only engine the runner, the stages and the CLI simulate with.
 * ``"reference"`` — the preserved seed loop in
   :mod:`._braidsim_reference`, the semantic oracle (it refuses
   Policy 7, which postdates it).
 
 Both produce bit-identical :class:`BraidSimResult`\\ s; the golden
-tests and ``python -m repro bench --reference`` enforce it.
+tests, the differential harness and ``python -m repro bench
+--reference`` enforce it.
 """
 
 
@@ -567,13 +568,6 @@ class BraidSimulator:
         return True
 
 
-def _require_flat(engine: str) -> None:
-    if engine != "flat":
-        raise KeyError(
-            f"unknown braid engine {engine!r}; available: {sorted(ENGINES)}"
-        )
-
-
 def simulate_braids(
     circuit: Circuit,
     placement: Placement,
@@ -584,7 +578,6 @@ def simulate_braids(
     factory_routers: tuple[Router, ...] = (),
     config: Optional[BraidSimConfig] = None,
     dag: Optional[CircuitDag] = None,
-    engine: str = "flat",
 ) -> BraidSimResult:
     """Simulate a circuit's braid schedule under one policy.
 
@@ -598,26 +591,9 @@ def simulate_braids(
         factory_routers: Magic-state factory endpoints.
         config: Timeout/limit knobs.
         dag: Optional pre-built dependence DAG.
-        engine: Braid engine (see :data:`ENGINES`); both return
-            bit-identical results.
     """
     if isinstance(policy, int):
         policy = POLICIES[policy]
-    if engine == "reference":
-        from ._braidsim_reference import simulate_braids_reference
-
-        return simulate_braids_reference(
-            circuit,
-            placement,
-            mesh,
-            policy,
-            distance,
-            code=code,
-            factory_routers=factory_routers,
-            config=config,
-            dag=dag,
-        )
-    _require_flat(engine)
     config = config or BraidSimConfig()
     plan = braid_plan(
         circuit,
@@ -665,5 +641,8 @@ def simulate_plan(
             config=config,
             dag=plan.dag,
         )
-    _require_flat(engine)
+    if engine != "flat":
+        raise KeyError(
+            f"unknown braid engine {engine!r}; available: {sorted(ENGINES)}"
+        )
     return BraidSimulator(policy=policy, config=config, plan=plan).run()

@@ -3,16 +3,18 @@
 * :mod:`repro.runner.keys` -- stable stage-invocation identities.
 * :mod:`repro.runner.cache` -- memory + on-disk JSON result cache.
 * :mod:`repro.runner.backends` -- the disk store: checksummed,
-  gzipped, atomically written records and ``flock`` single-flight.
+  gzipped, atomically written records of one format, and ``flock``
+  single-flight.
 * :mod:`repro.runner.stages` -- the pipeline stages + grid points.
 * :mod:`repro.runner.sweep` -- grid expansion, dedup, process fan-out,
   checkpoint/resume journaling.
 * :mod:`repro.runner.faults` -- run-once point isolation, per-point
   failure records, deterministic fault injection.
-* :mod:`repro.runner.bench` -- cold-cache stage timing + regression gate.
+* :mod:`repro.runner.bench` -- cold-cache stage timing, the seed-loop
+  replay of every swept braid point, and the regression gate.
 * :mod:`repro.runner.report` -- figure/table rendering from the cache.
 * :mod:`repro.runner.cli` -- ``python -m repro``
-  (run / sweep / report / bench / cache).
+  (run / sweep / report / bench / cache / check / lint).
 
 See ``docs/ARCHITECTURE.md`` for the module map and the cache-key flow
 through the stages, and ``docs/PERFORMANCE.md`` for the bench harness

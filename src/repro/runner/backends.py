@@ -9,7 +9,7 @@ worker processes of one host.
 * entries are replaced atomically (temporary file + ``os.replace``);
 * :func:`encode_record` writes indented JSON, gzipped when it is at
   least :data:`GZIP_THRESHOLD` bytes and gzip makes it smaller.  Reads
-  sniff the gzip magic, so plain and legacy entries load unchanged;
+  sniff the gzip magic, so plain and gzipped entries load alike;
 * :meth:`DiskStore.lock` elects one leader per missing key with a
   blocking ``fcntl.flock`` on ``<stage>/<digest>.lock``, so N workers
   missing the same key compute it once.  The kernel drops a dead
@@ -20,9 +20,10 @@ Record format (``CACHE_FORMAT_VERSION`` = 2)::
     {"format": 2, "key": {...}, "sha256": "<hex>", "value": ...}
 
 The checksum covers the canonical JSON of the (JSON-normalized)
-``value``, so it is stable across a store/load round trip.  Format-1
-records (no checksum) remain readable; ``python -m repro cache
-migrate`` rewrites them in place.
+``value``, so it is stable across a store/load round trip.  A record
+of another format decodes (format 1 had no checksum to verify), but
+the cache reads it as stale: a miss, recomputed and stored over, never
+quarantined.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from typing import Any, Optional, Union
 
 __all__ = [
     "CACHE_FORMAT_VERSION",
-    "SUPPORTED_CACHE_FORMATS",
     "GZIP_THRESHOLD",
     "CorruptEntry",
     "DiskStore",
@@ -52,13 +52,9 @@ __all__ = [
 ]
 
 CACHE_FORMAT_VERSION = 2
-"""Format written by this codebase.  Bumped from 1 when records gained
-the ``sha256`` integrity checksum (and gzip became the write policy
-for large payloads)."""
-
-SUPPORTED_CACHE_FORMATS = (1, 2)
-"""Formats the cache reads.  Format 1 (no checksum) is read forever;
-anything else is stale and recomputed."""
+"""The one format this codebase writes and serves.  Bumped from 1 when
+records gained the ``sha256`` integrity checksum (and gzip became the
+write policy for large payloads)."""
 
 GZIP_THRESHOLD = 4096
 """Records at least this many encoded bytes are gzipped (multi-MB
@@ -121,8 +117,7 @@ def encode_record(record: dict) -> bytes:
     Indented JSON, gzipped at level 6 when it is at least
     :data:`GZIP_THRESHOLD` bytes and gzip makes it smaller.  ``gzip``
     runs with ``mtime=0`` so identical records encode to identical
-    bytes -- ``cache migrate`` relies on that to detect already-current
-    entries.
+    bytes, and re-running a sweep leaves the same cache tree.
     """
     plain = (json.dumps(record, indent=1) + "\n").encode("utf-8")
     if len(plain) < GZIP_THRESHOLD:

@@ -4,14 +4,15 @@
 default), records per-stage wall-clock from the stage cache's timing
 counters into a ``BENCH_<n>.json``-style report, and optionally:
 
-* re-runs every braid point through the *reference* simulator
-  (:mod:`repro.network._braidsim_reference`) on the same machine,
-  asserting bit-identical results and measuring the optimized core's
-  speedup; and
+* replays every swept braid point's plan through the *reference*
+  simulator (``simulate_plan(plan, policy, engine="reference")``, the
+  seed loop in :mod:`repro.network._braidsim_reference`) on the same
+  machine, asserting bit-identical results and measuring the optimized
+  core's speedup; and
 * compares against a committed baseline report, failing on regression.
 
 Because absolute seconds are machine-dependent, the regression gate
-defaults to *relative* metrics measured within one run:
+uses *relative* metrics measured within one run:
 
 * the optimized-vs-reference braid speedup (the headline ratio); and
 * every stage's self time normalized by the reference simulator's
@@ -22,10 +23,10 @@ defaults to *relative* metrics measured within one run:
 
 A committed baseline records the ratios this codebase achieved when
 the baseline was captured; CI fails when the current tree loses more
-than ``tolerance`` of any of them (plus a small additive slack so
+than ``tolerance`` of any of them (plus :data:`RATIO_SLACK` so
 millisecond-scale stages don't flake).  Absolute stage seconds are
-also recorded (and comparable with ``absolute=True``) for same-machine
-trajectories like the repo-root ``BENCH_*.json`` series.
+also recorded, for same-machine trajectories like the repo-root
+``BENCH_*.json`` series.
 """
 
 from __future__ import annotations
@@ -35,13 +36,12 @@ import json
 import platform
 import time
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
-from ..network import BraidMesh, simulate_braids_reference
+from ..network.braidsim import simulate_plan
 from ..network.policies import POLICIES
-from ..qec.distance import choose_distance
 from .cache import StageCache
-from .stages import compute_braid, compute_frontend, compute_layout
+from .stages import PointResult, compute_braid_plan
 from .sweep import GridSpec, SweepRunner, fig6_grid
 
 __all__ = [
@@ -97,8 +97,6 @@ class BenchReport:
         environment: Python/platform fingerprint of the machine, plus
             the run configuration (``workers``), so reports are
             self-describing across machines.
-        engine: Braid engine the sweep simulated with (reports
-            recorded before the engine axis existed load as "flat").
     """
 
     grid: str
@@ -110,7 +108,6 @@ class BenchReport:
     braid_speedup: Optional[float] = None
     equivalence_checked: int = 0
     environment: dict = dataclasses.field(default_factory=dict)
-    engine: str = "flat"
 
     @property
     def braid_seconds(self) -> float:
@@ -185,22 +182,24 @@ def _environment(workers: int) -> dict:
 
 
 def _reference_pass(
-    cache: StageCache, grid: GridSpec
+    cache: StageCache, points: Sequence[PointResult]
 ) -> tuple[float, int]:
-    """Time the reference simulator over the grid's unique braid points.
+    """Replay each swept point's braid plan through the seed loop.
 
-    The sweep that just ran left every frontend, layout, and optimized
-    braid result in ``cache``; each point is re-simulated with the seed
-    event loop and must match bit-identically.
+    Points sharing a braid simulation (same app, size, inline depth,
+    policy, distance and layout) are replayed once.  After a serial
+    sweep every plan is a memory hit in ``cache``; after a parallel
+    one the plans were built in the workers and are rebuilt here.
 
     Raises:
-        RuntimeError: If any point diverges from the optimized result.
+        RuntimeError: If a point's braid result differs from the seed
+            loop's.
     """
     seen: set[tuple] = set()
     elapsed = 0.0
     checked = 0
-    for spec in grid.expand():
-        spec = spec.normalized()
+    for point in points:
+        spec = point.spec
         policy = POLICIES[spec.policy]
         if policy.family == "reservation":
             # The seed loop cannot follow reserved issue cycles; Policy
@@ -211,50 +210,29 @@ def _reference_pass(
             if spec.optimize_layout is not None
             else policy.optimized_layout
         )
-        fe = compute_frontend(cache, spec.app, spec.size, spec.inline_depth)
-        distance = (
-            spec.distance
-            if spec.distance is not None
-            else choose_distance(fe.logical.target_pl, spec.technology())
-        )
         ident = (
             spec.app, spec.size, spec.inline_depth, spec.policy,
-            distance, optimize_layout,
+            point.distance, optimize_layout,
         )
         if ident in seen:
             continue
         seen.add(ident)
-        machine = compute_layout(
-            cache, spec.app, spec.size, spec.inline_depth, optimize_layout
-        )
-        optimized = compute_braid(
+        plan = compute_braid_plan(
             cache,
             spec.app,
             spec.size,
             spec.inline_depth,
-            policy=spec.policy,
-            distance=distance,
-            optimize_layout=optimize_layout,
-            engine=spec.engine,
+            optimize_layout,
+            point.distance,
         )
-        mesh = BraidMesh(machine.grid.rows, machine.grid.cols)
         start = time.perf_counter()
-        reference = simulate_braids_reference(
-            machine.circuit,
-            machine.placement,
-            mesh,
-            spec.policy,
-            distance,
-            code=machine.code,
-            factory_routers=machine.factory_routers,
-            dag=fe.dag,
-        )
+        reference = simulate_plan(plan, policy, engine="reference")
         elapsed += time.perf_counter() - start
         checked += 1
-        if reference != optimized:
+        if reference != point.braid:
             raise RuntimeError(
                 "optimized braid simulator diverged from the reference "
-                f"at {ident}: {optimized} != {reference}"
+                f"at {ident}: {point.braid} != {reference}"
             )
     return elapsed, checked
 
@@ -263,7 +241,6 @@ def run_bench(
     grid: Union[str, GridSpec] = "fig6",
     reference: bool = False,
     workers: int = 1,
-    engine: Optional[str] = None,
     cache: Optional[StageCache] = None,
 ) -> BenchReport:
     """Run one cold-cache benchmark measurement.
@@ -275,8 +252,6 @@ def run_bench(
             braid points and verify bit-identical results.
         workers: Sweep process count (stage timing is only meaningful
             per process; keep 1 for trajectory comparisons).
-        engine: Braid engine for every point (None keeps the grid's
-            own engine — "flat" for the presets).
         cache: Explicit stage cache (default: a fresh in-memory one,
             so the measurement is genuinely cold).
     """
@@ -284,8 +259,6 @@ def run_bench(
         spec = bench_grid(grid)
     else:
         spec, grid = grid, "custom"
-    if engine is not None and engine != spec.engine:
-        spec = dataclasses.replace(spec, engine=engine)
     if cache is None:
         cache = StageCache()
     runner = SweepRunner(cache=cache, workers=workers)
@@ -302,13 +275,9 @@ def run_bench(
         },
         total_seconds=round(total, 4),
         environment=_environment(result.workers),
-        engine=spec.engine,
     )
     if reference:
-        # After a parallel sweep the stage artifacts live in worker
-        # processes; _reference_pass recomputes any missing prefix
-        # through the local cache before timing the reference loop.
-        ref_seconds, checked = _reference_pass(cache, spec)
+        ref_seconds, checked = _reference_pass(cache, result.points)
         report.reference_braid_seconds = round(ref_seconds, 4)
         report.equivalence_checked = checked
         braid = report.braid_seconds
@@ -316,9 +285,6 @@ def run_bench(
             report.braid_speedup = round(ref_seconds / braid, 4)
     return report
 
-
-ABSOLUTE_SLACK_SECONDS = 0.1
-"""Additive slack for the absolute gate (protects millisecond stages)."""
 
 RATIO_SLACK = 0.02
 """Additive slack on the normalized scale (~2% of the reference braid
@@ -329,18 +295,14 @@ def compare_reports(
     current: BenchReport,
     baseline: BenchReport,
     tolerance: float = 0.25,
-    absolute: bool = False,
-    ratio_slack: float = RATIO_SLACK,
 ) -> list[str]:
     """Regression check; returns a list of failure descriptions.
 
-    Relative mode (default) gates the optimized-vs-reference braid
-    speedup *and* every baseline stage's reference-normalized self
-    time, which cancels machine speed out of the gate.  Absolute mode
-    compares raw per-stage seconds and is only sound on the machine
-    that recorded the baseline.  Stages present in the current report
-    but absent from the baseline are not gated (re-record the baseline
-    to start gating a new stage).
+    Gates the optimized-vs-reference braid speedup *and* every baseline
+    stage's reference-normalized self time, which cancels machine speed
+    out of the gate.  Stages present in the current report but absent
+    from the baseline are not gated (re-record the baseline to start
+    gating a new stage).
     """
     failures: list[str] = []
     if current.grid != baseline.grid:
@@ -348,24 +310,6 @@ def compare_reports(
             f"grid mismatch: current {current.grid!r} vs baseline "
             f"{baseline.grid!r}"
         )
-        return failures
-    if absolute:
-        for stage, base_seconds in sorted(baseline.stage_seconds.items()):
-            cur_seconds = current.stage_seconds.get(stage)
-            if cur_seconds is None:
-                failures.append(
-                    f"{stage} missing from the current report "
-                    "(stage removed or renamed?)"
-                )
-                continue
-            ceiling = (
-                base_seconds * (1.0 + tolerance) + ABSOLUTE_SLACK_SECONDS
-            )
-            if cur_seconds > ceiling:
-                failures.append(
-                    f"{stage} regressed: {cur_seconds:.2f}s > "
-                    f"{base_seconds:.2f}s * (1 + {tolerance:.2f})"
-                )
         return failures
     if current.braid_speedup is None:
         failures.append(
@@ -381,7 +325,7 @@ def compare_reports(
             f"braid_sim speedup regressed: {current.braid_speedup:.2f}x "
             f"< {baseline.braid_speedup:.2f}x * (1 - {tolerance:.2f})"
         )
-    for stage, base_seconds in sorted(baseline.stage_seconds.items()):
+    for stage in sorted(baseline.stage_seconds):
         if stage in ("braid_sim", "braid_plan"):
             continue  # gated together by the speedup check above
         base_ratio = baseline.stage_ratio(stage)
@@ -394,11 +338,11 @@ def compare_reports(
                 "(stage removed or renamed?)"
             )
             continue
-        ceiling = base_ratio * (1.0 + tolerance) + ratio_slack
+        ceiling = base_ratio * (1.0 + tolerance) + RATIO_SLACK
         if cur_ratio > ceiling:
             failures.append(
                 f"{stage} regressed: {cur_ratio:.3f}x reference braid "
                 f"time > {base_ratio:.3f}x * (1 + {tolerance:.2f}) + "
-                f"{ratio_slack:.2f} slack"
+                f"{RATIO_SLACK:.2f} slack"
             )
     return failures

@@ -8,6 +8,8 @@ once per process.  The disk level persists JSON payloads through a
 above 4 KiB, atomic writes, and single-flight ``flock`` leadership
 across the worker processes of one host), so sweeps resume across
 processes and sessions and reports re-render without re-simulating.
+Only :data:`CACHE_FORMAT_VERSION` records are served; any other format
+is a miss and is recomputed over.
 
 Cached artifacts are shared by reference: treat them as immutable.
 """
@@ -22,7 +24,6 @@ from typing import Any, Callable, Iterator, Mapping, Optional, Union
 
 from .backends import (
     CACHE_FORMAT_VERSION,
-    SUPPORTED_CACHE_FORMATS,
     CorruptEntry,
     DiskStore,
     FlightLease,
@@ -38,7 +39,6 @@ __all__ = [
     "CacheStats",
     "StageCache",
     "CACHE_FORMAT_VERSION",
-    "SUPPORTED_CACHE_FORMATS",
     "QUARANTINE_DIR",
 ]
 
@@ -266,7 +266,9 @@ class StageCache:
         to ``<disk_dir>/quarantine/<stage>/`` with a ``.reason.txt``
         sidecar before the miss is reported, so corrupt entries are
         preserved as evidence instead of being silently recomputed
-        over.
+        over.  An entry in another format than
+        :data:`CACHE_FORMAT_VERSION` is stale, not corrupt: a miss,
+        which the caller recomputes and stores over.
         """
         if self.disk is None:
             return None
@@ -279,7 +281,7 @@ class StageCache:
             return None
         if record is None:
             return None
-        if record.get("format") not in SUPPORTED_CACHE_FORMATS:
+        if record.get("format") != CACHE_FORMAT_VERSION:
             return None
         return record.get("value")
 
@@ -383,7 +385,7 @@ class StageCache:
                 record = decode_record(path.read_bytes(), path=path)
             except (OSError, CorruptEntry):
                 continue
-            if record.get("format") in SUPPORTED_CACHE_FORMATS:
+            if record.get("format") == CACHE_FORMAT_VERSION:
                 yield record
 
     # -- disk administration (``python -m repro cache``) ---------------------
@@ -493,70 +495,6 @@ class StageCache:
                     continue
         return removed
 
-    def migrate(self, stage: Optional[str] = None) -> dict[str, Any]:
-        """Rewrite entries to the current format and write policy.
-
-        Legacy (format 1, checksum-less, uncompressed) entries are
-        re-encoded in place as current-format records — sha256
-        checksum recorded, gzip at 4 KiB and above.
-        Entries already matching the current policy byte-for-byte are
-        left untouched (record encoding and gzip are deterministic, so
-        re-running migrate is idempotent).  Undecodable entries are
-        quarantined; entries with an *unknown* format are counted
-        ``stale`` and left for ``prune``.
-
-        Returns ``{"migrated", "unchanged", "stale", "failed"}``.
-        """
-        migrated = 0
-        unchanged = 0
-        stale = 0
-        failed: list[str] = []
-        if self.disk is None:
-            return {
-                "migrated": 0, "unchanged": 0, "stale": 0, "failed": [],
-            }
-        for stage_dir in self._stage_dirs():
-            if stage is not None and stage_dir.name != stage:
-                continue
-            for path in sorted(stage_dir.glob("*.json")):
-                try:
-                    data = path.read_bytes()
-                except OSError:
-                    failed.append(str(path))
-                    continue
-                try:
-                    record = decode_record(data, path=path)
-                except CorruptEntry as error:
-                    self.quarantine(
-                        path, f"failed migrate: {error.reason}"
-                    )
-                    failed.append(str(path))
-                    continue
-                if record.get("format") not in SUPPORTED_CACHE_FORMATS:
-                    stale += 1
-                    continue
-                fresh = make_record(
-                    record.get("key") or {}, record.get("value")
-                )
-                encoded = encode_record(fresh)
-                if encoded == data:
-                    unchanged += 1
-                    continue
-                try:
-                    self.disk.write_bytes(
-                        stage_dir.name, path.stem, encoded
-                    )
-                except OSError:
-                    failed.append(str(path))
-                    continue
-                migrated += 1
-        return {
-            "migrated": migrated,
-            "unchanged": unchanged,
-            "stale": stale,
-            "failed": failed,
-        }
-
     def verify(
         self,
         payload_checks: Optional[
@@ -568,12 +506,12 @@ class StageCache:
         Every record embeds its key's human-readable description;
         rebuilding the :class:`StageKey` from it must reproduce the
         digest the file is named after (canonical JSON is stable under
-        a decode/re-encode round trip).  Format >= 2 records must also
-        hash to their recorded sha256 — a mismatch is reported under
-        ``checksum`` and quarantined with a checksum reason.  Format-1
-        legacy records still verify (counted in ``legacy`` as a
-        ``cache migrate`` hint).  Returns per-problem lists so callers
-        can report or re-prune.
+        a decode/re-encode round trip).  Records must also hash to
+        their recorded sha256 — a mismatch is reported under
+        ``checksum`` and quarantined with a checksum reason.  Records
+        in another format than :data:`CACHE_FORMAT_VERSION` are listed
+        under ``stale_format`` and left for ``prune``.  Returns
+        per-problem lists so callers can report or re-prune.
 
         Args:
             payload_checks: Optional per-stage validators over the
@@ -587,7 +525,6 @@ class StageCache:
         payload_checks = payload_checks or {}
         checked = 0
         ok = 0
-        legacy = 0
         corrupt: list[str] = []
         checksum_bad: list[str] = []
         stale_format: list[str] = []
@@ -616,12 +553,9 @@ class StageCache:
                     if moved is not None:
                         quarantined.append(str(moved))
                     continue
-                fmt = record.get("format")
-                if fmt not in SUPPORTED_CACHE_FORMATS:
+                if record.get("format") != CACHE_FORMAT_VERSION:
                     stale_format.append(str(path))
                     continue
-                if fmt < CACHE_FORMAT_VERSION:
-                    legacy += 1
                 described = record.get("key") or {}
                 try:
                     key = StageKey.make(
@@ -648,7 +582,6 @@ class StageCache:
         return {
             "checked": checked,
             "ok": ok,
-            "legacy": legacy,
             "corrupt": corrupt,
             "checksum": checksum_bad,
             "stale_format": stale_format,

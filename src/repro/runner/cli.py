@@ -15,13 +15,13 @@ Subcommands:
 * ``report`` -- re-render Figures 6-9 and Tables 1-2 from cached
   results (``--cache-dir``) or a saved sweep file (``--results``).
 * ``bench`` -- cold-cache stage-timing measurement through
-  :mod:`repro.runner.bench`, with optional reference-simulator
-  verification and a baseline regression gate.
-* ``cache`` -- stats / prune / verify / migrate for an on-disk stage
-  cache (``verify`` audits payload checksums and round-trip-validates
-  persisted ``lowered`` circuits; ``migrate`` re-encodes legacy
-  entries with checksums and the gzip write policy; ``stats`` reports
-  raw vs. stored bytes).
+  :mod:`repro.runner.bench`, with optional verification against the
+  seed loop and a baseline regression gate (the baseline is read and
+  checked before anything runs).
+* ``cache`` -- stats / prune / verify for an existing on-disk stage
+  cache directory (``verify`` audits payload checksums and
+  round-trip-validates persisted ``lowered`` circuits; ``stats``
+  reports raw vs. stored bytes).
 * ``check`` -- static IR verification of every compiled artifact of a
   sweep grid through :mod:`repro.analysis` (zero diagnostics on a
   healthy build).
@@ -34,17 +34,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
-from ..network.braidsim import ENGINES
-from .bench import (
-    BENCH_GRIDS,
-    RATIO_SLACK,
-    BenchReport,
-    compare_reports,
-    run_bench,
-)
+from .bench import BENCH_GRIDS, BenchReport, compare_reports, run_bench
 from .cache import StageCache
 from .faults import SweepAborted
 from .report import render_failures
@@ -154,12 +148,6 @@ def _add_point_options(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=64,
         help="EPR look-ahead window (logical cycles)",
-    )
-    parser.add_argument(
-        "--engine",
-        default="flat",
-        choices=sorted(ENGINES),
-        help="braid engine (bit-identical results)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -279,8 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--reference",
         action="store_true",
         help=(
-            "also time the pre-optimization reference simulator and "
-            "verify bit-identical results (enables the relative gate)"
+            "also replay every braid point through the seed loop, "
+            "verify bit-identical results and time it (the baseline "
+            "gate's yardstick)"
         ),
     )
     bench.add_argument(
@@ -290,20 +279,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep process count (keep 1 for comparable stage timings)",
     )
     bench.add_argument(
-        "--engine",
-        default="flat",
-        choices=sorted(ENGINES),
-        help="braid engine to measure (bit-identical results)",
-    )
-    bench.add_argument(
         "--out", default=None, help="write the bench report JSON here"
     )
     bench.add_argument(
         "--baseline",
         default=None,
         help=(
-            "baseline report to compare against (fail on regression; "
-            "gates every stage the baseline records, not just braid_sim)"
+            "baseline report of the same --grid to compare against "
+            "(implies --reference; fail on regression; gates every "
+            "stage the baseline records, not just braid_sim)"
         ),
     )
     bench.add_argument(
@@ -312,29 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.25,
         help="allowed fractional regression against the baseline",
     )
-    bench.add_argument(
-        "--ratio-slack",
-        type=float,
-        default=RATIO_SLACK,
-        help=(
-            "additive slack on reference-normalized stage ratios "
-            "(protects millisecond-scale stages from timer noise)"
-        ),
-    )
-    bench.add_argument(
-        "--absolute",
-        action="store_true",
-        help=(
-            "gate on absolute per-stage seconds instead of the "
-            "machine-independent reference-normalized ratios"
-        ),
-    )
 
     cache_cmd = sub.add_parser(
         "cache", help="inspect or maintain an on-disk stage cache"
     )
     cache_cmd.add_argument(
-        "action", choices=["stats", "prune", "verify", "migrate"]
+        "action", choices=["stats", "prune", "verify"]
     )
     cache_cmd.add_argument(
         "--cache-dir", required=True, help="stage cache directory"
@@ -348,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_cmd.add_argument(
         "--stage",
         default=None,
-        help="prune/migrate: restrict to one stage directory",
+        help="prune: restrict to one stage directory",
     )
 
     check = sub.add_parser(
@@ -448,7 +415,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         error_rate=args.error_rate,
         distance=args.distance,
         window=args.window,
-        engine=args.engine,
     )
     cache = StageCache(args.cache_dir)
     result = run_point(spec, cache)
@@ -507,7 +473,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             distance=(
                 args.distance if args.distance is not None else grid.distance
             ),
-            engine=args.engine,
         )
     else:
         grid = GridSpec(
@@ -520,7 +485,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             error_rate=args.error_rate,
             distance=args.distance,
             window=args.window,
-            engine=args.engine,
         )
     max_failures = args.max_failures if args.max_failures >= 0 else None
     if args.resume and not args.out:
@@ -592,19 +556,35 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    baseline = None
+    if args.baseline:
+        # Read and check the baseline before the sweep: a bad path or
+        # a baseline from another grid must not cost a whole run.
+        try:
+            baseline = BenchReport.load(args.baseline)
+        except (OSError, ValueError, TypeError) as err:
+            print(
+                f"error: unreadable bench baseline {args.baseline}: {err}",
+                file=sys.stderr,
+            )
+            return 2
+        if baseline.grid != args.grid:
+            print(
+                f"error: bench baseline {args.baseline} was recorded on "
+                f"grid {baseline.grid!r}, not --grid {args.grid!r}",
+                file=sys.stderr,
+            )
+            return 2
     reference = args.reference
-    if args.baseline and not args.absolute and not reference:
+    if baseline is not None and not reference:
         print(
-            "relative baseline gate needs the reference pass; "
+            "the baseline gate needs the reference pass; "
             "enabling --reference",
             file=sys.stderr,
         )
         reference = True
     report = run_bench(
-        grid=args.grid,
-        reference=reference,
-        workers=args.workers,
-        engine=args.engine,
+        grid=args.grid, reference=reference, workers=args.workers
     )
     print(json.dumps(report.to_jsonable(), indent=1, sort_keys=True))
     if report.equivalence_checked:
@@ -623,15 +603,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.out:
         report.save(args.out)
         print(f"bench report written to {args.out}", file=sys.stderr)
-    if args.baseline:
-        baseline = BenchReport.load(args.baseline)
-        failures = compare_reports(
-            report,
-            baseline,
-            tolerance=args.tolerance,
-            absolute=args.absolute,
-            ratio_slack=args.ratio_slack,
-        )
+    if baseline is not None:
+        failures = compare_reports(report, baseline, tolerance=args.tolerance)
         if failures:
             for failure in failures:
                 print(f"REGRESSION: {failure}", file=sys.stderr)
@@ -653,9 +626,13 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.stage is not None and args.action not in ("prune", "migrate"):
+    if args.stage is not None and args.action != "prune":
+        print("--stage only applies to the prune action", file=sys.stderr)
+        return 2
+    if not os.path.isdir(args.cache_dir):
+        # A mistyped path must not read as a healthy, empty cache.
         print(
-            "--stage only applies to the prune and migrate actions",
+            f"error: no cache directory at {args.cache_dir}",
             file=sys.stderr,
         )
         return 2
@@ -672,17 +649,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         removed = cache.prune(older_than_seconds=seconds, stage=args.stage)
         print(f"pruned {removed} cache entries", file=sys.stderr)
         return 0
-    if args.action == "migrate":
-        result = cache.migrate(stage=args.stage)
-        print(json.dumps(result, indent=1))
-        print(
-            f"migrated {result['migrated']} entries "
-            f"({result['unchanged']} already current, "
-            f"{result['stale']} stale, "
-            f"{len(result['failed'])} failed)",
-            file=sys.stderr,
-        )
-        return 1 if result["failed"] else 0
     from ..analysis.verify import lowered_payload_check
 
     result = cache.verify(

@@ -48,8 +48,8 @@ def render_failures(failures: Sequence) -> str:
     for failure in failures:
         spec = failure.spec
         lines.append(
-            f"FAILED {spec.app}[{spec.size}] policy={spec.policy} "
-            f"engine={spec.engine}: {failure.error_type} in stage "
+            f"FAILED {spec.app}[{spec.size}] policy={spec.policy}: "
+            f"{failure.error_type} in stage "
             f"{failure.stage!r} after {failure.attempts} attempt(s): "
             f"{failure.error}"
         )

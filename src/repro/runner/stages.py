@@ -332,17 +332,11 @@ def compute_braid(
     policy: int = 6,
     distance: int = 5,
     optimize_layout: Optional[bool] = None,
-    engine: str = "flat",
 ) -> BraidSimResult:
     """Simulate the braid network for one (policy, distance).
 
     ``optimize_layout`` defaults to the policy's own layout flag
     (Policies 2+ use the interaction-aware layout, as in Figure 6).
-    ``engine`` selects the braid engine
-    (:data:`repro.network.braidsim.ENGINES`); both engines produce
-    bit-identical results, but the engine still keys the stage so
-    timing-trajectory runs never serve one engine's cold cost from
-    another's cached result.
     """
     name, size = _resolve(app, size)
     try:
@@ -361,14 +355,13 @@ def compute_braid(
         policy=policy,
         distance=distance,
         optimize_layout=optimize_layout,
-        engine=engine,
     )
 
     def simulate() -> BraidSimResult:
         plan = compute_braid_plan(
             cache, name, size, inline_depth, optimize_layout, distance
         )
-        return simulate_plan(plan, policy_obj, engine=engine)
+        return simulate_plan(plan, policy_obj)
 
     return cache.get_or_compute(
         key,
@@ -563,9 +556,6 @@ class PointSpec:
             frontend's error budget, as ``run_toolflow`` does).
         window: EPR look-ahead window in logical cycles.
         optimize_layout: Tiled layout override (None = policy default).
-        engine: Braid engine to simulate with
-            (:data:`repro.network.braidsim.ENGINES`); results are
-            bit-identical across engines, only timing differs.
     """
 
     app: str
@@ -578,7 +568,6 @@ class PointSpec:
     distance: Optional[int] = None
     window: int = 64
     optimize_layout: Optional[bool] = None
-    engine: str = "flat"
 
     def normalized(self) -> "PointSpec":
         """Canonical app name and resolved size, for stable keys."""
@@ -609,7 +598,6 @@ class PointSpec:
             distance=spec.distance,
             window=spec.window,
             optimize_layout=spec.optimize_layout,
-            engine=spec.engine,
         )
 
     def to_jsonable(self) -> dict:
@@ -617,16 +605,14 @@ class PointSpec:
 
     @classmethod
     def from_jsonable(cls, payload: dict) -> "PointSpec":
-        return cls(**payload)
+        # Points saved while the runner had an engine axis carry an
+        # ``engine`` key; every engine gave bit-identical results.
+        return cls(**{k: v for k, v in payload.items() if k != "engine"})
 
 
 @dataclasses.dataclass(frozen=True)
 class PointResult:
-    """All pipeline outputs for one grid point (JSON round-trippable).
-
-    ``degraded_from`` is always None; it stays in the JSON shape so
-    persisted points and cache records keep their bytes.
-    """
+    """All pipeline outputs for one grid point (JSON round-trippable)."""
 
     spec: PointSpec
     distance: int
@@ -635,7 +621,6 @@ class PointResult:
     epr: EprPipelineResult
     planar: SpaceTimeEstimate
     double_defect: SpaceTimeEstimate
-    degraded_from: Optional[str] = None
 
     @property
     def preferred_code(self) -> str:
@@ -653,7 +638,6 @@ class PointResult:
             "epr": dataclasses.asdict(self.epr),
             "planar": dataclasses.asdict(self.planar),
             "double_defect": dataclasses.asdict(self.double_defect),
-            "degraded_from": self.degraded_from,
             "derived": {
                 "schedule_to_critical_ratio": (
                     self.braid.schedule_to_critical_ratio
@@ -674,7 +658,6 @@ class PointResult:
             epr=EprPipelineResult(**payload["epr"]),
             planar=SpaceTimeEstimate(**payload["planar"]),
             double_defect=SpaceTimeEstimate(**payload["double_defect"]),
-            degraded_from=payload.get("degraded_from"),
         )
 
 
@@ -701,7 +684,6 @@ def run_point(
             policy=spec.policy,
             distance=distance,
             optimize_layout=spec.optimize_layout,
-            engine=spec.engine,
         )
         epr = compute_epr(
             cache,

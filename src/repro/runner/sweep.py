@@ -101,8 +101,6 @@ class GridSpec:
             ``error_rate`` when given.
         distance: Code distance override for simulations.
         window: EPR look-ahead window.
-        engine: Braid engine for every point
-            (:data:`repro.network.braidsim.ENGINES`).
     """
 
     apps: tuple[str, ...] = DEFAULT_APPS
@@ -115,7 +113,6 @@ class GridSpec:
     error_rates: Optional[tuple[Optional[float], ...]] = None
     distance: Optional[int] = None
     window: int = 64
-    engine: str = "flat"
 
     def _app_sizes(self, app: str) -> tuple[Optional[int], ...]:
         if self.sizes is None:
@@ -151,7 +148,6 @@ class GridSpec:
                                 error_rate=error_rate,
                                 distance=self.distance,
                                 window=self.window,
-                                engine=self.engine,
                             ).normalized()
                             digest = spec.key().digest
                             if digest not in seen:

@@ -3,20 +3,32 @@
 The acceptance bar for the analysis layer — every artifact the paper's
 headline figure compiles (4 apps x 7 policies, collapsing to 8 unique
 (app, layout, distance) artifact sets) verifies with zero diagnostics,
-including the strict advisory passes staying warning-only.
+including the strict advisory passes staying warning-only.  The
+artifacts compile through a disk cache, and ``cache verify`` must
+round-trip every payload the check persisted.
 """
+
+import json
 
 import pytest
 
 from repro.analysis import Severity
 from repro.analysis.verify import check_grid
 from repro.runner.cache import StageCache
+from repro.runner.cli import main
 from repro.runner.sweep import fig6_grid
 
 
 @pytest.fixture(scope="module")
-def fig6_report():
-    return check_grid(fig6_grid(), cache=StageCache(), strict=True)
+def fig6_cache_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fig6-cache")
+
+
+@pytest.fixture(scope="module")
+def fig6_report(fig6_cache_dir):
+    return check_grid(
+        fig6_grid(), cache=StageCache(fig6_cache_dir), strict=True
+    )
 
 
 @pytest.mark.slow
@@ -38,3 +50,15 @@ class TestFig6Golden:
             d.severity is not Severity.ERROR
             for d in fig6_report.diagnostics
         )
+
+    def test_persisted_artifacts_verify_clean(
+        self, fig6_report, fig6_cache_dir, capsys
+    ):
+        capsys.readouterr()
+        code = main(["cache", "verify", "--cache-dir", str(fig6_cache_dir)])
+        assert code == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["ok"] == result["checked"] == 8
+        entries = fig6_cache_dir.glob("*/*.json")
+        stages = sorted(entry.parent.name for entry in entries)
+        assert stages == ["frontend"] * 4 + ["lowered"] * 4

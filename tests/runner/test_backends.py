@@ -125,13 +125,23 @@ class TestGzipEncoding:
         assert compressed and stored < raw
         assert store.load("demo", KEY.digest) == record
 
-    def test_legacy_uncompressed_entries_load_forever(self, tmp_path):
-        store = DiskStore(tmp_path)
+    def test_format_1_entry_is_a_miss_and_is_overwritten(self, tmp_path):
+        # A format-1 record predates checksums: stale, not corrupt.
+        cache = StageCache(tmp_path)
         legacy = {"format": 1, "key": KEY.describe(), "value": {"v": 3}}
-        path = store.entry_path("demo", KEY.digest)
+        path = cache._path(KEY)
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps(legacy), encoding="utf-8")
-        assert store.load("demo", KEY.digest) == legacy
+        value = cache.get_or_compute(
+            KEY, lambda: {"v": 4}, **_identity_cache_args()
+        )
+        assert value == {"v": 4}
+        assert cache.stats.misses == {"demo": 1}
+        assert cache.stats.disk_hits == {}
+        assert cache.quarantined_count() == 0
+        record = decode_record(path.read_bytes())
+        assert record["format"] == CACHE_FORMAT_VERSION
+        assert record["value"] == {"v": 4}
 
     def test_encoding_is_deterministic(self):
         record = make_record(
@@ -140,9 +150,8 @@ class TestGzipEncoding:
         assert encode_record(record) == encode_record(record)
 
     def test_bytes_are_indented_json_gzipped_at_level_6(self):
-        # The stored bytes are a format: ``cache migrate`` finds
-        # current entries by comparing them, and a sweep must leave the
-        # same cache tree as every earlier version of the store.
+        # The stored bytes are a format: a sweep must leave the same
+        # cache tree as every earlier version of the store.
         small = make_record(KEY.describe(), {"v": 1})
         plain = (json.dumps(small, indent=1) + "\n").encode("utf-8")
         assert encode_record(small) == plain
@@ -733,59 +742,6 @@ class TestStatsPlumbing:
 
 
 # ---------------------------------------------------------------------------
-# Migration
-
-
-class TestMigrate:
-    def _legacy_entry(self, cache, key, payload):
-        record = {"format": 1, "key": key.describe(), "value": payload}
-        path = cache._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-        return path
-
-    def test_legacy_entries_rewritten_in_place(self, tmp_path):
-        cache = StageCache(tmp_path)
-        big_key = StageKey.make("demo", x=2)
-        self._legacy_entry(cache, KEY, {"v": 1})
-        self._legacy_entry(
-            cache, big_key, {"rows": [[i] * 40 for i in range(200)]}
-        )
-        before = StageCache(tmp_path).verify()
-        assert before["legacy"] == 2
-
-        report = cache.migrate()
-        assert report["migrated"] == 2
-        assert report["failed"] == []
-
-        after = StageCache(tmp_path).verify()
-        assert after["legacy"] == 0
-        assert after["ok"] == after["checked"] == 2
-        # The large record picked up the current gzip write policy.
-        _, _, compressed = stored_entry_sizes(cache._path(big_key))
-        assert compressed
-        assert cache.load_payload(big_key) == {
-            "rows": [[i] * 40 for i in range(200)]
-        }
-
-    def test_migrate_is_idempotent(self, tmp_path):
-        cache = StageCache(tmp_path)
-        cache.store_payload(KEY, {"v": 1})
-        first = cache.migrate()
-        assert first == {
-            "migrated": 0, "unchanged": 1, "stale": 0, "failed": [],
-        }
-
-    def test_migrate_quarantines_undecodable(self, tmp_path):
-        cache = StageCache(tmp_path)
-        cache.store_payload(KEY, {"v": 1})
-        cache._path(KEY).write_text("{corrupt", encoding="utf-8")
-        report = cache.migrate()
-        assert len(report["failed"]) == 1
-        assert cache.quarantined_count() == 1
-
-
-# ---------------------------------------------------------------------------
 # CLI surface
 
 
@@ -802,20 +758,6 @@ class TestBackendCli:
         assert payload["total_compressed_entries"] == 1
         assert payload["total_raw_bytes"] > payload["total_bytes"]
 
-    def test_migrate_cli(self, tmp_path, capsys):
-        cache = StageCache(tmp_path)
-        legacy = {"format": 1, "key": KEY.describe(), "value": {"v": 1}}
-        path = cache._path(KEY)
-        path.parent.mkdir(parents=True)
-        path.write_text(json.dumps(legacy), encoding="utf-8")
-        code = cli_main(
-            ["cache", "migrate", "--cache-dir", str(tmp_path)]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["migrated"] == 1
-        assert cli_main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 0
-
     def test_verify_fails_on_checksum_damage(self, tmp_path, capsys):
         cache = StageCache(tmp_path)
         cache.store_payload(KEY, {"v": 1})
@@ -828,7 +770,24 @@ class TestBackendCli:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["checksum"]) == 1
 
-    def test_stage_flag_rejected_outside_prune_and_migrate(
+    def test_verify_flags_format_1_entry_as_stale(self, tmp_path, capsys):
+        # A format-1 record predates checksums: verify lists it for
+        # ``prune`` and fails, but it is not corrupt, so it stays put.
+        cache = StageCache(tmp_path)
+        legacy = {"format": 1, "key": KEY.describe(), "value": {"v": 1}}
+        path = cache._path(KEY)
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(legacy), encoding="utf-8")
+        code = cli_main(["cache", "verify", "--cache-dir", str(tmp_path)])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["stale_format"] == [str(path)]
+        assert payload["ok"] == 0
+        assert "legacy" not in payload
+        assert path.exists()
+        assert cache.quarantined_count() == 0
+
+    def test_stage_flag_rejected_outside_prune(
         self, tmp_path, capsys
     ):
         code = cli_main(

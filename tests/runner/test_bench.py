@@ -1,11 +1,12 @@
 """Bench harness: stage timing capture, reference gate, baselines."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.runner import GridSpec, SweepRunner
+from repro.runner import GridSpec, StageCache, SweepRunner, bench, cli
 from repro.runner.bench import (
     BENCH_GRIDS,
     BenchReport,
@@ -78,6 +79,46 @@ class TestRunBench:
             BenchReport.load(path)
 
 
+class TestReferencePass:
+    """``--reference`` replays each swept point's own braid plan through
+    the seed loop, once per distinct braid simulation."""
+
+    def test_divergence_is_an_error(self, monkeypatch):
+        real = bench.simulate_plan
+
+        def off_by_one(plan, policy, engine="flat"):
+            result = real(plan, policy, engine=engine)
+            return dataclasses.replace(result, drops=result.drops + 1)
+
+        monkeypatch.setattr(bench, "simulate_plan", off_by_one)
+        with pytest.raises(RuntimeError, match="diverged"):
+            run_bench(TINY, reference=True)
+
+    def test_reservation_points_are_not_replayed(self):
+        grid = GridSpec(
+            apps=("sq",), sizes={"sq": 2}, policies=(0, 7), distance=3
+        )
+        report = run_bench(grid, reference=True)
+        assert report.points == 2
+        assert report.equivalence_checked == 1
+
+    def test_shared_simulations_replay_once(self):
+        cache = StageCache()
+        points = SweepRunner(cache=cache).run(TINY).points
+        _, checked = bench._reference_pass(cache, points + points)
+        assert checked == len(points) == 2
+
+    def test_replay_reuses_the_sweeps_plans(self):
+        cache = StageCache()
+        points = SweepRunner(cache=cache).run(TINY).points
+        # One plan per layout: Policy 0's default, Policy 6's optimized.
+        assert cache.stats.computed("braid_plan") == 2
+        hits = cache.stats.hits.get("braid_plan", 0)
+        _, checked = bench._reference_pass(cache, points)
+        assert cache.stats.computed("braid_plan") == 2
+        assert cache.stats.hits["braid_plan"] == hits + checked == hits + 2
+
+
 class TestTimingAttribution:
     def test_braid_seconds_exclude_frontend(self):
         """Stage seconds are self time: the braid stage's closure pulls
@@ -123,18 +164,6 @@ class TestCompareReports:
     def test_within_tolerance_passes(self):
         current = _report(braid_speedup=4.0)
         assert compare_reports(current, _report(), tolerance=0.25) == []
-
-    def test_absolute_mode(self):
-        current = _report(stage_seconds={"braid_sim": 3.0})
-        assert compare_reports(
-            current, _report(), tolerance=0.25, absolute=True
-        )
-        assert (
-            compare_reports(
-                current, _report(), tolerance=0.6, absolute=True
-            )
-            == []
-        )
 
     def test_grid_mismatch_fails(self):
         failures = compare_reports(_report(grid="fig6"), _report())
@@ -215,55 +244,47 @@ class TestAllStageGate:
         failures = compare_reports(current, baseline)
         assert failures and "frontend missing" in failures[0]
 
-    def test_absolute_mode_gates_every_stage(self):
-        baseline = _report(
-            stage_seconds={"braid_sim": 2.0, "accounting": 1.0}
-        )
-        current = _report(
-            stage_seconds={"braid_sim": 2.0, "accounting": 2.0}
-        )
-        failures = compare_reports(
-            current, baseline, tolerance=0.25, absolute=True
-        )
-        assert failures and "accounting regressed" in failures[0]
 
-    def test_absolute_slack_protects_tiny_stages(self):
-        baseline = _report(stage_seconds={"braid_sim": 2.0, "point": 0.01})
-        current = _report(stage_seconds={"braid_sim": 2.0, "point": 0.1})
-        assert (
-            compare_reports(
-                current, baseline, tolerance=0.25, absolute=True
-            )
-            == []
-        )
-
-
-class TestEngineAxis:
-    """The engine axis: recorded in reports."""
-
+class TestEnvironment:
     def test_environment_records_run_config(self):
         report = run_bench(TINY)
         env = report.environment
         assert env["workers"] == report.workers == 1
         assert env["cpus"] >= 1
 
-    def test_default_engine_is_flat(self):
-        assert run_bench(TINY).engine == "flat"
 
-    def test_pre_engine_reports_load_as_flat(self, tmp_path):
-        payload = _report().to_jsonable()
-        del payload["engine"]
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        assert BenchReport.load(path).engine == "flat"
+class TestBaselineCli:
+    """``bench --baseline`` is read and checked before anything runs."""
 
-    def test_explicit_grid_engine_is_kept(self):
-        grid = GridSpec(
-            apps=("sq",), sizes={"sq": 2}, policies=(0,), distance=3,
-            engine="flat",
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None,
+            "{corrupt",
+            "[]",
+            json.dumps({**_report().to_jsonable(), "engine": "flat"}),
+            json.dumps(_report(grid="fig6").to_jsonable()),
+        ],
+        ids=["missing", "corrupt", "not-an-object", "unknown-field",
+             "other-grid"],
+    )
+    def test_bad_baseline_exits_2_before_the_sweep(
+        self, content, tmp_path, monkeypatch, capsys
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("bench ran before checking its baseline")
+
+        monkeypatch.setattr(cli, "run_bench", must_not_run)
+        path = tmp_path / "baseline.json"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        code = cli.main(
+            ["bench", "--grid", "tiny", "--baseline", str(path)]
         )
-        # engine=None must not reset a grid's own engine choice.
-        assert run_bench(grid).engine == "flat"
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: "), captured.err
+        assert captured.out == ""
 
 
 class TestPlanBuildSplit:

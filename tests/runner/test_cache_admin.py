@@ -4,6 +4,8 @@ import json
 import os
 import time
 
+import pytest
+
 from repro.runner import PointSpec, StageCache, SweepRunner
 from repro.runner.cli import main as cli_main
 
@@ -130,3 +132,13 @@ class TestCacheCli:
             == 0
         )
         assert "point" not in cache.disk_stats()["stages"]
+
+    @pytest.mark.parametrize("action", ["stats", "prune", "verify"])
+    def test_missing_cache_dir_exits_2(self, action, tmp_path, capsys):
+        # A mistyped --cache-dir must not read as a healthy empty cache.
+        typo = tmp_path / "no-such-cache"
+        assert cli_main(["cache", action, "--cache-dir", str(typo)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: no cache directory at ")
+        assert captured.out == ""
+        assert not typo.exists()

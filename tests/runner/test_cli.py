@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.runner.cli import _parse_policies, _parse_size, build_parser, main
+from repro.runner.cli import _parse_policies, _parse_size, main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -78,20 +78,16 @@ class TestArgParsing:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-class TestEngineFlags:
-    def test_engine_choices_on_run_sweep_bench(self):
-        parser = build_parser()
-        for argv in (
-            ["run", "sq", "--engine", "reference"],
-            ["sweep", "--apps", "sq", "--engine", "reference"],
-            ["bench", "--engine", "reference"],
-        ):
-            assert parser.parse_args(argv).engine == "reference"
-        assert parser.parse_args(["bench"]).engine == "flat"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "--engine", "turbo"])
+@pytest.mark.parametrize(
+    "argv", [["run", "sq"], ["sweep", "--apps", "sq"], ["bench"]]
+)
+def test_engine_option_is_gone(argv, capsys):
+    # The runner has one engine; a script still passing --engine must
+    # fail loudly instead of having it silently ignored.
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--engine", "flat"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.slow

@@ -2,6 +2,8 @@
 checkpoint-resume, quarantine, and the fault-injection harness driving
 all of it deterministically."""
 
+import json
+
 import pytest
 
 from repro.runner import (
@@ -84,11 +86,31 @@ class TestSweepResultSchema:
         payload = result.to_jsonable()
         del payload["schema"]
         del payload["failures"]
-        for point in payload["points"]:
-            del point["degraded_from"]
         loaded = SweepResult.from_jsonable(payload)
         assert loaded.ok
         assert _jsonable(loaded.points) == _jsonable(result.points)
+
+    def test_points_saved_with_an_engine_axis_load(self, tmp_path):
+        """Points written while the runner had an engine axis carry
+        ``spec.engine`` and ``degraded_from``; a saved report and a
+        cache record of that shape both load as the current point."""
+        from repro.runner.keys import StageKey
+        from repro.runner.report import load_points
+
+        (point,) = SweepRunner().run(
+            [PointSpec(app="sq", size=2, policy=6, distance=3)]
+        ).points
+        payload = point.to_jsonable()
+        payload["spec"]["engine"] = "flat"
+        payload["degraded_from"] = None
+        report = {"schema": 2, "points": [payload], "failures": []}
+        assert SweepResult.from_jsonable(report).points == [point]
+        cache = StageCache(tmp_path)
+        params = point.spec.key().describe()["params"]
+        cache.store_payload(
+            StageKey.make("point", **params, engine="flat"), payload
+        )
+        assert load_points(cache) == [point]
 
     def test_newer_schema_rejected(self):
         with pytest.raises(ValueError, match="newer"):
@@ -377,6 +399,32 @@ class TestJournalResume:
         resumed = SweepRunner().run(TINY, journal=journal, resume=True)
         assert resumed.ok
         assert resumed.stats.computed("point") == 4
+
+    def test_engine_keyed_journal_lines_are_recomputed(self, tmp_path):
+        """A journal written while points were keyed by engine records
+        digests that the current point keys no longer give, so
+        ``--resume`` recomputes those points instead of reviving them."""
+        from repro.runner.keys import StageKey
+
+        journal = tmp_path / "sweep.json.partial.jsonl"
+        clean = SweepRunner().run(TINY, journal=journal)
+        lines = []
+        for line in journal.read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            spec = PointSpec.from_jsonable(record["point"]["spec"])
+            params = spec.key().describe()["params"]
+            record["digest"] = StageKey.make(
+                "point", **params, engine="flat"
+            ).digest
+            record["point"]["spec"]["engine"] = "flat"
+            record["point"]["degraded_from"] = None
+            lines.append(json.dumps(record))
+        journal.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert load_journal(journal) == {}
+        resumed = SweepRunner().run(TINY, journal=journal, resume=True)
+        assert resumed.ok
+        assert resumed.stats.computed("point") == 4
+        assert _jsonable(resumed.points) == _jsonable(clean.points)
 
     def test_journal_path_shape(self):
         assert str(journal_path("out/sweep.json")).endswith(

@@ -62,47 +62,6 @@ class TestGridExpansion:
         assert len(result.points) == 1
 
 
-class TestEngineAxis:
-    """The engine selector flows grid -> point -> stage key."""
-
-    def test_grid_engine_reaches_every_point(self):
-        specs = GridSpec(
-            apps=("sq",), sizes={"sq": 2}, policies=(0, 6), distance=3,
-            engine="reference",
-        ).expand()
-        assert specs and all(s.engine == "reference" for s in specs)
-
-    def test_default_engine_is_flat(self):
-        assert all(s.engine == "flat" for s in TINY.expand())
-
-    def test_engine_keys_the_point(self):
-        flat = PointSpec(app="sq", size=2, policy=6, distance=3)
-        reference = PointSpec(
-            app="sq", size=2, policy=6, distance=3, engine="reference"
-        )
-        assert flat.key() != reference.key()
-        assert flat.key().digest != reference.key().digest
-
-    def test_engine_keys_the_braid_stage(self):
-        from repro.runner.keys import StageKey
-
-        base = dict(app="sq", size=2, policy=6, distance=3)
-        flat = StageKey.make("braid_sim", engine="flat", **base)
-        reference = StageKey.make("braid_sim", engine="reference", **base)
-        assert flat.digest != reference.digest
-
-    def test_reference_point_matches_flat_result(self):
-        flat = run_point(
-            PointSpec(app="sq", size=2, policy=6, distance=3)
-        )
-        reference = run_point(
-            PointSpec(
-                app="sq", size=2, policy=6, distance=3, engine="reference"
-            )
-        )
-        assert reference.braid == flat.braid
-
-
 class TestGridLists:
     def test_per_app_size_lists(self):
         specs = GridSpec(

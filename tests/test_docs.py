@@ -1,8 +1,9 @@
 """Documentation health: links resolve, code blocks doctest clean.
 
-The CI docs job runs this module plus ``python -m doctest`` over the
-markdown files; keeping the checks in the test suite means local
-``pytest`` catches a broken link or stale example before CI does.
+Every relative link in README.md and docs/*.md must resolve, and
+every one of those files with ``>>>`` examples must pass
+``doctest.testfile``.  The checks live in the test suite, so local
+``pytest`` and CI's test job catch a broken link or stale example.
 """
 
 import doctest
