@@ -3,7 +3,7 @@
 Each pass takes one artifact of the Circuit -> DAG -> placement ->
 BraidPlan pipeline and re-derives its invariants *independently* of the
 code that built it (masks are recomputed from paths, the critical path
-is recomputed from task latencies, in-degrees are recounted from the
+is recomputed from op latencies, in-degrees are recounted from the
 edge lists), so a defect introduced anywhere — a buggy rewrite, a
 corrupt cache payload, a mutated shared array — surfaces as a
 structured :class:`~repro.analysis.diagnostics.Diagnostic` instead of
@@ -22,11 +22,14 @@ Passes:
 * :func:`check_placement` — positions on-grid, no double-booked sites,
   every operand qubit placed.
 * :func:`check_plan` — :class:`~repro.network.plan.BraidPlan` internal
-  consistency: array lengths and read-only (tuple) types, per-segment
-  route endpoints on-mesh, link masks recomputed from paths, segment
-  holds matching the plan's code distance, minimal route lengths,
-  factory binding for magic-state consumers, DAG array agreement, and
-  the policy-independent critical path re-derived from scratch.
+  consistency: array lengths and read-only (tuple) types, every per-op
+  array cross-checked against the network tasks re-derived by
+  :func:`~repro.network.events.build_tasks` (the compile's oracle,
+  which also fixes the factory binding of magic-state consumers),
+  per-segment route endpoints on-mesh, link masks recomputed from
+  paths, segment holds matching the plan's code distance, minimal
+  route lengths, DAG array agreement, and the policy-independent
+  critical path re-derived from the op latencies.
 * :func:`check_sched` — Policy 7's reservation schedule
   (:mod:`repro.network.policies_sched`) replayed against a fresh
   modulo table: no double-booked link-cycle slot,
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..network.events import build_tasks
 from ..network.mesh import BraidMesh, manhattan
 from ..network.plan import BraidPlan
 from ..partition.layout import Placement
@@ -319,9 +323,11 @@ def check_placement(
 
 
 _READONLY_FIELDS = (
-    "tasks", "is_braid", "route_length", "segments",
+    "is_braid", "route_length", "segments", "local_cycles",
     "in_degrees", "successors", "sources",
 )
+
+_TASK_FIELDS = ("is_braid", "route_length", "local_cycles", "segments")
 
 
 def check_plan(
@@ -331,11 +337,14 @@ def check_plan(
 ) -> list[Diagnostic]:
     """Verify a :class:`BraidPlan`'s internal consistency.
 
-    Re-derives every redundant structure (masks from paths, minimal
-    lengths from endpoints, the critical path from task latencies and
-    successor edges, in-degrees and sources from the DAG) and checks
-    the plan's shared arrays are actually immutable tuples — the
-    property simulators rely on when treating a plan as read-only.
+    Re-derives the network tasks from the plan's circuit and placement
+    with :func:`~repro.network.events.build_tasks` and cross-checks
+    every per-op array against them, re-derives every redundant
+    structure (masks from paths, minimal lengths from endpoints, the
+    critical path from op latencies and successor edges, in-degrees
+    and sources from the DAG) and checks the plan's shared arrays are
+    actually immutable tuples — the property simulators rely on when
+    treating a plan as read-only.
     """
     out: list[Diagnostic] = []
     for field in _READONLY_FIELDS:
@@ -354,7 +363,7 @@ def check_plan(
             f"plan covers {n} ops but its circuit has {circuit_ops} "
             "(planned circuits must not be mutated)",
         ))
-    for field in ("tasks", "is_braid", "route_length", "segments",
+    for field in ("is_braid", "route_length", "segments", "local_cycles",
                   "in_degrees", "successors"):
         length = len(getattr(plan, field))
         if length != n:
@@ -368,18 +377,6 @@ def check_plan(
         return out
 
     mesh = BraidMesh(plan.rows, plan.cols)
-    try:
-        endpoint = {
-            q: mesh.tile_router(plan.placement.position(q))
-            for q in plan.placement.positions
-        }
-    except ValueError as error:
-        out.append(_diag(
-            Severity.ERROR, "plan", artifact, "",
-            f"placement does not fit the plan's mesh: {error}",
-        ))
-        endpoint = {}
-    factories = set(plan.factory_routers)
     for router in plan.factory_routers:
         if not mesh.in_bounds(router):
             out.append(_diag(
@@ -388,77 +385,71 @@ def check_plan(
                 f"({mesh.router_rows}x{mesh.router_cols} routers)",
             ))
     t_count = plan.circuit.t_count
-    if t_count and not factories:
+    if t_count and not plan.factory_routers:
         out.append(_diag(
             Severity.ERROR, "plan", artifact, "",
             f"circuit consumes {t_count} magic states but the plan "
             "has no factory routers",
         ))
 
+    # The oracle: the slow, obviously correct transcription of Figure 5
+    # (it also rejects a placement that does not fit the mesh).
+    try:
+        tasks = build_tasks(
+            plan.circuit, plan.placement, mesh, plan.code, plan.distance,
+            plan.factory_routers,
+        )
+    except (KeyError, ValueError) as error:
+        out.append(_diag(
+            Severity.ERROR, "plan", artifact, "",
+            f"network tasks cannot be re-derived from the circuit: "
+            f"{error}",
+        ))
+        tasks = None
+
     for index in range(n):
-        task = plan.tasks[index]
         where = f"op {index}"
-        op = plan.circuit[index]
-        if task.index != index:
-            out.append(_diag(
-                Severity.ERROR, "plan", artifact, where,
-                f"task records index {task.index}",
-            ))
-        if plan.is_braid[index] != bool(task.segments):
+        segment_infos = plan.segments[index]
+        if plan.is_braid[index] != bool(segment_infos):
             out.append(_diag(
                 Severity.ERROR, "plan", artifact, where,
                 f"is_braid={plan.is_braid[index]} disagrees with "
-                f"{len(task.segments)} segment(s)",
+                f"{len(segment_infos)} segment(s)",
             ))
-        expected_len = sum(s.min_length for s in task.segments)
-        if plan.route_length[index] != (
-            expected_len if task.segments else 0
-        ):
+        expected_len = sum(info[3] for info in segment_infos)
+        if plan.route_length[index] != expected_len:
             out.append(_diag(
                 Severity.ERROR, "plan", artifact, where,
                 f"route_length={plan.route_length[index]} != "
                 f"{expected_len} (sum of minimal segment lengths)",
             ))
-        if not task.segments and task.local_cycles < 1:
+        if not segment_infos and plan.local_cycles[index] < 1:
             out.append(_diag(
                 Severity.ERROR, "plan", artifact, where,
-                f"local task has non-positive duration "
-                f"{task.local_cycles}",
+                f"local op has non-positive duration "
+                f"{plan.local_cycles[index]}",
             ))
-        segment_infos = plan.segments[index]
-        if len(segment_infos) != len(task.segments):
-            out.append(_diag(
-                Severity.ERROR, "plan", artifact, where,
-                f"{len(segment_infos)} prebound segment(s) for "
-                f"{len(task.segments)} task segment(s)",
-            ))
-            continue
-        if op.consumes_magic_state and endpoint:
-            if len(task.segments) != 1:
-                out.append(_diag(
-                    Severity.ERROR, "plan", artifact, where,
-                    f"magic-state consumer has {len(task.segments)} "
-                    "segment(s), expected 1 (factory -> target)",
-                ))
-            elif factories:
-                src = task.segments[0].src
-                target = endpoint.get(op.qubits[0])
-                if src not in factories:
+        if tasks is not None:
+            task = tasks[index]
+            planned = (
+                plan.is_braid[index], plan.route_length[index],
+                plan.local_cycles[index],
+                tuple(info[:4] for info in segment_infos),
+            )
+            derived = (
+                task.is_braid, task.route_length, task.local_cycles,
+                tuple(
+                    (seg.src, seg.dst, seg.hold, seg.min_length)
+                    for seg in task.segments
+                ),
+            )
+            for field, have, want in zip(_TASK_FIELDS, planned, derived):
+                if have != want:
                     out.append(_diag(
                         Severity.ERROR, "plan", artifact, where,
-                        f"magic-state source {src} is not a factory "
-                        "router",
+                        f"{field}={have!r} but build_tasks derives "
+                        f"{want!r}",
                     ))
-                elif target is not None:
-                    nearest = min(
-                        factories, key=lambda f: (manhattan(f, target), f)
-                    )
-                    if src != nearest:
-                        out.append(_diag(
-                            Severity.ERROR, "plan", artifact, where,
-                            f"magic state braided from {src}, but the "
-                            f"nearest factory to {target} is {nearest}",
-                        ))
         for seg_idx, info in enumerate(segment_infos):
             seg_where = f"segment {seg_idx} of op {index}"
             src, dst, hold, min_len, dor_path, dor_mask = info
@@ -521,19 +512,6 @@ def check_plan(
                     f"link mask {dor_mask:#x} does not match its route "
                     f"(expected {expected_mask:#x})",
                 ))
-        if endpoint and op.arity == 2 and len(task.segments) == 2:
-            src = endpoint.get(op.qubits[0])
-            dst = endpoint.get(op.qubits[1])
-            for seg_idx, seg in enumerate(task.segments):
-                if src is not None and dst is not None and (
-                    (seg.src, seg.dst) != (src, dst)
-                ):
-                    out.append(_diag(
-                        Severity.ERROR, "plan", artifact,
-                        f"segment {seg_idx} of op {index}",
-                        f"braid endpoints {seg.src} -> {seg.dst} do not "
-                        f"match the operands' tiles {src} -> {dst}",
-                    ))
 
     # DAG array agreement: the plan's scheduling arrays must be the
     # DAG's own view of the (unmutated) dependence structure.
@@ -556,11 +534,18 @@ def check_plan(
             "plan source set does not match the dependence DAG",
         ))
 
-    # Critical path re-derivation (same ASAP recurrence, fresh arrays).
+    # Critical path re-derivation (same ASAP recurrence, fresh arrays):
+    # a braid op holds each segment for its open cycle plus its hold.
     start = [0] * n
     critical = 0
     for index in range(n):
-        finish = start[index] + plan.tasks[index].busy_cycles
+        segments = plan.segments[index]
+        latency = (
+            sum(seg[2] + 1 for seg in segments)
+            if segments
+            else plan.local_cycles[index]
+        )
+        finish = start[index] + latency
         if finish > critical:
             critical = finish
         for succ in plan.successors[index]:
@@ -570,9 +555,10 @@ def check_plan(
         out.append(_diag(
             Severity.ERROR, "plan", artifact, "critical_path",
             f"recorded critical path {plan.critical_path} != "
-            f"{critical} re-derived from task latencies",
+            f"{critical} re-derived from the op latencies",
         ))
 
+    factories = set(plan.factory_routers)
     if strict and factories:
         from ..arch.tiled import DATA_TILES_PER_FACTORY
 
@@ -664,7 +650,7 @@ def check_sched(
                         f"local op carries {len(opens)} reserved "
                         "cycles (must be none)",
                     ))
-                end = ready[op] + plan.tasks[op].local_cycles
+                end = ready[op] + plan.local_cycles[op]
             else:
                 segments = plan.segments[op]
                 if len(opens) != len(segments):

@@ -79,7 +79,7 @@ def _call_name(node: ast.Call) -> str:
 
 
 def _frozen_root(node: ast.expr) -> Optional[str]:
-    """``plan`` for ``plan.tasks`` / ``self.plan.segments[i]``; else None."""
+    """``plan`` for ``plan.is_braid`` / ``self.plan.segments[i]``; else None."""
     while isinstance(node, ast.Subscript):
         node = node.value
     if not isinstance(node, ast.Attribute):

@@ -16,8 +16,9 @@ the link as busy (which is exactly what close-first prioritization
 exploits).
 
 The inner loop runs on flat data structures, and everything that does
-not depend on the scheduling policy — tasks, dominant routes and link
-masks, DAG arrays, the critical path — is precompiled into an immutable
+not depend on the scheduling policy — per-op braid flags, route lengths
+and local latencies, dominant routes and link masks, DAG arrays, the
+critical path — is precompiled into an immutable
 :class:`~repro.network.plan.BraidPlan`, built once per design point and
 shared by all seven policy simulations (see :mod:`repro.network.plan`):
 
@@ -181,6 +182,25 @@ class BraidSimulator:
         if policy is None:
             raise TypeError("BraidSimulator requires a policy")
         self.config = config or BraidSimConfig()
+        if plan is not None:
+            # A plan fixes these inputs; passing one too would be ignored.
+            given = [
+                name
+                for name, value in (
+                    ("circuit", circuit),
+                    ("placement", placement),
+                    ("dag", dag),
+                    ("tasks", tasks),
+                )
+                if value is not None
+            ]
+            if factory_routers:
+                given.append("factory_routers")
+            if given:
+                raise TypeError(
+                    f"BraidSimulator got a plan and {', '.join(given)}; "
+                    "build the plan from them instead"
+                )
         if plan is None:
             if circuit is None or placement is None or mesh is None or (
                 distance is None
@@ -223,7 +243,6 @@ class BraidSimulator:
         self.plan = plan
         self.circuit = plan.circuit
         self.dag = plan.dag
-        self.tasks = plan.tasks
         # The mesh is the only mutable run-time structure shared with
         # callers: reuse a provided one, else make a fresh empty mesh.
         self.mesh = mesh if mesh is not None else BraidMesh(
@@ -258,6 +277,7 @@ class BraidSimulator:
         # (the DAG's lazy descendant counts are shared across plans).
         self._is_braid = plan.is_braid
         self._route_length = plan.route_length
+        self._local_cycles = plan.local_cycles
         if policy.use_criticality or policy.combined_length_rule:
             self._criticality = plan.criticality()
         else:
@@ -437,7 +457,7 @@ class BraidSimulator:
         else:
             # Local op: runs unconditionally for its duration.
             self._phase[op] = _HOLDING
-            self._due_at(time + self.tasks[op].local_cycles).append(~op)
+            self._due_at(time + self._local_cycles[op]).append(~op)
 
     def _complete(self, op: int, time: int) -> None:
         self._phase[op] = _DONE

@@ -18,7 +18,7 @@ from ..qasm.gates import GateKind
 from ..qec.codes import SurfaceCode
 from .mesh import BraidMesh, Router, manhattan
 
-__all__ = ["BraidSegment", "OpTask", "build_tasks"]
+__all__ = ["BraidSegment", "OpTask", "build_tasks", "nearest_factory"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,9 +76,14 @@ class OpTask:
         return sum(seg.min_length for seg in self.segments)
 
 
-def _nearest_factory(
+def nearest_factory(
     factories: tuple[Router, ...], target: Router
 ) -> Router:
+    """The factory a magic state for ``target`` is braided from.
+
+    Nearest by Manhattan distance, ties broken by router id; the one
+    tie-break :func:`build_tasks` and the plan compile share.
+    """
     if not factories:
         raise ValueError("T operation requires at least one factory site")
     return min(
@@ -95,7 +100,7 @@ def _nearest_factory_map(
     gates, so resolving each site once beats a per-gate search.
     """
     return {
-        target: _nearest_factory(factories, target) for target in targets
+        target: nearest_factory(factories, target) for target in targets
     }
 
 

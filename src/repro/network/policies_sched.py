@@ -174,7 +174,7 @@ def _schedule_at_ii(
     """
     slots = ReservationTable(ii).slots
     n = plan.num_ops
-    tasks = plan.tasks
+    local_cycles = plan.local_cycles
     is_braid = plan.is_braid
     successors = plan.successors
     ready = [0] * n
@@ -183,7 +183,7 @@ def _schedule_at_ii(
     makespan = 0
     for op in range(n):  # program order is topological
         if not is_braid[op]:
-            end = ready[op] + tasks[op].local_cycles
+            end = ready[op] + local_cycles[op]
             reserved.append(())
         else:
             cursor = ready[op]

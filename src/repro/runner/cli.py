@@ -760,7 +760,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 )
                 print(render_failures(result.failures), file=sys.stderr)
         elif args.cache_dir:
-            points = renderers.load_points(cache)
+            try:
+                points = renderers.load_points(cache)
+            except ValueError as error:
+                print(f"error: {error}", file=sys.stderr)
+                return 2
         else:
             print(
                 f"{args.figure} needs --results or --cache-dir with "

@@ -8,6 +8,7 @@ cache, so a populated cache re-renders everything without simulating.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Iterable, Optional, Sequence
 
 from ..apps.registry import get_app
@@ -23,7 +24,8 @@ from ..core.sensitivity import FIGURE9_VARIANTS, boundary_for_app
 from ..network.braidsim import BraidSimResult
 from ..tech import OPTIMISTIC, technology_for_error_rate
 from .cache import StageCache
-from .stages import PointResult
+from .stages import PointResult, PointSpec
+from .sweep import DEFAULT_APPS
 
 __all__ = [
     "load_points",
@@ -57,11 +59,46 @@ def render_failures(failures: Sequence) -> str:
 
 
 def load_points(cache: StageCache) -> list[PointResult]:
-    """Revive every persisted grid-point result from the disk cache."""
-    points = []
+    """Revive the persisted grid-point results, one per spec.
+
+    A cache can hold one point under several keys (two runs of a grid
+    whose point keys differ); equal records collapse to one.
+
+    Raises:
+        ValueError: If two records of one spec disagree.
+    """
+    by_spec: dict[PointSpec, PointResult] = {}
     for record in cache.iter_payloads("point"):
-        points.append(PointResult.from_jsonable(record["value"]))
-    return points
+        point = PointResult.from_jsonable(record["value"])
+        if by_spec.setdefault(point.spec, point) != point:
+            raise ValueError(
+                f"conflicting cached results for {point.spec}"
+            )
+    return list(by_spec.values())
+
+
+_SPEC_FIELDS = tuple(
+    field.name
+    for field in dataclasses.fields(PointSpec)
+    if field.name not in ("app", "policy")
+)
+
+
+def _point_order(point: PointResult) -> tuple:
+    """Canonical point order, whatever the source: apps in
+    :data:`DEFAULT_APPS` order and then by name, then the remaining
+    spec fields (``None`` last), then the policy."""
+    spec = point.spec
+    rank = (
+        DEFAULT_APPS.index(spec.app)
+        if spec.app in DEFAULT_APPS
+        else len(DEFAULT_APPS)
+    )
+    rest = tuple(
+        (value is None, value)
+        for value in (getattr(spec, name) for name in _SPEC_FIELDS)
+    )
+    return (rank, spec.app, rest, spec.policy)
 
 
 def _by_app_policy(
@@ -71,12 +108,11 @@ def _by_app_policy(
 
     Rows are keyed by the full non-policy spec, so a cache holding
     several sweeps (different sizes, distances, technologies) renders
-    as separate rows instead of silently overwriting policies.
+    as separate rows instead of silently overwriting policies.  Rows
+    and policies follow :func:`_point_order`.
     """
-    import dataclasses
-
     groups: dict[object, dict[int, BraidSimResult]] = {}
-    for point in points:
+    for point in sorted(points, key=_point_order):
         identity = dataclasses.replace(
             point.spec, policy=0, optimize_layout=None
         )
@@ -105,7 +141,7 @@ def render_fig6(points: Iterable[PointResult]) -> str:
 def render_table2(points: Iterable[PointResult]) -> str:
     """Table 2 (parallelism factors) from grid-point results."""
     best: dict[str, PointResult] = {}
-    for point in points:
+    for point in sorted(points, key=_point_order):
         app = point.spec.app
         if (
             app not in best

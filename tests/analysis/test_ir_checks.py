@@ -323,6 +323,33 @@ class TestPlanDefects:
         diags = errors_of(check_plan(bad), "plan")
         assert any("no factory" in d.message for d in diags)
 
+    def test_consistent_segment_from_wrong_source(self):
+        # A magic state braided from a router that is not the nearest
+        # factory, with route, mask and lengths all consistent: only the
+        # tasks re-derived by build_tasks can tell.
+        plan = tiny_plan()
+        index = next(
+            i for i, op in enumerate(plan.circuit) if op.consumes_magic_state
+        )
+        src, dst = plan.segments[index][0][:2]
+        wrong = next(
+            (r, c)
+            for r in range(plan.rows + 1)
+            for c in range(plan.cols + 1)
+            if (r, c) not in (src, dst)
+        )
+        path, mask = plan.routes.dor(wrong, dst)
+        min_len = len(path) - 1
+        bad = replace_segment(
+            plan, index, 0, src=wrong, min_len=min_len, path=path, mask=mask
+        )
+        lengths = list(bad.route_length)
+        lengths[index] = min_len
+        bad = corrupted(bad, route_length=tuple(lengths))
+        diags = errors_of(check_plan(bad), "plan")
+        assert diags
+        assert all("build_tasks derives" in d.message for d in diags)
+
     def test_route_length_mismatch(self):
         plan = tiny_plan()
         index = first_braid_op(plan)

@@ -100,7 +100,7 @@ class TestPlanImmutability:
             plan.sources,
             plan.critical_path,
             tuple(plan.criticality()),
-            tuple(task.index for task in plan.tasks),
+            plan.local_cycles,
         ))
 
     def test_shared_plan_unchanged_across_policies(self):
@@ -131,6 +131,26 @@ class TestPlanImmutability:
                 policy=POLICIES[6],
                 plan=plan,
                 config=BraidSimConfig(max_detour=2),
+            )
+
+    @pytest.mark.parametrize(
+        "field", ("circuit", "placement", "factory_routers", "dag", "tasks")
+    )
+    def test_plan_rejects_inputs_it_would_ignore(self, field):
+        # Zero-cycle local tasks with a plan used to run the plan's own
+        # tasks silently; every input a plan fixes is refused.
+        fe, machine = _contended_instance(StageCache())
+        plan = machine.plan(3, dag=fe.dag)
+        given = {
+            "circuit": machine.circuit,
+            "placement": machine.placement,
+            "factory_routers": machine.factory_routers,
+            "dag": fe.dag,
+            "tasks": [],
+        }
+        with pytest.raises(TypeError, match=field):
+            BraidSimulator(
+                policy=POLICIES[2], plan=plan, **{field: given[field]}
             )
 
     def test_plan_rejects_mismatched_mesh_shape(self):

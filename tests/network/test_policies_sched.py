@@ -102,7 +102,7 @@ def _probe_schedule_at_ii(plan, ii, ii_lower):
     makespan = 0
     for op in range(plan.num_ops):
         if not plan.is_braid[op]:
-            end = ready[op] + plan.tasks[op].local_cycles
+            end = ready[op] + plan.local_cycles[op]
             reserved.append(())
         else:
             cursor = ready[op]
