@@ -27,10 +27,10 @@ from ..qec.codes import PLANAR, SurfaceCode
 from ..network.epr import (
     EprPipelineConfig,
     EprPipelineResult,
-    demands_from_schedule,
-    simulate_epr_pipeline,
+    run_epr_pipeline,
 )
-from ..network.mesh import Router
+from ..network.mesh import Router, manhattan
+from ..network.teleport import DEFAULT_TELEPORT_MODEL
 
 __all__ = ["MultiSimdMachine", "simd_schedule", "build_multisimd_machine"]
 
@@ -46,31 +46,38 @@ def simd_schedule(
     ``regions`` largest same-mnemonic groups (SIMD regions are
     reconfigurable per cycle), issue them together, repeat.  With
     abundant regions this converges to the ASAP schedule.
+
+    Ready operations wait in per-gate groups that grow as their last
+    dependence issues; a cycle issues each chosen group whole, in op
+    order, largest group first (ties by gate name).
     """
     if regions < 1:
         raise ValueError(f"regions must be >= 1, got {regions}")
     dag = dag or CircuitDag(circuit)
-    remaining = [dag.in_degree(i) for i in range(dag.num_nodes)]
-    ready: set[int] = set(dag.sources())
+    gates = [op.gate for op in circuit]
+    successors = dag.successor_tuples()
+    remaining = dag.in_degrees()
+    groups: dict[str, list[int]] = {}
+    for op, degree in enumerate(remaining):
+        if not degree:
+            groups.setdefault(gates[op], []).append(op)
     cycles: list[tuple[int, ...]] = []
     done = 0
     while done < dag.num_nodes:
-        groups: dict[str, list[int]] = {}
-        for op in ready:
-            groups.setdefault(circuit[op].gate, []).append(op)
-        chosen = sorted(
-            groups.values(), key=lambda ops: (-len(ops), circuit[ops[0]].gate)
-        )[:regions]
-        issued = [op for group in chosen for op in sorted(group)]
-        if not issued:
+        if not groups:
             raise RuntimeError("SIMD scheduler stalled with work remaining")
+        issued: list[int] = []
+        for gate in sorted(
+            groups, key=lambda gate: (-len(groups[gate]), gate)
+        )[:regions]:
+            group = groups.pop(gate)
+            group.sort()
+            issued += group
         for op in issued:
-            ready.discard(op)
-        for op in issued:
-            for succ in dag.successors(op):
+            for succ in successors[op]:
                 remaining[succ] -= 1
-                if remaining[succ] == 0:
-                    ready.add(succ)
+                if not remaining[succ]:
+                    groups.setdefault(gates[succ], []).append(succ)
         cycles.append(tuple(issued))
         done += len(issued)
     return LogicalSchedule(circuit, tuple(cycles))
@@ -115,47 +122,70 @@ class MultiSimdMachine:
         schedule: LogicalSchedule,
         distance: int,
         window: int = 64,
-        bandwidth: Optional[int] = None,
     ) -> EprPipelineResult:
         """Run the Section 8.1 pipelined EPR distribution for a schedule.
 
         The window is given in logical cycles and scaled to error
         correction cycles internally (one logical cycle = d EC cycles on
         the planar lattice).
-        """
-        demands = demands_from_schedule(
-            schedule, self.placement, factory=self.epr_factory
-        )
-        scaled = [
-            dataclasses.replace(d, use_cycle=d.use_cycle * distance)
-            for d in demands
-        ]
-        if bandwidth is None:
-            # Provision swap channels for ~2/3 utilization at this
-            # program's mean distribution demand (Section 8.1: channel
-            # capacity follows demand; parallelism has little effect on
-            # pipelinability).
-            from .. import network
 
-            model = network.DEFAULT_TELEPORT_MODEL
-            ideal = max(1, schedule.length * distance)
-            service = sum(
-                model.distribution_cycles(
-                    self.epr_factory, d.endpoint_a, d.endpoint_b, distance
-                )
-                for d in demands
-            )
-            bandwidth = max(4, round(1.5 * service / ideal))
+        The schedule compiles straight into the pipeline's use-cycle and
+        duration lists, in ``(use_cycle, op_index)`` order: the demands
+        of :func:`~repro.network.epr.demands_from_schedule`, without a
+        demand object per teleport.  A demand's swap chain is as long as
+        its farther endpoint is from the EPR factory; a magic-state
+        consumer's other endpoint is the factory itself.
+        """
+        model = DEFAULT_TELEPORT_MODEL
+        factory = self.epr_factory
+        qubit_hops = {
+            qubit: manhattan(factory, site)
+            for qubit, site in self.placement.positions.items()
+        }
+        # Gate -> how many of a demand's endpoints are operand qubits: a
+        # 2-qubit gate teleports one operand to the other (2), a
+        # magic-state consumer teleports its state in from the factory
+        # (1), and any other gate is local (0, no demand).
+        qubit_endpoints: dict[str, int] = {}
+        cycles_by_hops: dict[int, float] = {}
+        operations = schedule.circuit.operations
+        use_cycles: list[int] = []
+        durations: list[float] = []
+        for cycle, ops in enumerate(schedule.cycles):
+            use = cycle * distance
+            for op_index in sorted(ops):
+                op = operations[op_index]
+                endpoints = qubit_endpoints.get(op.gate)
+                if endpoints is None:
+                    endpoints = qubit_endpoints[op.gate] = (
+                        2 if op.arity == 2 else int(op.consumes_magic_state)
+                    )
+                if not endpoints:
+                    continue
+                hops = qubit_hops[op.qubits[0]]
+                if endpoints == 2:
+                    other = qubit_hops[op.qubits[1]]
+                    if other > hops:
+                        hops = other
+                duration = cycles_by_hops.get(hops)
+                if duration is None:
+                    duration = cycles_by_hops[hops] = model.swap_chain_cycles(
+                        hops, distance
+                    )
+                use_cycles.append(use)
+                durations.append(duration)
+        # Provision swap channels for ~2/3 utilization at this program's
+        # mean distribution demand (Section 8.1: channel capacity follows
+        # demand; parallelism has little effect on pipelinability).
+        ideal = max(1, schedule.length * distance)
+        bandwidth = max(4, round(1.5 * sum(durations) / ideal))
         config = EprPipelineConfig(
             window=window * distance,
             bandwidth=bandwidth,
             distance=distance,
         )
-        return simulate_epr_pipeline(
-            scaled,
-            config,
-            factory=self.epr_factory,
-            ideal_length=schedule.length * distance,
+        return run_epr_pipeline(
+            use_cycles, durations, config, schedule.length * distance
         )
 
 

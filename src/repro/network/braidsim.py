@@ -172,7 +172,7 @@ class BraidSimulator:
         mesh: Optional[BraidMesh] = None,
         policy: Optional[Policy] = None,
         distance: Optional[int] = None,
-        code: SurfaceCode = DOUBLE_DEFECT,
+        code: Optional[SurfaceCode] = None,
         factory_routers: tuple[Router, ...] = (),
         config: Optional[BraidSimConfig] = None,
         dag: Optional[CircuitDag] = None,
@@ -189,6 +189,7 @@ class BraidSimulator:
                 for name, value in (
                     ("circuit", circuit),
                     ("placement", placement),
+                    ("code", code),
                     ("dag", dag),
                     ("tasks", tasks),
                 )
@@ -213,7 +214,7 @@ class BraidSimulator:
                 circuit,
                 placement,
                 mesh,
-                code,
+                DOUBLE_DEFECT if code is None else code,
                 distance,
                 factory_routers,
                 max_detour=self.config.max_detour,

@@ -19,15 +19,18 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import math
+import operator
 from typing import Optional, Sequence
 
 from ..frontend.schedule import LogicalSchedule
 from ..partition.layout import Placement
-from .mesh import Router, manhattan
+from .mesh import Router
 from .teleport import DEFAULT_TELEPORT_MODEL, TeleportModel
 
 __all__ = ["EprDemand", "EprPipelineConfig", "EprPipelineResult",
-           "demands_from_schedule", "simulate_epr_pipeline"]
+           "demands_from_schedule", "run_epr_pipeline",
+           "simulate_epr_pipeline"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,11 +151,40 @@ def simulate_epr_pipeline(
     executes.  Stalls push the whole downstream schedule (SIMD regions
     run in lockstep), which the simulation models by tracking the
     current slip between nominal and actual time.
+
+    Demands run in ``(use_cycle, op_index)`` order; each is its own
+    pair, even when two share an ``op_index``.
     """
     if ideal_length is None:
         ideal_length = 1 + max((d.use_cycle for d in demands), default=-1)
     ordered = sorted(demands, key=lambda d: (d.use_cycle, d.op_index))
-    if not ordered:
+    distribution = config.model.distribution_cycles
+    return run_epr_pipeline(
+        [d.use_cycle for d in ordered],
+        [
+            distribution(factory, d.endpoint_a, d.endpoint_b, config.distance)
+            for d in ordered
+        ],
+        config,
+        ideal_length,
+    )
+
+
+def run_epr_pipeline(
+    use_cycles: Sequence[int],
+    durations: Sequence[float],
+    config: EprPipelineConfig,
+    ideal_length: int,
+) -> EprPipelineResult:
+    """The pipeline over positional arrays (see
+    :func:`simulate_epr_pipeline`).
+
+    Demand ``i`` is consumed at ``use_cycles[i]`` (nondecreasing) and
+    takes ``durations[i]`` cycles (at least 0) to distribute; the
+    durations already fold in ``config.model`` and ``config.distance``.
+    """
+    count = len(use_cycles)
+    if not count:
         return EprPipelineResult(
             schedule_length=float(ideal_length),
             ideal_length=ideal_length,
@@ -162,72 +194,58 @@ def simulate_epr_pipeline(
             mean_lifetime=0.0,
         )
 
-    # Channel pool: next-free times of `bandwidth` servers.
+    window = config.window
+    # Channel pool: next-free times of `bandwidth` servers (a list of
+    # equal values is already a heap).
     servers = [0.0] * config.bandwidth
-    heapq.heapify(servers)
+    replace = heapq.heapreplace
     slip = 0.0  # accumulated stall so far
-    launch_times: dict[int, float] = {}
-    ready_times: dict[int, float] = {}
-    consume_times: dict[int, float] = {}
+    launch_times: list[float] = []
+    ready_times: list[float] = []
+    consume_times: list[float] = []
     cursor = 0  # next demand to launch
 
-    for demand in ordered:
-        use_nominal = demand.use_cycle
-        # Launch everything whose window has opened by this op's nominal
-        # use time (launches happen eagerly as the window slides).
-        while cursor < len(ordered):
-            candidate = ordered[cursor]
-            if candidate.use_cycle - config.window > use_nominal:
+    for index, use_nominal in enumerate(use_cycles):
+        # Launch everything whose window has opened by this demand's
+        # nominal use time (launches happen eagerly as the window slides).
+        while cursor < count:
+            candidate = use_cycles[cursor]
+            if candidate - window > use_nominal:
                 break
-            earliest = max(
-                candidate.use_cycle - config.window + slip, 0.0
-            )
-            server_free = heapq.heappop(servers)
-            start = max(earliest, server_free)
-            duration = config.model.distribution_cycles(
-                factory, candidate.endpoint_a, candidate.endpoint_b,
-                config.distance,
-            )
-            finish = start + duration
-            heapq.heappush(servers, finish)
-            launch_times[candidate.op_index] = start
-            ready_times[candidate.op_index] = finish
+            # `earliest` may be negative; no server is free before
+            # cycle 0, so the launch still starts at or after 0.
+            earliest = candidate - window + slip
+            server_free = servers[0]
+            start = server_free if server_free > earliest else earliest
+            finish = start + durations[cursor]
+            replace(servers, finish)
+            launch_times.append(start)
+            ready_times.append(finish)
             cursor += 1
         actual_use = use_nominal + slip
-        ready = ready_times[demand.op_index]
+        ready = ready_times[index]
         if ready > actual_use:
             slip += ready - actual_use
             actual_use = ready
-        consume_times[demand.op_index] = actual_use
+        consume_times.append(actual_use)
 
-    total_pairs = len(ordered)
-    stall_cycles = slip
-    schedule_length = ideal_length + slip
-    lifetimes = [
-        consume_times[d.op_index] - launch_times[d.op_index] for d in ordered
-    ]
-    peak = _peak_concurrent(
-        [(launch_times[d.op_index], consume_times[d.op_index]) for d in ordered]
-    )
+    # Peak overlap of the [launch, consume) intervals (no pair is
+    # consumed before it is launched): an end at time t comes before a
+    # start at t.
+    ends = sorted(consume_times)
+    ends.append(math.inf)
+    peak = closed = 0
+    for opened, start in enumerate(sorted(launch_times), 1):
+        while ends[closed] <= start:
+            closed += 1
+        if opened - closed > peak:
+            peak = opened - closed
+    lifetimes = sum(map(operator.sub, consume_times, launch_times))
     return EprPipelineResult(
-        schedule_length=schedule_length,
+        schedule_length=ideal_length + slip,
         ideal_length=ideal_length,
-        stall_cycles=stall_cycles,
+        stall_cycles=slip,
         peak_epr_pairs=peak,
-        total_pairs=total_pairs,
-        mean_lifetime=sum(lifetimes) / len(lifetimes),
+        total_pairs=count,
+        mean_lifetime=lifetimes / count,
     )
-
-
-def _peak_concurrent(intervals: list[tuple[float, float]]) -> int:
-    """Maximum number of overlapping [launch, consume) intervals."""
-    events: list[tuple[float, int]] = []
-    for start, end in intervals:
-        events.append((start, 1))
-        events.append((max(end, start), -1))
-    events.sort(key=lambda e: (e[0], e[1]))
-    peak = current = 0
-    for _, delta in events:
-        current += delta
-        peak = max(peak, current)
-    return peak

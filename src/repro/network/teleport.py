@@ -46,15 +46,21 @@ class TeleportModel:
         if self.epr_qubits_per_pair < 1:
             raise ValueError("epr_qubits_per_pair must be >= 1")
 
+    def swap_chain_cycles(self, hops: int, distance: int) -> float:
+        """Cycles for an EPR half to swap ``hops`` tiles at distance d
+        (at least one cycle, even for a pair made at its endpoint)."""
+        if distance < 1:
+            raise ValueError(f"distance must be >= 1, got {distance}")
+        return max(1.0, hops * self.swap_cycles_per_tile * distance)
+
     def distribution_cycles(
         self, source: Router, a: Router, b: Router, distance: int
     ) -> float:
         """Cycles to distribute an EPR pair from ``source`` to both
         endpoints (halves travel concurrently; the slower one binds)."""
-        if distance < 1:
-            raise ValueError(f"distance must be >= 1, got {distance}")
-        hops = max(manhattan(source, a), manhattan(source, b))
-        return max(1.0, hops * self.swap_cycles_per_tile * distance)
+        return self.swap_chain_cycles(
+            max(manhattan(source, a), manhattan(source, b)), distance
+        )
 
     def communication_cycles(
         self,

@@ -32,6 +32,7 @@ from repro.network import (
 from repro.network.plan import BraidPlan
 from repro.partition import GridShape, naive_layout
 from repro.qasm import Circuit
+from repro.qec import PLANAR
 from repro.runner import StageCache
 from repro.runner.stages import POLICIES, compute_frontend, compute_layout
 
@@ -134,7 +135,8 @@ class TestPlanImmutability:
             )
 
     @pytest.mark.parametrize(
-        "field", ("circuit", "placement", "factory_routers", "dag", "tasks")
+        "field",
+        ("circuit", "placement", "code", "factory_routers", "dag", "tasks"),
     )
     def test_plan_rejects_inputs_it_would_ignore(self, field):
         # Zero-cycle local tasks with a plan used to run the plan's own
@@ -144,6 +146,7 @@ class TestPlanImmutability:
         given = {
             "circuit": machine.circuit,
             "placement": machine.placement,
+            "code": PLANAR,
             "factory_routers": machine.factory_routers,
             "dag": fe.dag,
             "tasks": [],

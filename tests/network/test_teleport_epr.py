@@ -41,6 +41,16 @@ class TestTeleportModel:
             TeleportModel(teleport_cycles=0)
         with pytest.raises(ValueError):
             DEFAULT_TELEPORT_MODEL.distribution_cycles((0, 0), (0, 1), (0, 1), 0)
+        with pytest.raises(ValueError):
+            DEFAULT_TELEPORT_MODEL.swap_chain_cycles(2, 0)
+
+    def test_distribution_is_the_swap_chain_of_the_farther_half(self):
+        m = TeleportModel(swap_cycles_per_tile=1.5)
+        assert m.distribution_cycles((1, 1), (0, 1), (4, 3), 3) == (
+            m.swap_chain_cycles(5, 3)
+        ) == 22.5
+        # A pair made at its endpoint still takes one cycle.
+        assert m.swap_chain_cycles(0, 9) == 1.0
 
 
 def _simple_demands(count: int, spacing: int, hops: int = 2, offset: int = 0):
@@ -113,6 +123,24 @@ class TestEprPipeline:
             EprPipelineConfig(window=-1)
         with pytest.raises(ValueError):
             EprPipelineConfig(bandwidth=0)
+        with pytest.raises(ValueError):
+            EprPipelineConfig(distance=0)
+
+    @pytest.mark.parametrize("second_op", (1, 0))
+    def test_demands_sharing_an_op_index_both_count(self, second_op):
+        # One server: the far pair (15 cycles) launches at 0, the near one
+        # (3 cycles) at 15.  Each demand is its own pair, whatever its
+        # op_index, so lifetimes are 15 and 3 and the pairs never overlap.
+        demands = [
+            EprDemand(0, 0, (0, 5), (0, 0)),
+            EprDemand(second_op, 0, (0, 1), (0, 0)),
+        ]
+        config = EprPipelineConfig(window=0, bandwidth=1, distance=3)
+        result = simulate_epr_pipeline(demands, config)
+        assert result.peak_epr_pairs == 1
+        assert result.mean_lifetime == 9.0
+        assert result.stall_cycles == 18.0
+        assert result.total_pairs == 2
 
 
 class TestDemandsFromSchedule:
