@@ -13,6 +13,7 @@ from repro.apps import build_circuit
 from repro.arch import build_tiled_machine
 from repro.frontend import decompose_circuit
 from repro.partition import (
+    circuit_layout,
     interaction_graph_from_circuit,
     naive_layout,
     optimized_layout,
@@ -59,10 +60,14 @@ def test_ablation_interleaving_is_the_big_lever(im_circuit, benchmark):
     parallel apps; remaining policies refine it."""
 
     def run():
-        machine = build_tiled_machine(im_circuit, optimize_layout=False)
+        machine = build_tiled_machine(
+            im_circuit, circuit_layout(im_circuit, optimize=False)
+        )
         p0 = machine.simulate(0, DISTANCE)
         p1 = machine.simulate(1, DISTANCE)
-        machine_opt = build_tiled_machine(im_circuit, optimize_layout=True)
+        machine_opt = build_tiled_machine(
+            im_circuit, circuit_layout(im_circuit)
+        )
         p6 = machine_opt.simulate(6, DISTANCE)
         return p0, p1, p6
 
@@ -82,8 +87,9 @@ def test_ablation_factory_count(im_circuit, benchmark):
     """Distributed factories (Fig 3b) vs a single corner factory."""
 
     def run():
-        few = build_tiled_machine(im_circuit, factories=1)
-        many = build_tiled_machine(im_circuit, factories=8)
+        placement = circuit_layout(im_circuit)
+        few = build_tiled_machine(im_circuit, placement, factories=1)
+        many = build_tiled_machine(im_circuit, placement, factories=8)
         return few.simulate(6, DISTANCE), many.simulate(6, DISTANCE)
 
     starved, supplied = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -14,6 +14,7 @@ import pytest
 from repro.apps import build_circuit
 from repro.arch import build_multisimd_machine
 from repro.frontend import decompose_circuit
+from repro.partition import circuit_layout
 
 DISTANCE = 5
 WINDOWS = (1, 4, 16, 64, 256, 4096, 10**9)
@@ -21,7 +22,9 @@ WINDOWS = (1, 4, 16, 64, 256, 4096, 10**9)
 
 def _sweep(app, size):
     circuit = decompose_circuit(build_circuit(app, size))
-    machine = build_multisimd_machine(circuit, regions=4)
+    machine = build_multisimd_machine(
+        circuit, circuit_layout(circuit), regions=4
+    )
     schedule = machine.schedule()
     results = {}
     for window in WINDOWS:

@@ -33,6 +33,6 @@ def fig6_sim_sizes():
     to simulate 7 policies per app in seconds-to-minutes, large enough
     to exhibit each application's contention regime (the registry's
     per-app ``sim_size`` knobs)."""
-    from repro.runner import SMALL_SIM_SIZES
+    from repro.apps.registry import SIM_SIZES
 
-    return dict(SMALL_SIM_SIZES)
+    return dict(SIM_SIZES)

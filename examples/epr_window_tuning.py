@@ -13,13 +13,16 @@ import sys
 from repro.apps import build_circuit
 from repro.arch import build_multisimd_machine
 from repro.frontend import decompose_circuit
+from repro.partition import circuit_layout
 
 WINDOWS = (1, 2, 4, 8, 16, 32, 64, 256, 1024, 10**9)
 
 
 def main(app: str = "sq", size: int = 3, distance: int = 5) -> None:
     circuit = decompose_circuit(build_circuit(app, size))
-    machine = build_multisimd_machine(circuit, regions=4)
+    machine = build_multisimd_machine(
+        circuit, circuit_layout(circuit), regions=4
+    )
     schedule = machine.schedule()
     print(
         f"{app}[{size}]: {len(circuit)} ops, logical schedule "

@@ -585,10 +585,10 @@ def check_sched(
 ) -> list[Diagnostic]:
     """Verify the reservation schedule derived from ``plan``.
 
-    By default validates exactly what the engine will use — the
-    memoized :func:`~repro.network.policies_sched.reservation_schedule`
-    of this plan; pass ``schedule`` to audit an externally revived or
-    suspect schedule instead.
+    By default validates exactly what the engine will use —
+    :func:`~repro.network.policies_sched.build_reservation` of this
+    plan; pass ``schedule`` to audit an externally revived or suspect
+    schedule instead.
 
     The reservation schedule is *replayed*: every reserved window is
     re-booked into a fresh :class:`~repro.network.policies_sched.
@@ -600,14 +600,14 @@ def check_sched(
     """
     from ..network.policies_sched import (
         ReservationTable,
+        build_reservation,
         ii_lower_bound,
-        reservation_schedule,
     )
 
     out: list[Diagnostic] = []
     n = plan.num_ops
     if schedule is None:
-        schedule = reservation_schedule(plan)
+        schedule = build_reservation(plan)
 
     structural = False
     if len(schedule.reserved) != n or len(schedule.finish) != n:

@@ -164,10 +164,8 @@ def _verify_frontend(fe) -> None:
     raise_on_errors(diags)
 
 
-def _verify_layout(machine) -> None:
-    raise_on_errors(check_placement(
-        machine.placement, artifact="layout", circuit=machine.circuit
-    ))
+def _verify_layout(placement) -> None:
+    raise_on_errors(check_placement(placement, artifact="layout"))
 
 
 def _verify_plan(plan) -> None:

@@ -19,14 +19,11 @@ from __future__ import annotations
 import dataclasses
 import math
 from statistics import fmean
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..frontend.decompose import decompose_circuit
 from ..frontend.estimate import LogicalEstimate, estimate_circuit
 from .registry import AppSpec, get_app
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..runner.cache import StageCache
 
 __all__ = [
     "PowerLaw",
@@ -125,9 +122,6 @@ class AppScalingModel:
         return (self.two_qubit_fraction + self.t_fraction) * total_operations
 
 
-_MODEL_CACHE: dict[str, AppScalingModel] = {}
-
-
 def calibration_sizes(app: str | AppSpec) -> tuple[int, ...]:
     """The default calibration size knobs for an application."""
     spec = get_app(app) if isinstance(app, str) else app
@@ -175,36 +169,19 @@ def fit_scaling_model(
 def calibrate(
     app: str | AppSpec,
     sizes: Optional[Sequence[int]] = None,
-    use_cache: bool = True,
-    cache: Optional["StageCache"] = None,
 ) -> AppScalingModel:
-    """Fit an :class:`AppScalingModel` from generated instances.
+    """Fit an :class:`AppScalingModel` from instances compiled afresh
+    (the uncached reference for :func:`repro.runner.stages.compute_scaling`).
 
     Args:
         app: Application name or spec.
         sizes: Calibration size knobs; defaults to
             :data:`CALIBRATION_SIZES` for the app.
-        use_cache: Reuse a previously fitted model for the default sizes.
-        cache: Optional :class:`~repro.runner.cache.StageCache`; when
-            given, the per-size compiles and the fit run through the
-            ``scaling_calib``/``scaling`` toolflow stages (shared and
-            persisted with any sweep using the same cache).
     """
     spec = get_app(app) if isinstance(app, str) else app
-    if cache is not None:
-        from ..runner.stages import compute_scaling
-
-        return compute_scaling(cache, spec.name, sizes)
     chosen = tuple(sizes) if sizes is not None else CALIBRATION_SIZES[spec.name]
-    cache_key = spec.name
-    if use_cache and sizes is None and cache_key in _MODEL_CACHE:
-        return _MODEL_CACHE[cache_key]
     if len(chosen) < 2:
         raise ValueError("need at least two calibration sizes")
-
-    model = fit_scaling_model(
+    return fit_scaling_model(
         spec.name, [calibration_estimate(spec, size) for size in chosen]
     )
-    if use_cache and sizes is None:
-        _MODEL_CACHE[cache_key] = model
-    return model

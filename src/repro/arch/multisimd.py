@@ -19,8 +19,7 @@ import dataclasses
 from typing import Optional
 
 from ..frontend.schedule import LogicalSchedule
-from ..partition.graph import interaction_graph_from_circuit
-from ..partition.layout import GridShape, Placement, grid_for, optimized_layout
+from ..partition.layout import GridShape, Placement
 from ..qasm.circuit import Circuit
 from ..qasm.dag import CircuitDag
 from ..qec.codes import PLANAR, SurfaceCode
@@ -191,25 +190,22 @@ class MultiSimdMachine:
 
 def build_multisimd_machine(
     circuit: Circuit,
+    placement: Placement,
     regions: int = 4,
     code: SurfaceCode = PLANAR,
 ) -> MultiSimdMachine:
-    """Size a Multi-SIMD machine and assign qubits to memory regions.
+    """Size a Multi-SIMD machine around a qubit placement.
 
-    Qubits are clustered into memory regions with the interaction-aware
-    partitioner (the mapping-level communication reduction of [35]),
-    then regions are placed on a near-square grid.
+    The placement's grid is the grid of memory regions: with the
+    interaction-aware layout (the mapping-level communication reduction
+    of [35]) strongly interacting qubits share nearby regions.
     """
     if regions < 1:
         raise ValueError(f"regions must be >= 1, got {regions}")
-    num_qubits = max(circuit.num_qubits, 1)
-    grid = grid_for(num_qubits)
-    graph = interaction_graph_from_circuit(circuit)
-    placement = optimized_layout(graph, grid)
     return MultiSimdMachine(
         circuit=circuit,
         regions=regions,
-        region_grid=grid,
+        region_grid=placement.grid,
         placement=placement,
         epr_factory=(0, 0),
         code=code,

@@ -16,14 +16,13 @@ import dataclasses
 from typing import Optional
 
 from ..analysis.diagnostics import PlanMismatchError
-from ..partition.graph import interaction_graph_from_circuit
-from ..partition.layout import GridShape, Placement, grid_for, naive_layout, optimized_layout
+from ..partition.layout import GridShape, Placement
 from ..qasm.circuit import Circuit
 from ..qasm.dag import CircuitDag
 from ..qec.codes import DOUBLE_DEFECT, SurfaceCode
 from ..network.braidsim import BraidSimConfig, BraidSimResult, simulate_plan
 from ..network.mesh import BraidMesh, Router
-from ..network.plan import BraidPlan, braid_plan
+from ..network.plan import BraidPlan
 from ..network.policies import Policy
 
 __all__ = ["TiledMachine", "build_tiled_machine"]
@@ -74,15 +73,14 @@ class TiledMachine:
         config: Optional[BraidSimConfig] = None,
         dag: Optional[CircuitDag] = None,
     ) -> BraidPlan:
-        """Policy-independent simulation plan, memoized per machine.
+        """Compile the policy-independent simulation plan.
 
-        All seven Figure 6 policies of one (machine, distance) point
-        share a single plan build through the process-wide memo in
-        :mod:`repro.network.plan`.
+        Every call builds a new plan; the ``braid_plan`` toolflow stage
+        is what shares one plan among the policies of a design point.
         """
         config = config or BraidSimConfig()
         mesh = BraidMesh(self.grid.rows, self.grid.cols)
-        return braid_plan(
+        return BraidPlan.build(
             self.circuit,
             self.placement,
             mesh,
@@ -103,10 +101,10 @@ class TiledMachine:
     ) -> BraidSimResult:
         """Run the braid schedule simulation on this machine.
 
-        Routes through :meth:`plan`'s memo, so repeated simulations of
-        the same (machine, distance) under different policies reuse one
-        precompiled plan.  An explicitly passed ``plan`` must match
-        ``distance`` (plans bake the stabilization hold in).
+        Builds a plan through :meth:`plan` unless one is passed; pass
+        the same ``plan`` to simulate several policies from one build.
+        An explicitly passed ``plan`` must match ``distance`` (plans
+        bake the stabilization hold in).
         """
         if plan is None:
             plan = self.plan(distance, config, dag)
@@ -133,38 +131,33 @@ def _ring_sites(grid: GridShape) -> list[tuple[int, int]]:
 
 def build_tiled_machine(
     circuit: Circuit,
-    optimize_layout: bool = True,
+    placement: Placement,
     code: SurfaceCode = DOUBLE_DEFECT,
     factories: Optional[int] = None,
 ) -> TiledMachine:
-    """Size and lay out a tiled machine for a circuit.
+    """Build a tiled machine around a data placement.
 
-    The data region is a near-square interior; a one-tile ring around it
+    The placement's grid is the data region; a one-tile ring around it
     carries braid channels and hosts ``factories`` magic-state factory
     access points, spread evenly (Figure 3b's distributed factories).
 
     Args:
         circuit: Flat Clifford+T circuit.
-        optimize_layout: Apply the Section 6.2 interaction-aware layout
-            (policies 2+); otherwise program-order placement.
+        placement: Data-qubit placement on the data grid (see
+            :func:`~repro.partition.layout.circuit_layout`).
         code: Surface code model (double-defect by default).
         factories: Factory count; default scales with data tiles.
     """
-    num_qubits = max(circuit.num_qubits, 1)
-    interior = grid_for(num_qubits)
+    interior = placement.grid
     grid = GridShape(interior.rows + 2, interior.cols + 2)
-    if optimize_layout:
-        graph = interaction_graph_from_circuit(circuit)
-        inner = optimized_layout(graph, interior)
-    else:
-        inner = naive_layout(circuit.qubits, interior)
     positions = {
-        q: (r + 1, c + 1) for q, (r, c) in inner.positions.items()
+        q: (r + 1, c + 1) for q, (r, c) in placement.positions.items()
     }
-    placement = Placement(grid=grid, positions=positions)
 
     if factories is None:
-        factories = max(2, round(num_qubits / DATA_TILES_PER_FACTORY))
+        factories = max(
+            2, round(max(circuit.num_qubits, 1) / DATA_TILES_PER_FACTORY)
+        )
     ring = _ring_sites(grid)
     stride = max(1, len(ring) // factories)
     factory_tiles = [ring[(i * stride) % len(ring)] for i in range(factories)]
@@ -175,7 +168,7 @@ def build_tiled_machine(
     return TiledMachine(
         circuit=circuit,
         grid=grid,
-        placement=placement,
+        placement=Placement(grid=grid, positions=positions),
         factory_routers=factory_routers,
         code=code,
     )

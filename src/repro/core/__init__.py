@@ -1,6 +1,6 @@
 """Top-level analysis: toolflow, resources, crossover, sensitivity."""
 
-from .calibration import CALIBRATION_SIM_SIZES, AppCalibration, calibrate_app
+from .calibration import AppCalibration, calibrate_app
 from .crossover import (
     CrossoverAnalysis,
     RatioPoint,
@@ -34,7 +34,6 @@ from .toolflow import ToolflowResult, run_toolflow
 __all__ = [
     "AppCalibration",
     "calibrate_app",
-    "CALIBRATION_SIM_SIZES",
     "CommunicationConstants",
     "DEFAULT_CONSTANTS",
     "ANCILLA_TILE_FACTOR",

@@ -24,18 +24,13 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Optional
 
-from ..apps.registry import SIM_SIZES, get_app
-from ..apps.scaling import AppScalingModel
+from ..apps.registry import get_app
+from ..apps.scaling import CALIBRATION_SIZES, AppScalingModel, fit_scaling_model
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..runner.cache import StageCache
 
-__all__ = ["AppCalibration", "calibrate_app", "CALIBRATION_SIM_SIZES"]
-
-CALIBRATION_SIM_SIZES: dict[str, int] = dict(SIM_SIZES)
-"""Instance sizes used for simulator calibration (a copy of the
-registry's :data:`~repro.apps.registry.SIM_SIZES`, kept as a public
-name for backward compatibility)."""
+__all__ = ["AppCalibration", "calibrate_app"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -53,55 +48,11 @@ class AppCalibration:
     epr_overhead: float
 
 
-_CACHE: dict[tuple[str, Optional[int], int, int], AppCalibration] = {}
-
-
-def _variant_scaling(
-    spec, inline_depth: int, stage_cache: "StageCache"
-) -> AppScalingModel:
-    """Variant-specific scaling: fit from two sizes of this variant.
-
-    The calibration circuits compile through
-    :func:`repro.runner.stages.compute_frontend`, so a sweep that
-    already touched the same (app, size, inline_depth) frontends --
-    or a repeated calibration -- reuses them from the stage cache
-    instead of recompiling.
-    """
-    from statistics import fmean
-
-    from ..apps.scaling import CALIBRATION_SIZES, PowerLaw
-    from ..runner import stages
-
-    sizes = CALIBRATION_SIZES[spec.name][-2:]
-    estimates = [
-        stages.compute_frontend(
-            stage_cache, spec.name, s, inline_depth
-        ).logical
-        for s in sizes
-    ]
-    ops = [e.total_operations for e in estimates]
-    return AppScalingModel(
-        app_name=f"{spec.name}-inline{inline_depth}",
-        qubits_vs_ops=PowerLaw.fit(ops, [e.num_qubits for e in estimates]),
-        depth_vs_ops=PowerLaw.fit(ops, [e.critical_path for e in estimates]),
-        parallelism_factor=fmean(
-            [e.parallelism_factor for e in estimates]
-        ),
-        t_fraction=fmean([e.t_fraction for e in estimates]),
-        two_qubit_fraction=fmean(
-            [e.two_qubit_count / e.total_operations for e in estimates]
-        ),
-        calibration_ops=tuple(ops),
-    )
-
-
 def calibrate_app(
     app_name: str,
     inline_depth: Optional[int] = None,
     policy: int = 6,
     distance: int = 5,
-    sim_size: Optional[int] = None,
-    use_cache: bool = True,
     cache: Optional["StageCache"] = None,
 ) -> AppCalibration:
     """Measure the calibration inputs for one application variant.
@@ -112,43 +63,35 @@ def calibrate_app(
             paper's "semi-inlined" variant).
         policy: Braid policy used for the congestion measurement.
         distance: Code distance for the calibration simulations.
-        sim_size: Override the calibration instance size.
-        use_cache: Reuse previous measurements for the same variant.
         cache: Stage cache for the underlying simulations (the
             process-wide default cache if omitted).
     """
     from ..runner import stages
 
     spec = get_app(app_name)
-    key = (spec.name, inline_depth, policy, distance)
-    # The memo only applies to the default stage cache: with an explicit
-    # cache the caller expects *that* cache to serve (and be filled by)
-    # the simulations.
-    memoizable = use_cache and sim_size is None and cache is None
-    if memoizable and key in _CACHE:
-        return _CACHE[key]
-
-    size = sim_size if sim_size is not None else spec.sim_size
-    if cache is not None:
-        stage_cache = cache
-    elif use_cache:
-        stage_cache = stages.default_cache()
-    else:
-        # use_cache=False promises a fresh measurement: don't let the
-        # process-wide stage cache serve memoized simulations.
-        stage_cache = stages.StageCache()
+    stage_cache = cache if cache is not None else stages.default_cache()
 
     if inline_depth is None:
         # Routed through the `scaling` stage: the calibration circuits
         # compile once per app per cache (and persist to its disk level).
         scaling = stages.compute_scaling(stage_cache, spec.name)
     else:
-        scaling = _variant_scaling(spec, inline_depth, stage_cache)
+        # Variant-specific scaling, fitted from the two largest
+        # calibration sizes of this variant's (cached) frontends.
+        scaling = fit_scaling_model(
+            f"{spec.name}-inline{inline_depth}",
+            [
+                stages.compute_frontend(
+                    stage_cache, spec.name, s, inline_depth
+                ).logical
+                for s in CALIBRATION_SIZES[spec.name][-2:]
+            ],
+        )
 
     braid = stages.compute_braid(
         stage_cache,
         spec.name,
-        size,
+        spec.sim_size,
         inline_depth,
         policy=policy,
         distance=distance,
@@ -159,18 +102,15 @@ def calibrate_app(
     epr = stages.compute_epr(
         stage_cache,
         spec.name,
-        size,
+        spec.sim_size,
         inline_depth,
         regions=4,
         distance=distance,
     )
     overhead = max(0.0, epr.latency_overhead)
 
-    result = AppCalibration(
+    return AppCalibration(
         scaling=scaling,
         braid_congestion=congestion,
         epr_overhead=overhead,
     )
-    if memoizable:
-        _CACHE[key] = result
-    return result

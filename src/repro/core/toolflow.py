@@ -20,7 +20,7 @@ import dataclasses
 from typing import TYPE_CHECKING, Optional
 
 from ..arch.multisimd import MultiSimdMachine
-from ..arch.tiled import TiledMachine
+from ..arch.tiled import TiledMachine, build_tiled_machine
 from ..frontend.estimate import LogicalEstimate
 from ..network.braidsim import BraidSimResult
 from ..network.epr import EprPipelineResult
@@ -110,8 +110,11 @@ def run_toolflow(
 
     # The reference toolflow always maps onto the interaction-aware
     # layout, whichever policy schedules the braids.
-    tiled = stages.compute_layout(
-        cache, app_name, size, inline_depth, optimize_layout=True
+    tiled = build_tiled_machine(
+        fe.circuit,
+        stages.compute_layout(
+            cache, app_name, size, inline_depth, optimize_layout=True
+        ),
     )
     braid = stages.compute_braid(
         cache,

@@ -21,24 +21,20 @@ from .epr import (
 )
 from .events import BraidSegment, OpTask, build_tasks
 from .mesh import BraidMesh, manhattan, path_links
-from .plan import BraidPlan, braid_plan, plan_memo_stats, reset_plan_memo
+from .plan import BraidPlan, plan_memo_stats
 from .policies import ALL_POLICIES, POLICIES, Policy
 from .policies_sched import (
     ReservationSchedule,
     ReservationTable,
     build_reservation,
     ii_lower_bound,
-    reservation_schedule,
 )
 from .routing import (
-    ROUTE_TABLE_CAPACITY,
     RouteTable,
     alternative_paths,
     dor_path,
     find_free_path,
     route_table,
-    route_table_stats,
-    set_route_table_capacity,
 )
 from .teleport import DEFAULT_TELEPORT_MODEL, TeleportModel
 
@@ -59,24 +55,18 @@ __all__ = [
     "ReservationTable",
     "build_reservation",
     "ii_lower_bound",
-    "reservation_schedule",
     "BraidSimConfig",
     "BraidSimResult",
     "BraidSimulator",
     "ENGINES",
     "BraidPlan",
-    "braid_plan",
     "plan_memo_stats",
-    "reset_plan_memo",
     "simulate_braids",
     "simulate_plan",
     "ReferenceBraidSimulator",
     "simulate_braids_reference",
     "RouteTable",
-    "ROUTE_TABLE_CAPACITY",
     "route_table",
-    "route_table_stats",
-    "set_route_table_capacity",
     "TeleportModel",
     "DEFAULT_TELEPORT_MODEL",
     "EprDemand",

@@ -67,9 +67,9 @@ from ..qasm.dag import CircuitDag
 from ..qec.codes import DOUBLE_DEFECT, SurfaceCode
 from .events import OpTask
 from .mesh import BraidMesh, Router
-from .plan import DEFAULT_MAX_DETOUR, BraidPlan, braid_plan
+from .plan import DEFAULT_MAX_DETOUR, BraidPlan
 from .policies import POLICIES, Policy
-from .policies_sched import reservation_schedule
+from .policies_sched import build_reservation
 
 __all__ = [
     "BraidSimConfig",
@@ -158,11 +158,10 @@ _WAITING, _READY, _HOLDING, _CLOSING, _DONE = range(5)
 class BraidSimulator:
     """Single-run braid schedule simulator.
 
-    Use :func:`simulate_braids` for the common path (it memoizes the
-    policy-independent :class:`~repro.network.plan.BraidPlan` per
-    design point), :func:`simulate_plan` to run several policies from
-    one prebuilt plan, and instantiate directly to inspect internals
-    or inject custom tasks.
+    Use :func:`simulate_braids` for one policy on one design point,
+    :func:`simulate_plan` to run several policies from one prebuilt
+    :class:`~repro.network.plan.BraidPlan`, and instantiate directly to
+    inspect internals or inject custom tasks.
     """
 
     def __init__(
@@ -295,10 +294,9 @@ class BraidSimulator:
         self._fail_adaptive = [False] * n
 
         # Reservation family (Policy 7): the plan's reserved issue
-        # cycles, memoized per plan and shared with the IR verifier
-        # (see repro.network.policies_sched).
+        # cycles (see repro.network.policies_sched).
         self._resv = (
-            reservation_schedule(plan)
+            build_reservation(plan)
             if policy.family == "reservation"
             else None
         )
@@ -616,7 +614,7 @@ def simulate_braids(
     if isinstance(policy, int):
         policy = POLICIES[policy]
     config = config or BraidSimConfig()
-    plan = braid_plan(
+    plan = BraidPlan.build(
         circuit,
         placement,
         mesh,

@@ -21,29 +21,18 @@ compare against it).
 
 A :class:`BraidPlan` packages all of it, built once per
 ``(circuit, placement, mesh shape, code, distance, max_detour)`` and
-reused by every simulation of that design point.  Plans are immutable:
-simulators copy the one mutable seed (`in_degrees`) and treat every
-other field as read-only, which the mutation-guard tests enforce by
-hashing a shared plan's arrays across simulations.
-
-:func:`braid_plan` is the process-wide memo.  Like the route-table
-registry it is LRU-bounded (:data:`PLAN_MEMO_CAPACITY` plans), so a
-long-lived service sweeping many design points retains a bounded
-working set; every hit validates circuit/placement/code *identity*
-against the stored plan (an entry keeps its objects alive, so an id
-can only match the object it was recorded for) plus the circuit's
-length, so a circuit mutated after planning fails loudly instead of
-replaying a stale plan.  Hit/build counters are exposed through
-:func:`plan_memo_stats`, next to
-:func:`~repro.network.routing.route_table_stats`.
+reused by every simulation of that design point: the ``braid_plan``
+toolflow stage (:func:`repro.runner.stages.compute_braid_plan`) is the
+one plan memo, and :func:`plan_memo_stats` counts the builds.  Plans
+are immutable: simulators copy the one mutable seed (`in_degrees`) and
+treat every other field as read-only, which the mutation-guard tests
+enforce by hashing a shared plan's arrays across simulations.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Optional
 
-from ..analysis.diagnostics import PlanMismatchError
 from ..partition.layout import Placement
 from ..qasm.circuit import Circuit
 from ..qasm.dag import CircuitDag
@@ -56,13 +45,13 @@ from .routing import RouteTable, route_table
 __all__ = [
     "DEFAULT_MAX_DETOUR",
     "BraidPlan",
-    "braid_plan",
     "plan_memo_stats",
-    "reset_plan_memo",
 ]
 
 DEFAULT_MAX_DETOUR = 4
 """Staircase detour radius shared by ``BraidSimConfig`` and plan builds."""
+
+_PLAN_BUILDS = 0
 
 
 class BraidPlan:
@@ -120,7 +109,7 @@ class BraidPlan:
         dag: Optional[CircuitDag] = None,
         tasks: Optional[list[OpTask]] = None,
     ) -> "BraidPlan":
-        """Compile one plan (no memoization; see :func:`braid_plan`).
+        """Compile one plan (counted by :func:`plan_memo_stats`).
 
         ``tasks`` replaces the compile with explicit network tasks (a
         test seam: the same arrays are filled from the given tasks).
@@ -130,6 +119,8 @@ class BraidPlan:
                 magic-state consumer with no factory site (the errors
                 :func:`~repro.network.events.build_tasks` raises).
         """
+        global _PLAN_BUILDS
+        _PLAN_BUILDS += 1
         routes: RouteTable = route_table(mesh.rows, mesh.cols, max_detour)
         if tasks is None:
             entries = _compile(
@@ -276,99 +267,7 @@ def _critical_path(
     return critical
 
 
-# ---------------------------------------------------------------------------
-# Process-wide plan memo
-
-PLAN_MEMO_CAPACITY = 32
-"""Bound on memoized plans (a Figure 6 sweep needs 8 live at once)."""
-
-_PLAN_MEMO: "OrderedDict[tuple, BraidPlan]" = OrderedDict()
-_PLAN_BUILDS = 0
-_PLAN_HITS = 0
-
-
-def braid_plan(
-    circuit: Circuit,
-    placement: Placement,
-    mesh: BraidMesh,
-    code: SurfaceCode = DOUBLE_DEFECT,
-    distance: int = 5,
-    factory_routers: tuple[Router, ...] = (),
-    max_detour: int = DEFAULT_MAX_DETOUR,
-    dag: Optional[CircuitDag] = None,
-) -> BraidPlan:
-    """Memoized :meth:`BraidPlan.build` for the common simulation path.
-
-    Keys on the circuit/placement/code identities plus the remaining
-    value parameters, so the seven-policy Figure 6 sweep builds one
-    plan per (app, size, layout, distance) and every other policy
-    point is a memo hit.  The memo is an LRU bounded by
-    :data:`PLAN_MEMO_CAPACITY` (the same discipline as the route-table
-    registry): an entry keeps its circuit/placement/code alive, which
-    is exactly what makes the id-based key sound — a stored id can
-    only ever match the object it was recorded for — and eviction
-    only drops the registry's reference, never a plan in use.
-
-    A hit additionally checks the circuit's operation count against
-    the plan: cached plans assume the circuit is frozen (everything in
-    the staged pipeline is), and appending to a planned circuit would
-    otherwise silently replay the stale plan.
-
-    Raises:
-        PlanMismatchError: If the memoized circuit changed length since
-            its plan was built (still a ``ValueError`` for existing
-            callers).
-    """
-    global _PLAN_BUILDS, _PLAN_HITS
-    key = (
-        id(circuit), id(placement), mesh.rows, mesh.cols, distance,
-        tuple(factory_routers), max_detour, id(code),
-    )
-    plan = _PLAN_MEMO.get(key)
-    if (
-        plan is not None
-        and plan.circuit is circuit
-        and plan.placement is placement
-        and plan.code is code
-    ):
-        if plan.num_ops != len(circuit):
-            raise PlanMismatchError(
-                f"circuit {circuit.name!r} changed length "
-                f"({plan.num_ops} -> {len(circuit)}) after its braid "
-                "plan was built; planned circuits must not be mutated",
-                artifact=f"plan for {circuit.name!r}",
-            )
-        _PLAN_HITS += 1
-        _PLAN_MEMO.move_to_end(key)
-        return plan
-    plan = BraidPlan.build(
-        circuit, placement, mesh, code, distance,
-        factory_routers, max_detour, dag=dag,
-    )
-    _PLAN_MEMO[key] = plan
-    _PLAN_BUILDS += 1
-    while len(_PLAN_MEMO) > PLAN_MEMO_CAPACITY:
-        _PLAN_MEMO.popitem(last=False)
-    return plan
-
-
 def plan_memo_stats() -> dict[str, int]:
-    """Plan-memo counters (reported next to ``route_table_stats``).
-
-    ``builds`` counts actual plan compilations, ``hits`` memo reuses;
-    ``plans`` is the live entry count, bounded by ``capacity``.
-    """
-    return {
-        "builds": _PLAN_BUILDS,
-        "hits": _PLAN_HITS,
-        "plans": len(_PLAN_MEMO),
-        "capacity": PLAN_MEMO_CAPACITY,
-    }
-
-
-def reset_plan_memo() -> None:
-    """Drop all memoized plans and zero the counters (testing hook)."""
-    global _PLAN_BUILDS, _PLAN_HITS
-    _PLAN_MEMO.clear()
-    _PLAN_BUILDS = 0
-    _PLAN_HITS = 0
+    """``{"builds": n}``: the :meth:`BraidPlan.build` calls so far in
+    this process."""
+    return {"builds": _PLAN_BUILDS}

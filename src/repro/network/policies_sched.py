@@ -28,10 +28,10 @@ microarchitecture onto the braid domain, behind the same policy axis:
   follow.
 
 The reservation schedule is a policy-*independent* function of the
-:class:`~.plan.BraidPlan` (holds, routes, DAG arrays), so it is
-memoized per plan identity (:func:`reservation_schedule`) and
-re-derived independently by the IR verifier
-(:func:`repro.analysis.ir_checks.check_sched`).
+:class:`~.plan.BraidPlan` (holds, routes, DAG arrays): the engine builds
+it for each Policy 7 run, and the IR verifier
+(:func:`repro.analysis.ir_checks.check_sched`) replays it
+independently.
 
 Timing contract (kept in lockstep with :mod:`.braidsim`): a segment
 opened at cycle ``t`` holds its links through the close at
@@ -44,7 +44,6 @@ planned schedule is valid under any intra-cycle open/close ordering.
 from __future__ import annotations
 
 import dataclasses
-from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -55,8 +54,6 @@ __all__ = [
     "ReservationTable",
     "build_reservation",
     "ii_lower_bound",
-    "reservation_schedule",
-    "reset_sched_memo",
 ]
 
 
@@ -235,9 +232,7 @@ def build_reservation(plan: "BraidPlan") -> ReservationSchedule:
     Iterative modulo scheduling: start at :func:`ii_lower_bound`,
     widen the table geometrically whenever fragmentation leaves some
     segment without a free window, and return the first fit.  The
-    result depends only on the plan, never on a policy or config, so
-    one schedule serves every engine (see :func:`reservation_schedule`
-    for the shared memo).
+    result depends only on the plan, never on a policy or config.
     """
     ii_lower = ii_lower_bound(plan)
     ii = ii_lower
@@ -250,33 +245,3 @@ def build_reservation(plan: "BraidPlan") -> ReservationSchedule:
         f"reservation scheduling failed to converge for "
         f"{plan.circuit.name!r} (ii search reached {ii})"
     )
-
-
-# ---------------------------------------------------------------------------
-# Per-plan memo (the braid_plan idiom: id-keyed, identity-checked)
-
-SCHED_MEMO_CAPACITY = 8
-
-_RESV_MEMO: "OrderedDict[int, tuple[object, ReservationSchedule]]" = (
-    OrderedDict()
-)
-
-
-def reservation_schedule(plan: "BraidPlan") -> ReservationSchedule:
-    """Memoized :func:`build_reservation` (shared engine/verifier)."""
-    key = id(plan)
-    entry = _RESV_MEMO.get(key)
-    if entry is not None and entry[0] is plan:
-        _RESV_MEMO.move_to_end(key)
-        return entry[1]
-    schedule = build_reservation(plan)
-    _RESV_MEMO[key] = (plan, schedule)
-    _RESV_MEMO.move_to_end(key)  # a reused id updates in place
-    while len(_RESV_MEMO) > SCHED_MEMO_CAPACITY:
-        _RESV_MEMO.popitem(last=False)
-    return schedule
-
-
-def reset_sched_memo() -> None:
-    """Drop the reservation memo (testing hook)."""
-    _RESV_MEMO.clear()

@@ -16,7 +16,6 @@ paths on every attempt.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Iterator
 
 from .mesh import BraidMesh, Router
@@ -26,10 +25,7 @@ __all__ = [
     "alternative_paths",
     "find_free_path",
     "RouteTable",
-    "ROUTE_TABLE_CAPACITY",
     "route_table",
-    "route_table_stats",
-    "set_route_table_capacity",
 ]
 
 
@@ -194,56 +190,18 @@ class RouteTable:
         return entry
 
 
-ROUTE_TABLE_CAPACITY = 16
-"""Default bound on distinct mesh shapes kept by :func:`route_table`."""
-
-_ROUTE_TABLES: "OrderedDict[tuple[int, int, int], RouteTable]" = OrderedDict()
-_ROUTE_TABLE_CAPACITY = ROUTE_TABLE_CAPACITY
+_ROUTE_TABLES: dict[tuple[int, int, int], RouteTable] = {}
 
 
 def route_table(rows: int, cols: int, max_detour: int = 4) -> RouteTable:
-    """Process-wide :class:`RouteTable` for a mesh shape, LRU-bounded.
+    """Process-wide :class:`RouteTable` for a mesh shape.
 
-    Tables are shared across simulations (the seven-policy Figure 6
-    sweep reuses one table per machine shape).  A sweep touches a
-    handful of shapes, but a long-lived service churning through many
-    mesh dimensions would otherwise grow without bound, so the registry
-    keeps only the :data:`ROUTE_TABLE_CAPACITY` most recently used
-    shapes and evicts the least recently used beyond that.  Eviction
-    only drops the registry's reference: simulators hold their table
-    for their whole run, so an evicted table stays alive (and correct)
-    until its last user finishes.
+    Tables are shared across simulations and plans: every plan of one
+    machine shape (both layouts, every distance) binds its routes from
+    one table.  A sweep touches a handful of shapes.
     """
     key = (rows, cols, max_detour)
     table = _ROUTE_TABLES.get(key)
     if table is None:
         table = _ROUTE_TABLES[key] = RouteTable(rows, cols, max_detour)
-    else:
-        _ROUTE_TABLES.move_to_end(key)
-    while len(_ROUTE_TABLES) > _ROUTE_TABLE_CAPACITY:
-        _ROUTE_TABLES.popitem(last=False)
     return table
-
-
-def set_route_table_capacity(capacity: int) -> int:
-    """Resize the shared route-table LRU; returns the previous bound.
-
-    Shrinking evicts least-recently-used shapes immediately.  Mainly a
-    service-tuning and testing hook.
-    """
-    global _ROUTE_TABLE_CAPACITY
-    if capacity < 1:
-        raise ValueError(f"capacity must be >= 1, got {capacity}")
-    previous = _ROUTE_TABLE_CAPACITY
-    _ROUTE_TABLE_CAPACITY = capacity
-    while len(_ROUTE_TABLES) > _ROUTE_TABLE_CAPACITY:
-        _ROUTE_TABLES.popitem(last=False)
-    return previous
-
-
-def route_table_stats() -> dict[str, object]:
-    """Shapes currently resident in the LRU (oldest first) + capacity."""
-    return {
-        "capacity": _ROUTE_TABLE_CAPACITY,
-        "shapes": list(_ROUTE_TABLES),
-    }

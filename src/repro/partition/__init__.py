@@ -11,6 +11,7 @@ from .kl import balanced_seed_bisection, kl_refine
 from .layout import (
     GridShape,
     Placement,
+    circuit_layout,
     grid_for,
     naive_layout,
     optimized_layout,
@@ -31,6 +32,7 @@ __all__ = [
     "GridShape",
     "Placement",
     "grid_for",
+    "circuit_layout",
     "naive_layout",
     "optimized_layout",
     "weighted_manhattan_cost",

@@ -11,13 +11,14 @@ braids, hence reducing the chance of braid collisions."
 from __future__ import annotations
 
 import dataclasses
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Sequence
 
-from .graph import InteractionGraph
+from ..qasm.circuit import Circuit
+from .graph import InteractionGraph, interaction_graph_from_circuit
 from .multilevel import _induced_subgraph, bisect
 
 __all__ = ["GridShape", "Placement", "naive_layout", "optimized_layout",
-           "weighted_manhattan_cost", "grid_for"]
+           "circuit_layout", "weighted_manhattan_cost", "grid_for"]
 
 Node = Hashable
 
@@ -125,6 +126,21 @@ def optimized_layout(
     positions: dict[Node, tuple[int, int]] = {}
     _place(graph, qubits, (0, 0, grid.rows, grid.cols), positions)
     return Placement(grid=grid, positions=positions)
+
+
+def circuit_layout(circuit: Circuit, optimize: bool = True) -> Placement:
+    """Place a circuit's qubits on the smallest near-square data grid,
+    the one placement both machines of the Figure 4 toolflow map.
+
+    Args:
+        circuit: Flat Clifford+T circuit.
+        optimize: The Section 6.2 interaction-aware layout; otherwise
+            the naive program-order placement.
+    """
+    grid = grid_for(max(circuit.num_qubits, 1))
+    if optimize:
+        return optimized_layout(interaction_graph_from_circuit(circuit), grid)
+    return naive_layout(circuit.qubits, grid)
 
 
 def _place(

@@ -43,7 +43,6 @@ from .stages import (
     run_point,
 )
 from .sweep import (
-    SMALL_SIM_SIZES,
     GridSpec,
     SweepResult,
     SweepRunner,
@@ -76,7 +75,6 @@ __all__ = [
     "SweepRunner",
     "fig6_grid",
     "fig6x_grid",
-    "SMALL_SIM_SIZES",
     "BenchReport",
     "compare_reports",
     "run_bench",

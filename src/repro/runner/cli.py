@@ -45,7 +45,6 @@ from .report import render_failures
 from .stages import TECH_PRESETS, PointSpec, run_point
 from .sweep import (
     DEFAULT_APPS,
-    SMALL_SIM_SIZES,
     GridSpec,
     SweepResult,
     SweepRunner,
@@ -80,10 +79,9 @@ def _parse_size(value: str, app: str) -> Optional[int]:
     if value == "default":
         return None
     if value == "small":
-        # Resolve aliases ("ising", "SHA-1") to canonical registry names.
         from ..apps.registry import get_app
 
-        return SMALL_SIM_SIZES[get_app(app).name]
+        return get_app(app).sim_size
     try:
         return int(value)
     except ValueError:

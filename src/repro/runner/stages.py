@@ -8,12 +8,16 @@ through a :class:`~repro.runner.cache.StageCache` under a
   stage persisting a whole circuit to disk, so cold processes with a
   disk cache skip re-lowering).
 * ``frontend`` — lowered circuit + DAG + logical estimate.
-* ``layout`` — sized tiled (double-defect) machine with placement.
-* ``braid_plan`` — policy-independent simulation plan for one
-  (layout, distance): tasks, prebound routes, DAG arrays (shared by
-  all policy points of a design point).
+* ``layout`` — the data-qubit placement of one instance (naive or
+  interaction-aware), shared by both machines.
+* ``braid_plan`` — the tiled (double-defect) machine around a layout
+  and its policy-independent simulation plan for one distance: tasks,
+  prebound routes, DAG arrays (shared by all policy points of a design
+  point).
 * ``braid_sim`` — braid network simulation for one (policy, distance).
-* ``simd_epr`` — Multi-SIMD schedule + pipelined EPR distribution.
+* ``simd`` — the Multi-SIMD machine around the interaction-aware
+  layout, and its logical schedule.
+* ``simd_epr`` — pipelined EPR distribution over that schedule.
 * ``scaling`` — power-law scaling model fitted from calibration
   instances (with each instance's compile cached under
   ``scaling_calib`` and its lowered circuit under ``lowered``).
@@ -39,7 +43,7 @@ from ..apps.scaling import (
     fit_scaling_model,
 )
 from ..arch.multisimd import MultiSimdMachine, build_multisimd_machine
-from ..arch.tiled import TiledMachine, build_tiled_machine
+from ..arch.tiled import build_tiled_machine
 from ..core.resources import (
     DEFAULT_CONSTANTS,
     CommunicationConstants,
@@ -54,6 +58,7 @@ from ..network.braidsim import BraidSimResult, simulate_plan
 from ..network.plan import BraidPlan
 from ..network.epr import EprPipelineResult
 from ..network.policies import POLICIES
+from ..partition.layout import Placement, circuit_layout
 from ..qasm.circuit import Circuit
 from ..qasm.dag import CircuitDag
 from ..qec.distance import choose_distance
@@ -265,8 +270,10 @@ def compute_layout(
     size: Optional[int] = None,
     inline_depth: Optional[int] = None,
     optimize_layout: bool = True,
-) -> TiledMachine:
-    """Size and place the tiled (double-defect) machine."""
+) -> Placement:
+    """Place one instance's qubits on its data grid: the ``braid_plan``
+    stage builds the tiled machine around it, and the ``simd`` stage
+    the Multi-SIMD machine around the interaction-aware one."""
     name, size = _resolve(app, size)
     key = StageKey.make(
         "layout",
@@ -276,9 +283,9 @@ def compute_layout(
         optimize_layout=optimize_layout,
     )
 
-    def build() -> TiledMachine:
+    def build() -> Placement:
         fe = compute_frontend(cache, name, size, inline_depth)
-        return build_tiled_machine(fe.circuit, optimize_layout=optimize_layout)
+        return circuit_layout(fe.circuit, optimize=optimize_layout)
 
     return cache.get_or_compute(
         key, build, verify=_stage_verifier("layout")
@@ -314,9 +321,10 @@ def compute_braid_plan(
 
     def build() -> BraidPlan:
         fe = compute_frontend(cache, name, size, inline_depth)
-        machine = compute_layout(
+        placement = compute_layout(
             cache, name, size, inline_depth, optimize_layout
         )
+        machine = build_tiled_machine(fe.circuit, placement)
         return machine.plan(distance, dag=fe.dag)
 
     return cache.get_or_compute(
@@ -386,7 +394,12 @@ def compute_simd(
 
     def build() -> SimdArtifacts:
         fe = compute_frontend(cache, name, size, inline_depth)
-        machine = build_multisimd_machine(fe.circuit, regions=regions)
+        placement = compute_layout(
+            cache, name, size, inline_depth, optimize_layout=True
+        )
+        machine = build_multisimd_machine(
+            fe.circuit, placement, regions=regions
+        )
         return SimdArtifacts(machine=machine, schedule=machine.schedule(fe.dag))
 
     return cache.get_or_compute(key, build)

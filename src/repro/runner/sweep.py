@@ -58,7 +58,6 @@ __all__ = [
     "fig6x_grid",
     "journal_path",
     "load_journal",
-    "SMALL_SIM_SIZES",
     "SWEEP_SCHEMA_VERSION",
     "POOL_RETRIES",
 ]
@@ -68,11 +67,6 @@ DEFAULT_APPS: tuple[str, ...] = ("gse", "sq", "sha1", "im")
 SWEEP_SCHEMA_VERSION = 2
 """Schema of persisted sweep reports.  v1 (pre-fault-tolerance) had no
 ``schema`` field and no ``failures``; the loader accepts both."""
-
-SMALL_SIM_SIZES: dict[str, int] = dict(SIM_SIZES)
-"""Per-app "small" instance sizes (a copy of the registry's
-:data:`~repro.apps.registry.SIM_SIZES`, shared with the calibration
-layer)."""
 
 POOL_RETRIES = 2
 """Times a chunk lost with a crashed worker is re-queued on a rebuilt
@@ -160,7 +154,7 @@ def fig6_grid(sizes: Optional[Mapping[str, int]] = None) -> GridSpec:
     """The Figure 6 sweep: four applications x seven braid policies."""
     return GridSpec(
         apps=DEFAULT_APPS,
-        sizes=dict(sizes) if sizes is not None else dict(SMALL_SIM_SIZES),
+        sizes=dict(sizes) if sizes is not None else dict(SIM_SIZES),
         policies=tuple(range(7)),
         distance=5,
     )
@@ -172,7 +166,7 @@ def fig6x_grid(sizes: Optional[Mapping[str, int]] = None) -> GridSpec:
     8 scoreboard) over the same four applications."""
     return GridSpec(
         apps=DEFAULT_APPS,
-        sizes=dict(sizes) if sizes is not None else dict(SMALL_SIM_SIZES),
+        sizes=dict(sizes) if sizes is not None else dict(SIM_SIZES),
         policies=tuple(range(9)),
         distance=5,
     )

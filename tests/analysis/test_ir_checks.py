@@ -21,7 +21,7 @@ from repro.analysis.ir_checks import (
 )
 from repro.arch.tiled import build_tiled_machine
 from repro.network.plan import BraidPlan
-from repro.partition.layout import GridShape, Placement
+from repro.partition.layout import GridShape, Placement, circuit_layout
 from repro.qasm.circuit import Circuit, Operation
 from repro.qasm.dag import CircuitDag
 
@@ -49,7 +49,10 @@ def tiny_circuit():
 
 
 def tiny_plan(distance=3):
-    machine = build_tiled_machine(tiny_circuit(), optimize_layout=False)
+    circuit = tiny_circuit()
+    machine = build_tiled_machine(
+        circuit, circuit_layout(circuit, optimize=False)
+    )
     return machine.plan(distance)
 
 

@@ -60,16 +60,6 @@ class TestCalibration:
     def test_communication_ops_bounded(self, im_model):
         assert im_model.communication_ops(1e6) < 1e6
 
-    def test_cache_round_trip(self):
-        first = calibrate("sq")
-        second = calibrate("sq")
-        assert first is second  # cached instance
-
-    def test_custom_sizes_not_cached(self):
-        default = calibrate("sq")
-        custom = calibrate("sq", sizes=(2, 3))
-        assert custom is not default
-
     def test_needs_two_sizes(self):
         with pytest.raises(ValueError):
             calibrate("im", sizes=(4,))

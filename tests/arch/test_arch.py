@@ -9,6 +9,7 @@ from repro.arch import (
     simd_schedule,
 )
 from repro.frontend import decompose_circuit
+from repro.partition import circuit_layout
 from repro.qasm import Circuit
 
 
@@ -19,40 +20,49 @@ def im_circuit():
 
 class TestTiledMachine:
     def test_grid_surrounds_data(self, im_circuit):
-        machine = build_tiled_machine(im_circuit)
+        placement = circuit_layout(im_circuit)
+        machine = build_tiled_machine(im_circuit, placement)
         assert machine.grid.capacity > im_circuit.num_qubits
         # All data tiles are interior (factories live on the ring).
         for r, c in machine.placement.positions.values():
             assert 0 < r < machine.grid.rows - 1
             assert 0 < c < machine.grid.cols - 1
+        # The data placement moves in by the ring, unchanged otherwise.
+        assert machine.placement.positions == {
+            q: (r + 1, c + 1) for q, (r, c) in placement.positions.items()
+        }
 
     def test_factories_present_and_on_ring(self, im_circuit):
-        machine = build_tiled_machine(im_circuit)
+        machine = build_tiled_machine(im_circuit, circuit_layout(im_circuit))
         assert len(machine.factory_routers) >= 2
 
     def test_factory_count_override(self, im_circuit):
-        machine = build_tiled_machine(im_circuit, factories=5)
+        machine = build_tiled_machine(
+            im_circuit, circuit_layout(im_circuit), factories=5
+        )
         assert 1 <= len(machine.factory_routers) <= 5
 
     def test_physical_qubits_scale_with_distance(self, im_circuit):
-        machine = build_tiled_machine(im_circuit)
+        machine = build_tiled_machine(im_circuit, circuit_layout(im_circuit))
         assert machine.physical_qubits(9) > machine.physical_qubits(5)
 
     def test_simulate_runs(self, im_circuit):
-        machine = build_tiled_machine(im_circuit)
+        machine = build_tiled_machine(im_circuit, circuit_layout(im_circuit))
         result = machine.simulate(6, distance=3)
         assert result.operations == len(im_circuit)
         assert result.schedule_length >= result.critical_path
 
     def test_naive_vs_optimized_layout_differ(self, im_circuit):
-        naive = build_tiled_machine(im_circuit, optimize_layout=False)
-        optimized = build_tiled_machine(im_circuit, optimize_layout=True)
+        naive = build_tiled_machine(
+            im_circuit, circuit_layout(im_circuit, optimize=False)
+        )
+        optimized = build_tiled_machine(im_circuit, circuit_layout(im_circuit))
         assert naive.grid.capacity == optimized.grid.capacity
 
     def test_single_qubit_circuit(self):
         c = Circuit(qubits=["a"])
         c.apply("H", "a")
-        machine = build_tiled_machine(c)
+        machine = build_tiled_machine(c, circuit_layout(c))
         result = machine.simulate(1, distance=3)
         assert result.operations == 1
 
@@ -101,29 +111,37 @@ class TestSimdSchedule:
 
 class TestMultiSimdMachine:
     def test_build(self, im_circuit):
-        machine = build_multisimd_machine(im_circuit, regions=4)
+        machine = build_multisimd_machine(
+            im_circuit, circuit_layout(im_circuit), regions=4
+        )
         assert machine.regions == 4
         assert len(machine.placement.positions) == im_circuit.num_qubits
 
     def test_rejects_bad_regions(self, im_circuit):
         with pytest.raises(ValueError):
-            build_multisimd_machine(im_circuit, regions=0)
+            build_multisimd_machine(
+                im_circuit, circuit_layout(im_circuit), regions=0
+            )
 
     def test_physical_qubits_include_epr(self, im_circuit):
-        machine = build_multisimd_machine(im_circuit)
+        machine = build_multisimd_machine(im_circuit, circuit_layout(im_circuit))
         base = machine.physical_qubits(5, peak_epr_pairs=0)
         with_epr = machine.physical_qubits(5, peak_epr_pairs=10)
         assert with_epr > base
 
     def test_epr_pipeline_end_to_end(self, im_circuit):
-        machine = build_multisimd_machine(im_circuit, regions=4)
+        machine = build_multisimd_machine(
+            im_circuit, circuit_layout(im_circuit), regions=4
+        )
         schedule = machine.schedule()
         result = machine.epr_pipeline(schedule, distance=3, window=32)
         assert result.total_pairs > 0
         assert result.schedule_length >= result.ideal_length
 
     def test_window_tradeoff_on_real_app(self, im_circuit):
-        machine = build_multisimd_machine(im_circuit, regions=4)
+        machine = build_multisimd_machine(
+            im_circuit, circuit_layout(im_circuit), regions=4
+        )
         schedule = machine.schedule()
         tight = machine.epr_pipeline(schedule, distance=3, window=1)
         loose = machine.epr_pipeline(schedule, distance=3, window=512)

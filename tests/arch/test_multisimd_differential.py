@@ -30,6 +30,7 @@ from repro.network import (
     demands_from_schedule,
     simulate_epr_pipeline,
 )
+from repro.partition import circuit_layout
 from repro.qasm import Circuit, CircuitDag
 
 CLIFFORD_T_1Q = ["H", "X", "Y", "Z", "S", "SDG", "T", "TDG", "PREPZ", "MEASZ"]
@@ -316,7 +317,9 @@ class TestEprCompile:
         asap=st.booleans(),
     )
     def test_matches_reference(self, circuit, regions, distance, window, asap):
-        machine = build_multisimd_machine(circuit, regions=regions)
+        machine = build_multisimd_machine(
+            circuit, circuit_layout(circuit), regions=regions
+        )
         schedule = asap_schedule(circuit) if asap else machine.schedule()
         assert machine.epr_pipeline(
             schedule, distance, window=window
@@ -332,7 +335,9 @@ class TestEprCompile:
     def test_equals_the_object_api(self, circuit, regions, distance, window):
         # The compile is simulate_epr_pipeline over demands_from_schedule,
         # scaled by d, at the provisioned bandwidth.
-        machine = build_multisimd_machine(circuit, regions=regions)
+        machine = build_multisimd_machine(
+            circuit, circuit_layout(circuit), regions=regions
+        )
         schedule = machine.schedule()
         demands = [
             dataclasses.replace(d, use_cycle=d.use_cycle * distance)
@@ -358,7 +363,7 @@ class TestEprCompile:
         c = Circuit()
         c.apply("CNOT", "a", "b")
         c.apply("T", "a")
-        machine = build_multisimd_machine(c, regions=2)
+        machine = build_multisimd_machine(c, circuit_layout(c), regions=2)
         schedule = machine.schedule()
         with pytest.raises(ValueError, match="distance"):
             machine.epr_pipeline(schedule, 0)

@@ -1,4 +1,4 @@
-"""Shared braid simulation plans: golden equivalence, immutability, memo.
+"""Shared braid simulation plans: golden equivalence, immutability, builds.
 
 The plan refactor moves every policy-independent setup product (tasks,
 prebound routes, DAG arrays, critical path) out of the simulator into a
@@ -11,20 +11,19 @@ a design point.  These tests pin four contracts:
   mutation guard hashes them before and after);
 * a caller's mesh must have the plan's shape, and a run leaves it
   drained;
-* the process-wide memo builds one plan per design point and validates
-  placement identity on hits.
+* every build compiles against its own placement (the ``braid_plan``
+  stage is the one plan memo; direct builds share nothing but routes).
 """
 
 import pytest
 
 from repro.analysis.diagnostics import PlanMismatchError
+from repro.arch import build_tiled_machine
 from repro.network import (
     BraidMesh,
     BraidSimConfig,
     BraidSimulator,
-    braid_plan,
     plan_memo_stats,
-    reset_plan_memo,
     simulate_braids,
     simulate_braids_reference,
     simulate_plan,
@@ -40,7 +39,9 @@ from repro.runner.stages import POLICIES, compute_frontend, compute_layout
 def _contended_instance(cache):
     """A small real machine with enough contention to matter."""
     fe = compute_frontend(cache, "sq", 2, None)
-    machine = compute_layout(cache, "sq", 2, None, True)
+    machine = build_tiled_machine(
+        fe.circuit, compute_layout(cache, "sq", 2, None, True)
+    )
     return fe, machine
 
 
@@ -206,24 +207,8 @@ class TestPlanCallerMesh:
 
 
 class TestPlanMemo:
-    def test_simulate_braids_shares_one_build(self):
-        reset_plan_memo()
-        qubits = ["a", "b", "c", "d"]
-        placement = naive_layout(qubits, GridShape(2, 2))
-        c = Circuit(qubits=qubits)
-        for i in range(3):
-            c.apply("CNOT", qubits[i], qubits[i + 1])
-        for policy in range(7):
-            simulate_braids(c, placement, BraidMesh(2, 2), policy, 3)
-        stats = plan_memo_stats()
-        assert stats["builds"] == 1
-        assert stats["hits"] == 6
-        # A different distance is a different plan.
-        simulate_braids(c, placement, BraidMesh(2, 2), 6, 5)
-        assert plan_memo_stats()["builds"] == 2
-
     def test_distinct_placements_do_not_alias(self):
-        reset_plan_memo()
+        builds = plan_memo_stats()["builds"]
         qubits = ["a", "b", "c", "d"]
         c = Circuit(qubits=qubits)
         c.apply("CNOT", "a", "b")
@@ -231,56 +216,10 @@ class TestPlanMemo:
         p2 = naive_layout(list(reversed(qubits)), GridShape(2, 2))
         r1 = simulate_braids(c, p1, BraidMesh(2, 2), 6, 3)
         r2 = simulate_braids(c, p2, BraidMesh(2, 2), 6, 3)
-        assert plan_memo_stats()["builds"] == 2
+        assert plan_memo_stats()["builds"] - builds == 2
         ref1 = simulate_braids_reference(c, p1, BraidMesh(2, 2), 6, 3)
         ref2 = simulate_braids_reference(c, p2, BraidMesh(2, 2), 6, 3)
         assert (r1, r2) == (ref1, ref2)
-
-    def test_machine_plan_memoizes_per_distance(self):
-        reset_plan_memo()
-        cache = StageCache()
-        fe, machine = _contended_instance(cache)
-        plan_a = machine.plan(3, dag=fe.dag)
-        plan_b = machine.plan(3, dag=fe.dag)
-        plan_c = machine.plan(5, dag=fe.dag)
-        assert plan_a is plan_b
-        assert plan_c is not plan_a
-        stats = plan_memo_stats()
-        assert stats["builds"] == 2 and stats["hits"] == 1
-
-    def test_reset_clears_counters_and_entries(self):
-        reset_plan_memo()
-        stats = plan_memo_stats()
-        assert stats["builds"] == 0
-        assert stats["hits"] == 0
-        assert stats["plans"] == 0
-        assert stats["capacity"] >= 8  # a Fig. 6 sweep's working set
-
-    def test_memo_is_lru_bounded(self):
-        from repro.network import plan as plan_module
-
-        reset_plan_memo()
-        qubits = ["a", "b"]
-        placement = naive_layout(qubits, GridShape(1, 2))
-        c = Circuit(qubits=qubits)
-        c.apply("CNOT", "a", "b")
-        for distance in range(1, plan_module.PLAN_MEMO_CAPACITY + 4):
-            braid_plan(c, placement, BraidMesh(1, 2), distance=distance)
-        stats = plan_memo_stats()
-        assert stats["plans"] == plan_module.PLAN_MEMO_CAPACITY
-        assert stats["builds"] == plan_module.PLAN_MEMO_CAPACITY + 3
-
-    def test_mutating_a_planned_circuit_fails_loudly(self):
-        reset_plan_memo()
-        qubits = ["a", "b", "c"]
-        placement = naive_layout(qubits, GridShape(1, 3))
-        c = Circuit(qubits=qubits)
-        c.apply("CNOT", "a", "b")
-        first = simulate_braids(c, placement, BraidMesh(1, 3), 6, 3)
-        assert first.operations == 1
-        c.apply("CNOT", "b", "c")
-        with pytest.raises(ValueError, match="changed length"):
-            simulate_braids(c, placement, BraidMesh(1, 3), 6, 3)
 
     def test_explicit_plan_with_wrong_distance_rejected(self):
         cache = StageCache()

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.arch import build_tiled_machine
 from repro.network import (
     BraidMesh,
     BraidSimConfig,
@@ -108,7 +109,9 @@ class TestApplicationInstances:
     def test_policy_grid(self, cache, app, size, policy):
         fe = compute_frontend(cache, app, size, None)
         optimize = POLICIES[policy].optimized_layout
-        machine = compute_layout(cache, app, size, None, optimize)
+        machine = build_tiled_machine(
+            fe.circuit, compute_layout(cache, app, size, None, optimize)
+        )
         optimized = machine.simulate(POLICIES[policy], 3, dag=fe.dag)
         mesh = BraidMesh(machine.grid.rows, machine.grid.cols)
         reference = simulate_braids_reference(
@@ -126,7 +129,9 @@ class TestApplicationInstances:
     def test_contended_parallel_app(self, cache, policy, distance):
         """An Ising instance big enough to need adaptivity or drops."""
         fe = compute_frontend(cache, "im", 8, None)
-        machine = compute_layout(cache, "im", 8, None, True)
+        machine = build_tiled_machine(
+            fe.circuit, compute_layout(cache, "im", 8, None, True)
+        )
         optimized = machine.simulate(POLICIES[policy], distance, dag=fe.dag)
         mesh = BraidMesh(machine.grid.rows, machine.grid.cols)
         reference = simulate_braids_reference(
@@ -186,7 +191,9 @@ class TestSchedulerFamilyGolden:
 
     def _plan(self, cache, app, size):
         fe = compute_frontend(cache, app, size, None)
-        machine = compute_layout(cache, app, size, None, True)
+        machine = build_tiled_machine(
+            fe.circuit, compute_layout(cache, app, size, None, True)
+        )
         mesh = BraidMesh(machine.grid.rows, machine.grid.cols)
         return BraidPlan.build(
             machine.circuit, machine.placement, mesh, machine.code, 3,

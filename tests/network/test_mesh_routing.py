@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 from repro.network import (
     BraidMesh,
+    RouteTable,
     alternative_paths,
     dor_path,
     find_free_path,
     manhattan,
     path_links,
+    route_table,
 )
 
 
@@ -146,3 +148,17 @@ class TestRouting:
         for path in alternative_paths(mesh, src, dst):
             assert path[0] == src
             assert path[-1] == dst
+
+
+class TestRouteTableSharing:
+    """One process-wide :class:`RouteTable` per mesh shape."""
+
+    def test_hit_returns_same_instance(self):
+        first = route_table(90, 90)
+        assert route_table(90, 90) is first
+
+    def test_miss_creates_new_table(self):
+        a = route_table(91, 91)
+        b = route_table(92, 92)
+        assert a is not b
+        assert isinstance(a, RouteTable) and isinstance(b, RouteTable)

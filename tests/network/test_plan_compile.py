@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arch import build_tiled_machine
 from repro.network import BraidMesh
 from repro.network.events import build_tasks
 from repro.network.plan import BraidPlan
@@ -106,7 +107,9 @@ class TestCompileOracle:
     def test_fig6_apps(self, cache, app, distance, optimize):
         size = FIG6_SIZES[app]
         frontend = compute_frontend(cache, app, size, None)
-        machine = compute_layout(cache, app, size, None, optimize)
+        machine = build_tiled_machine(
+            frontend.circuit, compute_layout(cache, app, size, None, optimize)
+        )
         plan = BraidPlan.build(
             machine.circuit, machine.placement,
             BraidMesh(machine.grid.rows, machine.grid.cols), machine.code,

@@ -31,13 +31,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.ir_checks import check_sched
+from repro.arch import build_tiled_machine
 from repro.network import (
     BraidMesh,
     ReservationSchedule,
     ReservationTable,
     build_reservation,
     ii_lower_bound,
-    reservation_schedule,
 )
 from repro.network.braidsim import simulate_plan
 from repro.network.plan import BraidPlan
@@ -238,7 +238,9 @@ class TestFirstFitOracle:
         self, cache, app, size, refit, distance
     ):
         fe = compute_frontend(cache, app, size, None)
-        machine = compute_layout(cache, app, size, None, True)
+        machine = build_tiled_machine(
+            fe.circuit, compute_layout(cache, app, size, None, True)
+        )
         plan = BraidPlan.build(
             machine.circuit,
             machine.placement,
@@ -258,14 +260,6 @@ class TestFirstFitOracle:
     @settings(max_examples=40, deadline=None)
     def test_matches_probe_loop_on_random_plans(self, plan):
         assert build_reservation(plan) == _probe_reservation(plan)
-
-
-class TestSchedMemo:
-    """The per-plan memo returns identical artifacts per identity."""
-
-    def test_memo_reuses_per_plan(self):
-        plan = _fixed_plan()
-        assert reservation_schedule(plan) is reservation_schedule(plan)
 
 
 class TestCheckSchedPass:

@@ -32,11 +32,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arch import build_tiled_machine
 from repro.network import (
     BraidMesh,
     BraidSimConfig,
     ReferenceBraidSimulator,
-    reservation_schedule,
+    build_reservation,
 )
 from repro.network.braidsim import BraidSimulator, simulate_plan
 from repro.network.events import build_tasks
@@ -187,7 +188,7 @@ def _assert_matches_oracle(plan, policy, config=None):
         _TracingFlat, plan, policy, config
     )
     if POLICIES[policy].family == "reservation":
-        schedule = reservation_schedule(plan)
+        schedule = build_reservation(plan)
         assert flat_result.schedule_length == schedule.makespan
         assert flat_result.drops == flat_result.adaptive_routes == 0
         return flat_result, flat_trace
@@ -337,7 +338,9 @@ class TestDifferentialApplications:
         plans = {}
         for app, size in _APPS:
             fe = compute_frontend(cache, app, size, None)
-            machine = compute_layout(cache, app, size, None, True)
+            machine = build_tiled_machine(
+                fe.circuit, compute_layout(cache, app, size, None, True)
+            )
             plans[app, size] = machine.plan(3, dag=fe.dag)
         return plans
 

@@ -57,9 +57,21 @@ class TestRunBench:
         assert report.reference_braid_seconds is not None
         assert report.braid_speedup is not None
 
+    def test_speedup_divides_by_the_paired_flat_runs(self, report):
+        # The optimized side is timed next to each reference replay,
+        # not taken from the sweep's braid_sim stage.
+        assert report.paired_flat_seconds > 0
+        assert report.braid_seconds == pytest.approx(
+            report.paired_flat_seconds + report.stage_seconds["braid_plan"]
+        )
+        assert report.braid_speedup == pytest.approx(
+            report.reference_braid_seconds / report.braid_seconds, rel=1e-2
+        )
+
     def test_without_reference(self):
         report = run_bench(TINY)
         assert report.reference_braid_seconds is None
+        assert report.paired_flat_seconds is None
         assert report.braid_speedup is None
         assert report.equivalence_checked == 0
 
@@ -105,7 +117,7 @@ class TestReferencePass:
     def test_shared_simulations_replay_once(self):
         cache = StageCache()
         points = SweepRunner(cache=cache).run(TINY).points
-        _, checked = bench._reference_pass(cache, points + points)
+        *_, checked = bench._reference_pass(cache, points + points)
         assert checked == len(points) == 2
 
     def test_replay_reuses_the_sweeps_plans(self):
@@ -114,7 +126,7 @@ class TestReferencePass:
         # One plan per layout: Policy 0's default, Policy 6's optimized.
         assert cache.stats.computed("braid_plan") == 2
         hits = cache.stats.hits.get("braid_plan", 0)
-        _, checked = bench._reference_pass(cache, points)
+        *_, checked = bench._reference_pass(cache, points)
         assert cache.stats.computed("braid_plan") == 2
         assert cache.stats.hits["braid_plan"] == hits + checked == hits + 2
 
@@ -299,16 +311,24 @@ class TestPlanBuildSplit:
             + report.stage_seconds["braid_plan"]
         )
 
-    def test_plan_time_counted_in_speedup_not_ratio_gate(self):
+    def test_plan_time_counted_in_speedup_and_stage_gate(self):
         baseline = _report(
             stage_seconds={"braid_sim": 1.5, "braid_plan": 0.5}
         )
-        # A plan blowup alone cannot slip past the gate: it lowers the
-        # measured speedup instead of hiding behind the ratio slack.
+        # A plan blowup lowers the measured speedup, and the braid
+        # stages' own ratios are gated like every other stage.
         current = _report(
             stage_seconds={"braid_sim": 1.5, "braid_plan": 3.0},
             braid_speedup=10.0 / 4.5,
         )
         failures = compare_reports(current, baseline, tolerance=0.25)
         assert failures and "speedup regressed" in failures[0]
-        assert all("braid_plan" not in f for f in failures)
+        assert [f for f in failures[1:] if "braid_plan regressed" in f]
+
+    def test_braid_sim_stage_gated(self):
+        # A slower sweep-time simulation fails even when the paired
+        # replay keeps the speedup.
+        baseline = _report(stage_seconds={"braid_sim": 2.0})
+        current = _report(stage_seconds={"braid_sim": 4.0})
+        failures = compare_reports(current, baseline, tolerance=0.25)
+        assert failures and "braid_sim regressed" in failures[0]

@@ -1,23 +1,27 @@
 """The ``braid_plan`` / ``lowered`` stages and their cache behavior.
 
 Covers the sweep-level amortization contract (exactly one plan build
-per (app, size, layout, distance) across a Figure 6-shaped sweep, via
-the plan-memo counters), the persisted lowered circuits (disk revival
-skips the builder and the decomposition), and the cache admin commands
-over the new entry kind.
+per (app, size, layout, distance) and one interaction-aware placement
+per instance across a Figure 6-shaped sweep), the persisted lowered
+circuits (disk revival skips the builder and the decomposition), and
+the cache admin commands over the new entry kind.
 """
 
 import dataclasses
+import sys
 
-from repro.network import plan_memo_stats, reset_plan_memo
+from repro.network import plan_memo_stats
+from repro.partition import layout as layout_module
 from repro.qasm import Circuit
 from repro.runner import GridSpec, StageCache, SweepRunner
 from repro.runner.stages import (
     compute_braid,
     compute_braid_plan,
     compute_frontend,
+    compute_layout,
     compute_lowered,
     compute_scaling,
+    compute_simd,
 )
 
 # A Figure 6-shaped smoke grid: every policy (so both layout variants
@@ -31,19 +35,41 @@ FIG6_SHAPED = GridSpec(
 
 
 class TestPlanStage:
-    def test_one_plan_build_per_design_point(self):
+    def test_one_plan_build_per_design_point(self, monkeypatch):
         """The CI smoke contract: a Fig. 6-shaped sweep builds exactly
-        one plan per (app, size, layout, distance)."""
-        reset_plan_memo()
-        runner = SweepRunner(cache=StageCache())
-        result = runner.run(FIG6_SHAPED)
+        one plan per (app, size, layout, distance), and places each
+        instance with the interaction-aware partitioner once for both
+        machines."""
+        partitions = []
+        real = layout_module.optimized_layout
+
+        def counted(graph, grid=None):
+            partitions.append(grid)
+            return real(graph, grid)
+
+        # Every module holding the partitioner by name calls the counter.
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro.") and (
+                getattr(module, "optimized_layout", None) is real
+            ):
+                monkeypatch.setattr(module, "optimized_layout", counted)
+        builds = plan_memo_stats()["builds"]
+        cache = StageCache()
+        result = SweepRunner(cache=cache).run(FIG6_SHAPED)
         assert len(result.points) == 14
         # 2 apps x 2 layout variants (policies 0-1 naive, 2-6
         # optimized) x 1 distance.
-        assert plan_memo_stats()["builds"] == 4
+        assert plan_memo_stats()["builds"] - builds == 4
         assert result.stats.computed("braid_plan") == 4
         assert result.stats.reused("braid_plan") == 10
         assert result.stats.computed("braid_sim") == 14
+        # One partitioner run per app serves the tiled machine's
+        # optimized layout and the Multi-SIMD machine.
+        assert len(partitions) == 2
+        for app, size in FIG6_SHAPED.sizes.items():
+            simd = compute_simd(cache, app, size)
+            placement = compute_layout(cache, app, size, optimize_layout=True)
+            assert simd.machine.placement is placement
 
     def test_plan_stage_self_time_split_from_braid_sim(self):
         cache = StageCache()

@@ -25,7 +25,7 @@ class TestComputeScaling:
 
     def test_matches_direct_calibration(self, cache):
         staged = compute_scaling(cache, APP)
-        direct = calibrate(APP, use_cache=False)
+        direct = calibrate(APP)
         assert staged == direct
 
     def test_fit_and_compiles_are_cached(self, cache):
@@ -60,12 +60,6 @@ class TestComputeScaling:
         assert revived_cache.stats.disk_hits.get("scaling") == 1
         # The fit revived whole; no per-size compile was touched.
         assert revived_cache.stats.misses.get("scaling_calib", 0) == 0
-
-    def test_calibrate_cache_kwarg_routes_through_stages(self, tmp_path):
-        cache = StageCache(tmp_path / "cache")
-        model = calibrate(APP, cache=cache)
-        assert cache.stats.misses.get("scaling") == 1
-        assert model == compute_scaling(cache, APP)
 
 
 class TestScalingInThePipeline:
@@ -104,7 +98,7 @@ class TestScalingInThePipeline:
         # calibration the accounting stage used before.
         cache = StageCache()
         point = run_point(PointSpec(app=APP, size=2, distance=3), cache)
-        direct = calibrate(APP, use_cache=False)
+        direct = calibrate(APP)
         staged = compute_scaling(cache, APP)
         assert staged == direct
         assert point.planar.spacetime > 0

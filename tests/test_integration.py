@@ -14,7 +14,7 @@ from repro.apps import build_circuit
 from repro.arch import build_tiled_machine
 from repro.frontend import decompose_circuit, estimate_circuit
 from repro.network import BraidMesh, simulate_braids
-from repro.partition import GridShape, naive_layout
+from repro.partition import GridShape, circuit_layout, naive_layout
 from repro.qasm import Circuit, CircuitDag, parse_qasm, write_flat_qasm
 from repro.qec import DOUBLE_DEFECT, PLANAR, choose_distance, logical_error_rate
 from repro.tech import OPTIMISTIC
@@ -108,7 +108,7 @@ class TestModelSimConsistency:
 
     def test_tile_models_agree_with_machine_accounting(self):
         circuit = decompose_circuit(build_circuit("im", 4))
-        machine = build_tiled_machine(circuit)
+        machine = build_tiled_machine(circuit, circuit_layout(circuit))
         d = 5
         per_tile = DOUBLE_DEFECT.tile_qubits(d)
         assert machine.physical_qubits(d) % per_tile == 0
@@ -120,7 +120,7 @@ class TestModelSimConsistency:
     def test_toolflow_congestion_matches_direct_sim(self):
         """The toolflow's braid result equals a direct machine sim."""
         circuit = decompose_circuit(build_circuit("im", 4))
-        machine = build_tiled_machine(circuit, optimize_layout=True)
+        machine = build_tiled_machine(circuit, circuit_layout(circuit))
         direct = machine.simulate(6, distance=3)
         repeat = machine.simulate(6, distance=3)
         # Determinism: identical runs give identical schedules.
