@@ -12,6 +12,8 @@ from repro.analysis.verify import (
     lowered_payload_check,
     stage_verifier,
 )
+from repro.partition.layout import GridShape, Placement, circuit_layout
+from repro.qasm.circuit import Circuit
 from repro.runner import stages
 from repro.runner.backends import decode_record, make_record
 from repro.runner.cache import StageCache
@@ -95,6 +97,33 @@ class TestStageVerifyHook:
         bad.apply("TOFFOLI", "a", "b", "c")  # composite: not lowered
         with pytest.raises(AnalysisError):
             verifier(bad)
+
+    def test_layout_verifier_checks_a_bare_placement(self):
+        verifier = stage_verifier("layout")
+        assert verifier is not None
+        circuit = Circuit(qubits=["a", "b"])
+        circuit.apply("CNOT", "a", "b")
+        verifier(circuit_layout(circuit))  # no raise
+        # Bypass the constructor's own check, as a corrupt revival would.
+        bad = object.__new__(Placement)
+        object.__setattr__(bad, "grid", GridShape(1, 2))
+        object.__setattr__(bad, "positions", {"a": (0, 0), "b": (0, 0)})
+        with pytest.raises(AnalysisError, match="already assigned"):
+            verifier(bad)
+
+    def test_verified_layout_serves_both_machines(self):
+        assert stages.set_stage_verification(True) is False
+        try:
+            cache = StageCache()
+            simd = stages.compute_simd(cache, "gse", 3)
+            plan = stages.compute_braid_plan(
+                cache, "gse", 3, optimize_layout=True, distance=3
+            )
+            placement = stages.compute_layout(cache, "gse", 3)
+            assert simd.machine.placement is placement
+            assert len(plan.placement.positions) == len(placement.positions)
+        finally:
+            assert stages.set_stage_verification(False) is True
 
     def test_set_stage_verification_round_trips(self):
         assert stages.set_stage_verification(True) is False

@@ -1,5 +1,7 @@
 """Tests for the tiled and Multi-SIMD machine builders."""
 
+import sys
+
 import pytest
 
 from repro.apps import build_circuit
@@ -9,13 +11,39 @@ from repro.arch import (
     simd_schedule,
 )
 from repro.frontend import decompose_circuit
-from repro.partition import circuit_layout
+from repro.partition import GridShape, Placement, circuit_layout
+from repro.partition import layout as layout_module
 from repro.qasm import Circuit
 
 
 @pytest.fixture(scope="module")
 def im_circuit():
     return decompose_circuit(build_circuit("im", 8))
+
+
+@pytest.fixture
+def no_partitioner(monkeypatch):
+    """Make any placement search inside a builder fail loudly, under
+    whatever name a module holds the placement functions."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("machine builders take a placement as given")
+
+    real = {
+        getattr(layout_module, name)
+        for name in (
+            "bisect",
+            "circuit_layout",
+            "interaction_graph_from_circuit",
+            "naive_layout",
+            "optimized_layout",
+        )
+    }
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("repro."):
+            for name, value in list(vars(module).items()):
+                if callable(value) and value in real:
+                    monkeypatch.setattr(module, name, refuse)
 
 
 class TestTiledMachine:
@@ -65,6 +93,19 @@ class TestTiledMachine:
         machine = build_tiled_machine(c, circuit_layout(c))
         result = machine.simulate(1, distance=3)
         assert result.operations == 1
+
+    def test_builds_around_the_placement_alone(self, no_partitioner):
+        placement = Placement(
+            grid=GridShape(2, 3),
+            positions={"a": (0, 2), "b": (1, 0)},
+        )
+        c = Circuit(qubits=["a", "b"])
+        c.apply("CNOT", "a", "b")
+        machine = build_tiled_machine(c, placement)
+        # The placement's grid, whatever its shape, plus the ring.
+        assert machine.grid == GridShape(4, 5)
+        assert machine.placement.positions == {"a": (1, 3), "b": (2, 1)}
+        assert machine.simulate(6, distance=3).operations == 1
 
 
 class TestSimdSchedule:
@@ -116,6 +157,18 @@ class TestMultiSimdMachine:
         )
         assert machine.regions == 4
         assert len(machine.placement.positions) == im_circuit.num_qubits
+
+    def test_regions_are_the_placement_grid(self, no_partitioner):
+        placement = Placement(
+            grid=GridShape(1, 4),
+            positions={q: (0, i) for i, q in enumerate(["a", "b", "c"])},
+        )
+        c = Circuit(qubits=["a", "b", "c"])
+        c.apply("CNOT", "a", "c")
+        machine = build_multisimd_machine(c, placement, regions=2)
+        assert machine.placement is placement
+        assert machine.region_grid == GridShape(1, 4)
+        assert machine.schedule().length == 1
 
     def test_rejects_bad_regions(self, im_circuit):
         with pytest.raises(ValueError):

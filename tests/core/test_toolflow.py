@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core import run_toolflow
+from repro.runner import StageCache
+from repro.runner.stages import compute_braid_plan
 from repro.tech import INTERMEDIATE
 
 
@@ -44,6 +46,26 @@ class TestToolflow:
     def test_small_instances_prefer_planar(self, im_result):
         # At instance sizes this small, planar must win (Figure 8).
         assert im_result.preferred_code == "planar"
+
+    def test_machines_share_one_placement(self, im_result):
+        # Both machines map the same interaction-aware layout: the
+        # tiled one moves it in by the factory ring.
+        simd = im_result.simd_machine.placement
+        tiled = im_result.tiled_machine.placement
+        assert tiled.positions == {
+            q: (r + 1, c + 1) for q, (r, c) in simd.positions.items()
+        }
+
+    def test_tiled_machine_is_the_simulated_one(self):
+        # The reported machine carries the placement the braids ran on.
+        cache = StageCache()
+        result = run_toolflow("sq", size=2, policy=6, cache=cache)
+        plan = compute_braid_plan(
+            cache, "sq", 2, optimize_layout=True, distance=result.distance
+        )
+        assert cache.stats.computed("braid_plan") == 1
+        assert result.tiled_machine.placement == plan.placement
+        assert result.tiled_machine.grid == plan.placement.grid
 
     def test_inline_depth_variant_runs(self):
         result = run_toolflow(

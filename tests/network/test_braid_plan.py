@@ -221,6 +221,30 @@ class TestPlanMemo:
         ref2 = simulate_braids_reference(c, p2, BraidMesh(2, 2), 6, 3)
         assert (r1, r2) == (ref1, ref2)
 
+    def test_machine_plan_builds_on_every_call(self):
+        cache = StageCache()
+        fe, machine = _contended_instance(cache)
+        builds = plan_memo_stats()["builds"]
+        first = machine.plan(3, dag=fe.dag)
+        second = machine.plan(3, dag=fe.dag)
+        assert plan_memo_stats()["builds"] - builds == 2
+        assert first is not second
+        assert simulate_plan(first, 6) == simulate_plan(second, 6)
+
+    def test_one_explicit_plan_serves_every_policy(self):
+        cache = StageCache()
+        fe, machine = _contended_instance(cache)
+        plan = machine.plan(3, dag=fe.dag)
+        builds = plan_memo_stats()["builds"]
+        shared = [
+            machine.simulate(policy, 3, dag=fe.dag, plan=plan)
+            for policy in range(7)
+        ]
+        assert plan_memo_stats()["builds"] == builds
+        fresh = [machine.simulate(policy, 3, dag=fe.dag) for policy in range(7)]
+        assert plan_memo_stats()["builds"] - builds == 7
+        assert shared == fresh
+
     def test_explicit_plan_with_wrong_distance_rejected(self):
         cache = StageCache()
         fe, machine = _contended_instance(cache)

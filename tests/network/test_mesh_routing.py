@@ -162,3 +162,16 @@ class TestRouteTableSharing:
         b = route_table(92, 92)
         assert a is not b
         assert isinstance(a, RouteTable) and isinstance(b, RouteTable)
+
+    def test_detour_radius_is_part_of_the_key(self):
+        narrow = route_table(93, 93, max_detour=2)
+        wide = route_table(93, 93, max_detour=4)
+        assert narrow is not wide
+        assert (narrow.max_detour, wide.max_detour) == (2, 4)
+        assert route_table(93, 93, max_detour=2) is narrow
+
+    def test_every_shape_stays_shared(self):
+        # A sweep touches a handful of shapes; none is ever dropped.
+        tables = {cols: route_table(3, cols) for cols in range(1, 25)}
+        for cols, table in tables.items():
+            assert route_table(3, cols) is table

@@ -262,6 +262,19 @@ class TestFirstFitOracle:
         assert build_reservation(plan) == _probe_reservation(plan)
 
 
+class TestReservationRebuild:
+    """Every engine run builds its own reservation schedule."""
+
+    def test_rebuilds_are_identical(self):
+        plan = _fixed_plan()
+        first = build_reservation(plan)
+        assert build_reservation(plan) == first
+        # An earlier build still audits clean against the plan, and
+        # two Policy 7 runs (each building afresh) agree.
+        assert check_sched(plan, schedule=first) == []
+        assert simulate_plan(plan, 7) == simulate_plan(plan, 7)
+
+
 class TestCheckSchedPass:
     """``check_sched`` accepts clean artifacts, flags seeded defects."""
 

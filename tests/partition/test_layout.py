@@ -5,14 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import build_circuit
+from repro.frontend import decompose_circuit
 from repro.partition import (
     GridShape,
+    circuit_layout,
     grid_for,
     interaction_graph_from_circuit,
     naive_layout,
     optimized_layout,
     weighted_manhattan_cost,
 )
+from repro.qasm import Circuit
 
 from .conftest import random_graphs, two_cliques
 
@@ -128,3 +131,49 @@ class TestOptimizedLayout:
         assert weighted_manhattan_cost(g, optimized) <= weighted_manhattan_cost(
             g, naive
         )
+
+
+class TestCircuitLayout:
+    """The one placement both machines of an instance map."""
+
+    @pytest.fixture(scope="class")
+    def im_circuit(self):
+        return decompose_circuit(build_circuit("im", 8))
+
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_every_qubit_on_the_smallest_grid(self, im_circuit, optimize):
+        placement = circuit_layout(im_circuit, optimize=optimize)
+        assert placement.grid == grid_for(im_circuit.num_qubits)
+        assert sorted(placement.positions) == sorted(im_circuit.qubits)
+
+    def test_naive_is_program_order(self, im_circuit):
+        placement = circuit_layout(im_circuit, optimize=False)
+        assert placement == naive_layout(
+            im_circuit.qubits, grid_for(im_circuit.num_qubits)
+        )
+
+    def test_optimized_partitions_the_interaction_graph(self, im_circuit):
+        placement = circuit_layout(im_circuit)
+        graph = interaction_graph_from_circuit(im_circuit)
+        assert placement == optimized_layout(
+            graph, grid_for(im_circuit.num_qubits)
+        )
+        naive = circuit_layout(im_circuit, optimize=False)
+        assert weighted_manhattan_cost(graph, placement) <= (
+            weighted_manhattan_cost(graph, naive)
+        )
+
+    def test_idle_qubits_are_placed(self):
+        # A qubit no gate touches still needs a tile on the machine.
+        c = Circuit(qubits=["a", "b", "c"])
+        c.apply("CNOT", "a", "b")
+        for optimize in (True, False):
+            placement = circuit_layout(c, optimize=optimize)
+            assert sorted(placement.positions) == ["a", "b", "c"]
+            assert placement.grid == GridShape(2, 2)
+
+    def test_qubitless_circuit_gets_one_empty_site(self):
+        for optimize in (True, False):
+            placement = circuit_layout(Circuit(qubits=[]), optimize=optimize)
+            assert placement.grid == GridShape(1, 1)
+            assert placement.positions == {}

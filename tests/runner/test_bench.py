@@ -82,6 +82,21 @@ class TestRunBench:
         assert loaded == report
         assert json.loads(path.read_text())["format"] == 1
 
+    def test_report_without_paired_time_loads(self, tmp_path):
+        # Reports recorded before the paired timing still load; their
+        # braid time falls back to the sweep's own stage seconds.
+        payload = _report(
+            stage_seconds={"braid_sim": 2.0, "braid_plan": 0.5}
+        ).to_jsonable()
+        del payload["paired_flat_seconds"]
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        loaded = BenchReport.load(path)
+        assert loaded.paired_flat_seconds is None
+        assert loaded.braid_seconds == 2.5
+        paired = dataclasses.replace(loaded, paired_flat_seconds=1.0)
+        assert paired.braid_seconds == 1.5
+
     def test_unknown_format_rejected(self, report, tmp_path):
         path = tmp_path / "bench.json"
         payload = report.to_jsonable()

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.apps.registry import APPLICATIONS, SIM_SIZES
 from repro.runner.cli import _parse_policies, _parse_size, main
+from repro.runner.sweep import fig6_grid
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -41,6 +43,14 @@ class TestArgParsing:
         assert _parse_size("default", "sq") is None
         assert _parse_size("small", "sq") == 3
         assert _parse_size("7", "sq") == 7
+
+    def test_small_is_each_apps_sim_size(self):
+        for name, spec in APPLICATIONS.items():
+            assert _parse_size("small", name) == spec.sim_size
+        # Aliases resolve to the registry's entry.
+        assert _parse_size("small", "ising") == SIM_SIZES["im"]
+        assert _parse_size("small", "SHA-1") == SIM_SIZES["sha1"]
+        assert fig6_grid().sizes == SIM_SIZES
 
     @pytest.mark.parametrize(
         "argv",

@@ -10,7 +10,10 @@ the cache admin commands over the new entry kind.
 import dataclasses
 import sys
 
+import pytest
+
 from repro.network import plan_memo_stats
+from repro.partition import circuit_layout
 from repro.partition import layout as layout_module
 from repro.qasm import Circuit
 from repro.runner import GridSpec, StageCache, SweepRunner
@@ -94,6 +97,41 @@ class TestPlanStage:
         compute_braid_plan(cache, "sq", 2, optimize_layout=True, distance=3)
         assert cache.stats.computed("frontend") == 1
         assert cache.stats.computed("layout") == 1
+
+
+class TestLayoutStage:
+    """``layout`` holds the bare placement both machines build around."""
+
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_layout_is_the_circuit_layout(self, optimize):
+        cache = StageCache()
+        fe = compute_frontend(cache, "sq", 2)
+        placement = compute_layout(cache, "sq", 2, optimize_layout=optimize)
+        assert placement == circuit_layout(fe.circuit, optimize=optimize)
+
+    def test_simd_machines_share_the_optimized_layout(self):
+        cache = StageCache()
+        placement = compute_layout(cache, "sq", 2, optimize_layout=True)
+        narrow = compute_simd(cache, "sq", 2, regions=2)
+        wide = compute_simd(cache, "sq", 2, regions=8)
+        assert narrow.machine.placement is placement
+        assert wide.machine.placement is placement
+        assert cache.stats.computed("layout") == 1
+        assert cache.stats.reused("layout") == 2
+
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_plan_places_the_layout_inside_the_ring(self, optimize):
+        cache = StageCache()
+        plan = compute_braid_plan(
+            cache, "sq", 2, optimize_layout=optimize, distance=3
+        )
+        placement = compute_layout(cache, "sq", 2, optimize_layout=optimize)
+        assert cache.stats.computed("layout") == 1
+        assert plan.placement.grid.rows == placement.grid.rows + 2
+        assert plan.placement.grid.cols == placement.grid.cols + 2
+        assert plan.placement.positions == {
+            q: (r + 1, c + 1) for q, (r, c) in placement.positions.items()
+        }
 
 
 class TestLoweredStage:

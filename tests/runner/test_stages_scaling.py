@@ -4,11 +4,16 @@ import dataclasses
 
 import pytest
 
-from repro.apps.scaling import calibrate, calibration_sizes
+from repro.apps.scaling import (
+    calibrate,
+    calibration_sizes,
+    fit_scaling_model,
+)
 from repro.core.calibration import calibrate_app
 from repro.runner import StageCache, compute_scaling
 from repro.runner.stages import (
     compute_accounting,
+    compute_frontend,
     run_point,
     scaling_key,
     PointSpec,
@@ -92,6 +97,23 @@ class TestScalingInThePipeline:
             "scaling", 0
         )  # the fit was served from the stage cache
         assert cal.scaling == compute_scaling(cache, APP)
+
+    def test_inline_variant_fits_its_own_frontends(self):
+        # A semi-inlined variant is fitted from its two largest
+        # calibration frontends, compiled through the stage cache.
+        cache = StageCache()
+        cal = calibrate_app(APP, inline_depth=0, distance=3, cache=cache)
+        frontends = cache.stats.computed("frontend")
+        estimates = [
+            compute_frontend(cache, APP, size, 0).logical
+            for size in calibration_sizes(APP)[-2:]
+        ]
+        assert cache.stats.computed("frontend") == frontends
+        assert cal.scaling == fit_scaling_model(f"{APP}-inline0", estimates)
+        assert cal.scaling.calibration_ops == tuple(
+            e.total_operations for e in estimates
+        )
+        assert cache.stats.computed("scaling") == 0
 
     def test_point_results_unchanged_by_staging(self):
         # The staged fit must be numerically identical to the direct
