@@ -3,8 +3,8 @@
 The paper evaluates criticality, length, and braid type individually
 (Policies 3-5) before combining them (Policy 6).  This ablation
 additionally isolates the layout optimization (Policy 2 vs Policy 1)
-and checks the DESIGN.md claim that interaction-aware placement reduces
-weighted communication distance on every application.
+and checks that interaction-aware placement reduces weighted
+communication distance on every application.
 """
 
 import pytest

@@ -9,7 +9,7 @@ Paper claims reproduced and asserted here:
 * Fully-inlined IM sits at or above semi-inlined IM (more inlining ->
   more parallelism -> higher boundary).
 
-Known deviation (see EXPERIMENTS.md): GSE's boundary lands high in our
+Known deviation: GSE's boundary lands high in our
 reproduction because our GSE family is extremely qubit-lean (a handful
 of logical qubits regardless of computation size), which postpones the
 planar swap-distance penalty; the paper's ordering places GSE lowest.

@@ -42,7 +42,6 @@ __all__ = [
     "check_point_artifacts",
     "check_grid",
     "stage_verifier",
-    "lowered_payload_check",
     "lint_source",
     "lint_paths",
 ]
@@ -57,7 +56,6 @@ _LAZY = {
     "CheckReport": "verify",
     "check_grid": "verify",
     "stage_verifier": "verify",
-    "lowered_payload_check": "verify",
     "lint_source": "lint",
     "lint_paths": "lint",
 }

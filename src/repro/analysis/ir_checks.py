@@ -198,6 +198,23 @@ def check_dag(
             f"DAG has {n} nodes for a {len(circuit)}-op circuit",
         ))
     successors = [dag.successors(i) for i in range(n)]
+    stray = [
+        (index, succ)
+        for index, succs in enumerate(successors)
+        for succ in succs
+        if not (0 <= succ < n)
+    ]
+    if stray:
+        # The DAG derives its predecessor lists from these successor
+        # lists, which an edge outside the node range breaks.
+        out.extend(
+            _diag(
+                Severity.ERROR, "dag", artifact, f"op {index}",
+                f"edge {index} -> {succ} leaves the node range [0, {n})",
+            )
+            for index, succ in stray
+        )
+        return out
     predecessors = [dag.predecessors(i) for i in range(n)]
     in_degrees = dag.in_degrees()
     if len(in_degrees) != n:
@@ -210,13 +227,6 @@ def check_dag(
     for index, succs in enumerate(successors):
         where = f"op {index}"
         for succ in succs:
-            if not (0 <= succ < n):
-                out.append(_diag(
-                    Severity.ERROR, "dag", artifact, where,
-                    f"edge {index} -> {succ} leaves the node range [0, {n})",
-                ))
-                bounds_bad = True
-                continue
             if succ <= index:
                 out.append(_diag(
                     Severity.ERROR, "dag", artifact, where,

@@ -1,6 +1,6 @@
 """Grid-level verification driver and cached-stage verify hooks.
 
-Three entry points wire the IR passes of :mod:`.ir_checks` into the
+Two entry points wire the IR passes of :mod:`.ir_checks` into the
 toolflow:
 
 * :func:`check_grid` — compile every unique (app, size, layout,
@@ -14,8 +14,6 @@ toolflow:
   stage's artifact and raises
   :class:`~repro.analysis.diagnostics.AnalysisError` on any ERROR
   finding, so a defective artifact never enters the cache.
-* :func:`lowered_payload_check` — round-trip validator for persisted
-  ``lowered`` payloads, used by ``python -m repro cache verify``.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ import dataclasses
 from typing import Callable, Optional
 
 from ..network.policies import POLICIES
-from ..qasm.circuit import Circuit
 from .diagnostics import Diagnostic, Severity, raise_on_errors
 from .ir_checks import (
     check_circuit,
@@ -38,7 +35,6 @@ __all__ = [
     "CheckReport",
     "check_grid",
     "stage_verifier",
-    "lowered_payload_check",
 ]
 
 
@@ -183,21 +179,3 @@ _STAGE_VERIFIERS: dict[str, Callable[[object], None]] = {
 def stage_verifier(stage: str) -> Optional[Callable[[object], None]]:
     """The ``verify=`` hook for a cached stage (None when unchecked)."""
     return _STAGE_VERIFIERS.get(stage)
-
-
-def lowered_payload_check(payload: object) -> None:
-    """Round-trip-validate one persisted ``lowered`` cache payload.
-
-    Revives the circuit, runs the circuit pass, and re-serializes;
-    raises (``AnalysisError`` or the revival's own error) unless the
-    payload is well-formed and byte-stable.
-    """
-    circuit = Circuit.from_jsonable(payload)
-    raise_on_errors(
-        check_circuit(circuit, artifact="lowered payload", lowered=True)
-    )
-    if circuit.to_jsonable() != payload:
-        raise ValueError(
-            "lowered payload does not round-trip through "
-            "Circuit.from_jsonable/to_jsonable"
-        )

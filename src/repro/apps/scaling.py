@@ -134,10 +134,10 @@ def calibration_estimate(app: str | AppSpec, size: int) -> LogicalEstimate:
     Builds the app's *scaling-regime* circuit (``scaling_build`` when the
     asymptotic family differs from the size knob), lowers it to
     Clifford+T, and summarizes it.  This is the expensive half of a
-    calibration, used by the uncached :func:`calibrate` path; the
-    cached path (:func:`repro.runner.stages.compute_scaling`) instead
-    routes the lowering through the ``lowered`` stage — which persists
-    the circuit itself to disk — and estimates from that.
+    calibration, shared by the uncached :func:`calibrate` path and the
+    cached ``scaling_calib`` stage
+    (:func:`repro.runner.stages.compute_scaling`), which keeps only the
+    returned estimate: the circuit is freed once it has been summarized.
     """
     spec = get_app(app) if isinstance(app, str) else app
     lowered = decompose_circuit(spec.scaling_circuit(size))

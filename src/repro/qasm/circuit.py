@@ -191,8 +191,8 @@ class Circuit:
         :meth:`append`, so ``operations`` must only touch qubits listed
         in ``qubits`` and ``fences`` must already be (position, deduped
         qubit tuple) pairs in output-index space.  Used by passes that
-        transform whole circuits (lowering, cache revival), where the
-        invariants hold by construction.
+        transform whole circuits (lowering), where the invariants hold
+        by construction.
         """
         out = cls(name, qubits=qubits)
         out._operations = list(operations)
@@ -285,61 +285,6 @@ class Circuit:
         for i in indices:
             out.append(self._operations[i])
         return out
-
-    # -- persistence ----------------------------------------------------------
-
-    def to_jsonable(self) -> dict:
-        """Compact JSON payload (see :meth:`from_jsonable`).
-
-        Operations are packed into one newline-separated string —
-        ``GATE q...`` or ``GATE@param q...`` per line — rather than
-        per-op JSON structures: qubit names cannot contain whitespace
-        and gate mnemonics cannot contain ``@``, so the encoding is
-        unambiguous, and a multi-hundred-thousand-op lowered circuit
-        stays one (large) JSON string instead of a million-line array
-        under indented serializers.  Float parameters round-trip
-        exactly via ``repr``.
-        """
-        lines = []
-        for op in self._operations:
-            head = (
-                op.gate if op.param is None else f"{op.gate}@{op.param!r}"
-            )
-            lines.append(head + " " + " ".join(op.qubits))
-        return {
-            "name": self.name,
-            "qubits": list(self._qubits),
-            "ops": "\n".join(lines),
-            "fences": [[pos, list(qs)] for pos, qs in self._fences],
-        }
-
-    @classmethod
-    def from_jsonable(cls, payload: dict) -> "Circuit":
-        """Revive a circuit persisted with :meth:`to_jsonable`.
-
-        Operations are re-validated on construction (the payload may
-        come from an on-disk cache), but qubit registration is bulk:
-        the stored qubit list preserves registration order, which
-        layout passes depend on.
-        """
-        text = payload["ops"]
-        operations = []
-        if text:
-            append = operations.append
-            for line in text.split("\n"):
-                head, *qs = line.split(" ")
-                gate, sep, param = head.partition("@")
-                append(
-                    Operation(
-                        gate, tuple(qs), float(param) if sep else None
-                    )
-                )
-        return cls.from_operations(
-            payload["name"],
-            payload["qubits"],
-            operations,
-            ((int(pos), tuple(qs)) for pos, qs in payload["fences"]),
-        )
 
     def __repr__(self) -> str:
         return (

@@ -33,9 +33,11 @@ class CircuitDag:
     """Data-dependence DAG of a circuit.
 
     Nodes are operation indices (program order).  Edges run from producer
-    to consumer.  All derived quantities (levels, criticality, slack) are
-    computed once, eagerly, because every consumer in the toolflow needs
-    them and the circuits are static.
+    to consumer.  Construction is one pass over the circuit that fills
+    the successor lists, the in-degree counts, the ASAP levels and the
+    depth: what the braid plan, the SIMD scheduler and the frontend
+    estimate read.  Predecessor lists, ALAP levels and criticality are
+    derived from the successor lists on first use.
 
     Args:
         circuit: The circuit to analyze.
@@ -50,75 +52,115 @@ class CircuitDag:
         self.circuit = circuit
         self.latency: LatencyFn = latency or _unit_latency
         self.num_nodes = len(circuit)
-        self._successors: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        self._predecessors: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        self._build_edges()
-        self._asap = self._compute_asap()
-        self._depth = (
-            max(
-                (self._asap[i] + self.latency(circuit[i]) for i in range(self.num_nodes)),
-                default=0,
-            )
-        )
-        self._alap = self._compute_alap()
+        self._predecessors: Optional[list[list[int]]] = None  # lazy
+        self._alap: Optional[list[int]] = None  # lazy
         self._descendant_counts: Optional[list[int]] = None  # lazy
         self._successor_tuples: Optional[tuple[tuple[int, ...], ...]] = None
+        self._build()
+        if latency is not None:
+            self._weight_asap()
 
     # -- construction ---------------------------------------------------------
 
-    def _build_edges(self) -> None:
+    def _build(self) -> None:
+        """Edges, in-degrees and unit-latency ASAP levels in one pass.
+
+        Operation ``j`` depends on the last earlier writer of each of its
+        qubits, plus the producers a fence hands to the next operation
+        on a fenced qubit.  Successor lists grow in program order, so an
+        edge ``(dep, j)`` already exists exactly when ``j`` ends
+        ``dep``'s list: that check deduplicates an operation's
+        dependencies without a per-operation set.
+        """
+        n = self.num_nodes
+        successors: list[list[int]] = [[] for _ in range(n)]
+        in_degree = [0] * n
+        asap = [0] * n
         last_writer: dict[str, int] = {}
-        # Cross-qubit dependencies injected by fences: qubit -> frozenset
-        # of producer indices the next op on that qubit must wait for.
+        last_get = last_writer.get
+        # Cross-qubit dependencies injected by fences: qubit -> producer
+        # indices the next op on that qubit must wait for.
         fence_deps: dict[str, frozenset[int]] = {}
         fences = sorted(self.circuit.fences)
-        fence_cursor = 0
-        seen = set()
+        cursor = 0
+        next_fence = fences[0][0] if fences else n
         for index, op in enumerate(self.circuit):
-            while fence_cursor < len(fences) and fences[fence_cursor][0] <= index:
-                _, fenced_qubits = fences[fence_cursor]
-                producers = frozenset(
-                    last_writer[q] for q in fenced_qubits if q in last_writer
-                )
-                for q in fenced_qubits:
-                    fence_deps[q] = producers | fence_deps.get(q, frozenset())
-                fence_cursor += 1
-            deps = set()
-            for qubit in op.qubits:
-                if qubit in last_writer:
-                    deps.add(last_writer[qubit])
-                if qubit in fence_deps:
-                    deps.update(fence_deps.pop(qubit))
-            deps.discard(index)
-            for dep in sorted(deps):
-                edge = (dep, index)
-                if edge not in seen:
-                    seen.add(edge)
-                    self._successors[dep].append(index)
-                    self._predecessors[index].append(dep)
-            for qubit in op.qubits:
-                last_writer[qubit] = index
+            if index >= next_fence:
+                while cursor < len(fences) and fences[cursor][0] <= index:
+                    fenced_qubits = fences[cursor][1]
+                    producers = frozenset(
+                        last_writer[q] for q in fenced_qubits
+                        if q in last_writer
+                    )
+                    if producers:
+                        for q in fenced_qubits:
+                            earlier = fence_deps.get(q, frozenset())
+                            fence_deps[q] = producers | earlier
+                    cursor += 1
+                next_fence = fences[cursor][0] if cursor < len(fences) else n
+            degree = level = 0
+            for q in op.qubits:
+                # ``index`` stands for "no earlier writer" (and for a
+                # qubit an unvalidated op lists twice).
+                dep = last_get(q, index)
+                last_writer[q] = index
+                if dep != index:
+                    succs = successors[dep]
+                    if not succs or succs[-1] != index:
+                        succs.append(index)
+                        degree += 1
+                        if asap[dep] >= level:
+                            level = asap[dep] + 1
+            if fence_deps:
+                for q in op.qubits:
+                    for dep in fence_deps.pop(q, ()):
+                        succs = successors[dep]
+                        if not succs or succs[-1] != index:
+                            succs.append(index)
+                            degree += 1
+                            if asap[dep] >= level:
+                                level = asap[dep] + 1
+            in_degree[index] = degree
+            asap[index] = level
+        self._successors = successors
+        self._in_degree = in_degree
+        self._asap = asap
+        self._depth = max(asap) + 1 if n else 0
 
-    def _compute_asap(self) -> list[int]:
+    def _weight_asap(self) -> None:
+        """Redo ASAP levels and depth under a non-unit latency."""
+        durations = [self.latency(op) for op in self.circuit]
         asap = [0] * self.num_nodes
-        for index in range(self.num_nodes):  # program order is topological
-            preds = self._predecessors[index]
+        for index, preds in enumerate(self._predecessor_lists()):
             if preds:
-                asap[index] = max(
-                    asap[p] + self.latency(self.circuit[p]) for p in preds
-                )
-        return asap
+                asap[index] = max(asap[p] + durations[p] for p in preds)
+        self._asap = asap
+        self._depth = max(
+            (start + duration for start, duration in zip(asap, durations)),
+            default=0,
+        )
 
-    def _compute_alap(self) -> list[int]:
-        alap = [0] * self.num_nodes
-        for index in range(self.num_nodes - 1, -1, -1):
-            duration = self.latency(self.circuit[index])
-            succs = self._successors[index]
-            if succs:
-                alap[index] = min(alap[s] for s in succs) - duration
-            else:
-                alap[index] = self._depth - duration
-        return alap
+    def _predecessor_lists(self) -> list[list[int]]:
+        if self._predecessors is None:
+            predecessors: list[list[int]] = [[] for _ in range(self.num_nodes)]
+            for index, succs in enumerate(self._successors):
+                for succ in succs:
+                    predecessors[succ].append(index)
+            self._predecessors = predecessors
+        return self._predecessors
+
+    def _alap_levels(self) -> list[int]:
+        if self._alap is None:
+            alap = [0] * self.num_nodes
+            for index in range(self.num_nodes - 1, -1, -1):
+                duration = self.latency(self.circuit[index])
+                succs = self._successors[index]
+                if succs:
+                    alap[index] = min(alap[s] for s in succs) - duration
+                else:
+                    alap[index] = self._depth - duration
+            self._alap = alap
+        return self._alap
 
     EXACT_CRITICALITY_LIMIT = 20_000
     """Above this node count, criticality falls back to DAG height.
@@ -162,14 +204,14 @@ class CircuitDag:
         return list(self._successors[index])
 
     def predecessors(self, index: int) -> list[int]:
-        return list(self._predecessors[index])
+        return list(self._predecessor_lists()[index])
 
     def in_degree(self, index: int) -> int:
-        return len(self._predecessors[index])
+        return self._in_degree[index]
 
     def in_degrees(self) -> list[int]:
         """Fresh per-node in-degree list (callers may mutate their copy)."""
-        return [len(p) for p in self._predecessors]
+        return list(self._in_degree)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All dependence edges as ``(op, successor)`` pairs.
@@ -208,11 +250,11 @@ class CircuitDag:
 
     def sources(self) -> list[int]:
         """Operations with no dependencies (initially ready)."""
-        return [i for i in range(self.num_nodes) if not self._predecessors[i]]
+        return [i for i, degree in enumerate(self._in_degree) if not degree]
 
     def topological_order(self) -> list[int]:
         """Kahn topological order (== program order for valid circuits)."""
-        in_deg = [len(p) for p in self._predecessors]
+        in_deg = list(self._in_degree)
         ready: deque[int] = deque(i for i, d in enumerate(in_deg) if d == 0)
         order: list[int] = []
         while ready:
@@ -237,11 +279,11 @@ class CircuitDag:
         return self._asap[index]
 
     def alap_level(self, index: int) -> int:
-        return self._alap[index]
+        return self._alap_levels()[index]
 
     def slack(self, index: int) -> int:
         """Scheduling freedom: ALAP minus ASAP start time."""
-        return self._alap[index] - self._asap[index]
+        return self._alap_levels()[index] - self._asap[index]
 
     def criticality(self, index: int) -> int:
         """Number of transitive descendants (the paper's criticality).

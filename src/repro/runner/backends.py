@@ -57,9 +57,8 @@ records gained the ``sha256`` integrity checksum (and gzip became the
 write policy for large payloads)."""
 
 GZIP_THRESHOLD = 4096
-"""Records at least this many encoded bytes are gzipped (multi-MB
-``lowered`` payloads compress ~10x; tiny metric records are left as
-grep-able plain JSON)."""
+"""Records at least this many encoded bytes are gzipped (tiny metric
+records are left as grep-able plain JSON)."""
 
 _GZIP_MAGIC = b"\x1f\x8b"
 

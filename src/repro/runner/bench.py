@@ -157,6 +157,9 @@ class BenchReport:
                 f"bench report format {version!r} is not the supported "
                 f"version {BENCH_FORMAT_VERSION}; re-record the report"
             )
+        # Reports recorded while the runner had an engine axis carry an
+        # ``engine`` key; every engine gave bit-identical results.
+        payload.pop("engine", None)
         return cls(**payload)
 
     def save(self, path: Union[str, Path]) -> None:

@@ -20,7 +20,7 @@ import dataclasses
 import os
 import time
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Optional, Union
+from typing import Any, Callable, Iterator, Optional, Union
 
 from .backends import (
     CACHE_FORMAT_VERSION,
@@ -495,12 +495,7 @@ class StageCache:
                     continue
         return removed
 
-    def verify(
-        self,
-        payload_checks: Optional[
-            Mapping[str, Callable[[Any], None]]
-        ] = None,
-    ) -> dict[str, Any]:
+    def verify(self) -> dict[str, Any]:
         """Audit disk payloads: decoding, checksums, digest filenames.
 
         Every record embeds its key's human-readable description;
@@ -512,27 +507,15 @@ class StageCache:
         in another format than :data:`CACHE_FORMAT_VERSION` are listed
         under ``stale_format`` and left for ``prune``.  Returns
         per-problem lists so callers can report or re-prune.
-
-        Args:
-            payload_checks: Optional per-stage validators over the
-                decoded ``value`` payload (e.g.
-                :func:`repro.analysis.verify.lowered_payload_check`
-                for the ``lowered`` stage).  A raising validator marks
-                the entry ``invalid_payload`` — recorded and reported,
-                never propagated, so one corrupt entry doesn't hide
-                the rest.
         """
-        payload_checks = payload_checks or {}
         checked = 0
         ok = 0
         corrupt: list[str] = []
         checksum_bad: list[str] = []
         stale_format: list[str] = []
         mismatched: list[str] = []
-        invalid_payload: list[dict[str, str]] = []
         quarantined: list[str] = []
         for stage_dir in self._stage_dirs():
-            payload_check = payload_checks.get(stage_dir.name)
             for path in sorted(stage_dir.glob("*.json")):
                 checked += 1
                 try:
@@ -570,14 +553,6 @@ class StageCache:
                 ):
                     mismatched.append(str(path))
                     continue
-                if payload_check is not None:
-                    try:
-                        payload_check(record.get("value"))
-                    except Exception as error:
-                        invalid_payload.append(
-                            {"path": str(path), "error": str(error)}
-                        )
-                        continue
                 ok += 1
         return {
             "checked": checked,
@@ -586,7 +561,6 @@ class StageCache:
             "checksum": checksum_bad,
             "stale_format": stale_format,
             "mismatched": mismatched,
-            "invalid_payload": invalid_payload,
             "quarantined": quarantined,
             "quarantined_total": self.quarantined_count(),
         }

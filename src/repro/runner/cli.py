@@ -19,9 +19,9 @@ Subcommands:
   seed loop and a baseline regression gate (the baseline is read and
   checked before anything runs).
 * ``cache`` -- stats / prune / verify for an existing on-disk stage
-  cache directory (``verify`` audits payload checksums and
-  round-trip-validates persisted ``lowered`` circuits; ``stats``
-  reports raw vs. stored bytes).
+  cache directory (``verify`` audits record decoding, payload
+  checksums and digest filenames; ``stats`` reports raw vs. stored
+  bytes).
 * ``check`` -- static IR verification of every compiled artifact of a
   sweep grid through :mod:`repro.analysis` (zero diagnostics on a
   healthy build).
@@ -647,18 +647,13 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         removed = cache.prune(older_than_seconds=seconds, stage=args.stage)
         print(f"pruned {removed} cache entries", file=sys.stderr)
         return 0
-    from ..analysis.verify import lowered_payload_check
-
-    result = cache.verify(
-        payload_checks={"lowered": lowered_payload_check}
-    )
+    result = cache.verify()
     print(json.dumps(result, indent=1))
     bad = (
         len(result["corrupt"])
         + len(result["checksum"])
         + len(result["stale_format"])
         + len(result["mismatched"])
-        + len(result["invalid_payload"])
     )
     if bad:
         print(f"{bad} problematic cache entries", file=sys.stderr)

@@ -4,9 +4,8 @@ The monolithic pipeline is split into explicit stages, each memoized
 through a :class:`~repro.runner.cache.StageCache` under a
 :class:`~repro.runner.keys.StageKey`:
 
-* ``lowered`` — build + Clifford+T lowering of one instance (the only
-  stage persisting a whole circuit to disk, so cold processes with a
-  disk cache skip re-lowering).
+* ``lowered`` — build + Clifford+T lowering of one instance (memory
+  only: lowering again costs less than reviving a stored circuit).
 * ``frontend`` — lowered circuit + DAG + logical estimate.
 * ``layout`` — the data-qubit placement of one instance (naive or
   interaction-aware), shared by both machines.
@@ -19,8 +18,9 @@ through a :class:`~repro.runner.cache.StageCache` under a
   layout, and its logical schedule.
 * ``simd_epr`` — pipelined EPR distribution over that schedule.
 * ``scaling`` — power-law scaling model fitted from calibration
-  instances (with each instance's compile cached under
-  ``scaling_calib`` and its lowered circuit under ``lowered``).
+  instances (each instance's estimate cached under ``scaling_calib``,
+  which builds, lowers and estimates the instance itself and keeps
+  only the estimate).
 * ``accounting`` — planar/double-defect space-time estimates.
 
 Stage compute closures request their upstream stages *through the
@@ -39,6 +39,7 @@ from ..apps.registry import get_app
 from ..apps.scaling import (
     AppScalingModel,
     PowerLaw,
+    calibration_estimate,
     calibration_sizes,
     fit_scaling_model,
 )
@@ -198,42 +199,24 @@ def compute_lowered(
     app: str,
     size: Optional[int] = None,
     inline_depth: Optional[int] = None,
-    scaling: bool = False,
 ) -> Circuit:
     """Build and lower one instance to a flat Clifford+T circuit.
 
-    With ``scaling=True`` the instance comes from the app's
-    *scaling-regime* family (``scaling_build``), the circuits the
-    calibration fits compile.  The lowered circuit — not just its
-    estimate — is persisted to the disk cache level, so a cold process
-    resuming a sweep (or recalibrating) revives the circuit instead of
-    re-running the builder and the decomposition on the largest
-    instances.
+    The stage is memory-only: building and lowering an instance costs
+    about half of what reviving a stored circuit does, so a cold
+    process lowers again instead of reading one back.
     """
     name, size = _resolve(app, size)
     key = StageKey.make(
-        "lowered",
-        app=name,
-        size=size,
-        inline_depth=inline_depth,
-        scaling=scaling,
+        "lowered", app=name, size=size, inline_depth=inline_depth
     )
 
     def build() -> Circuit:
         spec = get_app(name)
-        base = (
-            spec.scaling_circuit(size)
-            if scaling
-            else spec.circuit(size, inline_depth=inline_depth)
-        )
-        return decompose_circuit(base)
+        return decompose_circuit(spec.circuit(size, inline_depth=inline_depth))
 
     return cache.get_or_compute(
-        key,
-        build,
-        to_jsonable=Circuit.to_jsonable,
-        from_jsonable=Circuit.from_jsonable,
-        verify=_stage_verifier("lowered"),
+        key, build, verify=_stage_verifier("lowered")
     )
 
 
@@ -255,10 +238,9 @@ def compute_frontend(
     return cache.get_or_compute(
         frontend_key(name, size, inline_depth),
         build,
-        # The live DAG stays memory-only; the lowered circuit persists
-        # under the nested ``lowered`` stage, and the logical estimate
-        # is persisted for cache inspection (nothing revives it --
-        # reports read whole grid-point payloads instead).
+        # The live circuit and DAG stay memory-only; the logical
+        # estimate is persisted for cache inspection (nothing revives
+        # it -- reports read whole grid-point payloads instead).
         to_jsonable=lambda fe: dataclasses.asdict(fe.logical),
         verify=_stage_verifier("frontend"),
     )
@@ -459,11 +441,11 @@ def compute_scaling(
     its own ``scaling_calib`` stage keyed on ``(app, size)``, so two
     fits over overlapping size lists — or repeated sweeps — compile
     every instance at most once per cache (and never again once the
-    disk level holds it).  The instance's lowered circuit itself goes
-    through the ``lowered`` stage (``scaling=True``), which persists it
-    to disk: even when only the estimate payloads have been pruned, a
-    cold recalibration revives the circuit instead of re-lowering the
-    largest instances.
+    disk level holds its estimate).  The stage builds, lowers and
+    estimates the instance through
+    :func:`~repro.apps.scaling.calibration_estimate` and keeps only the
+    estimate, so each calibration circuit is freed as soon as it has
+    been summarized.
     """
     name = get_app(app).name
     chosen = tuple(sizes) if sizes is not None else calibration_sizes(name)
@@ -472,9 +454,7 @@ def compute_scaling(
         key = StageKey.make("scaling_calib", app=name, size=size)
         return cache.get_or_compute(
             key,
-            lambda: estimate_circuit(
-                compute_lowered(cache, name, size, scaling=True)
-            ),
+            lambda: calibration_estimate(name, size),
             to_jsonable=dataclasses.asdict,
             from_jsonable=lambda payload: LogicalEstimate(**payload),
         )

@@ -1,5 +1,4 @@
-"""``repro check`` / ``repro lint`` CLIs, stage verify hooks, and the
-round-trip validation of persisted ``lowered`` cache payloads."""
+"""``repro check`` / ``repro lint`` CLIs and the stage verify hooks."""
 
 import json
 from pathlib import Path
@@ -7,15 +6,10 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import AnalysisError
-from repro.analysis.verify import (
-    check_grid,
-    lowered_payload_check,
-    stage_verifier,
-)
+from repro.analysis.verify import check_grid, stage_verifier
 from repro.partition.layout import GridShape, Placement, circuit_layout
 from repro.qasm.circuit import Circuit
 from repro.runner import stages
-from repro.runner.backends import decode_record, make_record
 from repro.runner.cache import StageCache
 from repro.runner.cli import main
 from repro.runner.keys import StageKey
@@ -145,84 +139,3 @@ class TestStageVerifyHook:
 
     def teardown_method(self):
         stages.set_stage_verification(False)
-
-
-def _persist_lowered(tmp_path):
-    cache = StageCache(tmp_path / "cache")
-    stages.compute_lowered(cache, "gse", 3)
-    files = list((tmp_path / "cache" / "lowered").glob("*.json"))
-    assert len(files) == 1
-    return cache, files[0]
-
-
-def _rewrite_value(path, mutate):
-    # Entries may be gzipped and carry a payload checksum; decode through
-    # the backend helpers and re-record so only the mutation is visible.
-    record = decode_record(path.read_bytes(), path=path)
-    record = make_record(record["key"], mutate(record["value"]))
-    path.write_text(json.dumps(record), encoding="utf-8")
-
-
-class TestCacheVerifyRoundTrip:
-    def test_intact_payload_verifies(self, tmp_path):
-        cache, _ = _persist_lowered(tmp_path)
-        result = cache.verify(
-            payload_checks={"lowered": lowered_payload_check}
-        )
-        assert result["checked"] >= 1
-        assert result["invalid_payload"] == []
-        assert result["ok"] == result["checked"]
-
-    def test_bad_arity_payload_is_reported_not_raised(self, tmp_path):
-        cache, path = _persist_lowered(tmp_path)
-
-        def mutate(value):
-            lines = value["ops"].split("\n")
-            lines[0] = "CNOT " + lines[0].split(" ", 1)[1].split(" ")[0]
-            value["ops"] = "\n".join(lines)
-            return value
-
-        _rewrite_value(path, mutate)
-        result = cache.verify(
-            payload_checks={"lowered": lowered_payload_check}
-        )
-        (entry,) = result["invalid_payload"]
-        assert entry["path"] == str(path)
-        assert "CNOT" in entry["error"]
-
-    def test_dangling_operand_payload_is_reported(self, tmp_path):
-        cache, path = _persist_lowered(tmp_path)
-
-        def mutate(value):
-            # Drop a registered qubit: its operations now dangle.
-            value["qubits"] = value["qubits"][1:]
-            return value
-
-        _rewrite_value(path, mutate)
-        result = cache.verify(
-            payload_checks={"lowered": lowered_payload_check}
-        )
-        (entry,) = result["invalid_payload"]
-        assert "dangling" in entry["error"]
-
-    def test_cache_verify_cli_reports_and_fails(self, tmp_path, capsys):
-        _, path = _persist_lowered(tmp_path)
-        _rewrite_value(
-            path, lambda value: {**value, "qubits": value["qubits"][1:]}
-        )
-        exit_code = main([
-            "cache", "verify", "--cache-dir", str(tmp_path / "cache")
-        ])
-        assert exit_code == 1
-        captured = capsys.readouterr()
-        payload = json.loads(captured.out)
-        assert len(payload["invalid_payload"]) == 1
-        assert "problematic" in captured.err
-
-    def test_cache_verify_cli_clean(self, tmp_path, capsys):
-        _persist_lowered(tmp_path)
-        exit_code = main([
-            "cache", "verify", "--cache-dir", str(tmp_path / "cache")
-        ])
-        assert exit_code == 0
-        assert "verified" in capsys.readouterr().err

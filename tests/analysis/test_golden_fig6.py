@@ -58,7 +58,7 @@ class TestFig6Golden:
         code = main(["cache", "verify", "--cache-dir", str(fig6_cache_dir)])
         assert code == 0
         result = json.loads(capsys.readouterr().out)
-        assert result["ok"] == result["checked"] == 8
+        assert result["ok"] == result["checked"] == 4
         entries = fig6_cache_dir.glob("*/*.json")
         stages = sorted(entry.parent.name for entry in entries)
-        assert stages == ["frontend"] * 4 + ["lowered"] * 4
+        assert stages == ["frontend"] * 4

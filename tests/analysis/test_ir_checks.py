@@ -56,6 +56,21 @@ def tiny_plan(distance=3):
     return machine.plan(distance)
 
 
+def seed_edge(dag, src, dst, mirrored=True):
+    """Plant the edge ``src -> dst`` by direct list mutation.
+
+    The DAG derives its predecessor lists from the successor lists on
+    first use, so they are derived before the plant: a mirrored edge
+    then enters both lists and the in-degree count, an unmirrored one
+    the successor list alone.
+    """
+    predecessors = dag._predecessor_lists()
+    dag._successors[src].append(dst)
+    if mirrored:
+        predecessors[dst].append(src)
+        dag._in_degree[dst] += 1
+
+
 def corrupted(plan, **overrides):
     """Clone a plan through its raw constructor with fields replaced."""
     fields = {name: getattr(plan, name) for name in BraidPlan.__slots__}
@@ -160,8 +175,7 @@ class TestDagDefects:
     def test_back_edge_violates_program_order(self):
         c = tiny_circuit()
         dag = CircuitDag(c)
-        dag._successors[5].append(4)
-        dag._predecessors[4].append(5)
+        seed_edge(dag, 5, 4)
         diags = errors_of(check_dag(dag, circuit=c), "dag")
         assert any("program order" in d.message for d in diags)
 
@@ -169,18 +183,16 @@ class TestDagDefects:
         c = tiny_circuit()
         dag = CircuitDag(c)
         # 4 <-> 5 cycle (one direction may already exist).
-        if 5 not in dag._successors[4]:
-            dag._successors[4].append(5)
-            dag._predecessors[5].append(4)
-        dag._successors[5].append(4)
-        dag._predecessors[4].append(5)
+        if 5 not in dag.successors(4):
+            seed_edge(dag, 4, 5)
+        seed_edge(dag, 5, 4)
         diags = errors_of(check_dag(dag, circuit=c), "dag")
         assert any("cycle" in d.message for d in diags)
 
     def test_unmirrored_edge(self):
         c = tiny_circuit()
         dag = CircuitDag(c)
-        dag._successors[0].append(len(c) - 1)  # no predecessor entry
+        seed_edge(dag, 0, len(c) - 1, mirrored=False)
         diags = errors_of(check_dag(dag, circuit=c), "dag")
         assert any("mirrored" in d.message for d in diags)
 
@@ -435,8 +447,7 @@ def test_seeded_back_edge_is_always_flagged(circuit, data):
     src = data.draw(
         st.integers(min_value=dst + 1, max_value=dag.num_nodes - 1)
     )
-    dag._successors[src].append(dst)
-    dag._predecessors[dst].append(src)
+    seed_edge(dag, src, dst)
     diags = errors_of(check_dag(dag, circuit=circuit), "dag")
     assert diags
 

@@ -33,8 +33,8 @@ from repro.network import (
 from repro.partition import circuit_layout
 from repro.qasm import Circuit, CircuitDag
 
-CLIFFORD_T_1Q = ["H", "X", "Y", "Z", "S", "SDG", "T", "TDG", "PREPZ", "MEASZ"]
-CLIFFORD_2Q = ["CNOT", "CZ", "SWAP"]
+from ..qasm.conftest import clifford_t_circuits
+
 
 
 # -- reference code: the loops the flat path replaced -----------------------
@@ -199,29 +199,6 @@ def demand_lists(draw):
         )
         for i in range(count)
     ]
-
-
-@st.composite
-def clifford_t_circuits(draw):
-    """Small random Clifford+T circuits, some with fences."""
-    num_qubits = draw(st.integers(1, 7))
-    qubits = [f"q{i}" for i in range(num_qubits)]
-    circuit = Circuit("random", qubits=qubits)
-    for _ in range(draw(st.integers(0, 40))):
-        roll = draw(st.integers(0, 19))
-        if roll == 0:
-            circuit.add_fence(
-                draw(st.lists(st.sampled_from(qubits), max_size=3)) or None
-            )
-        elif num_qubits >= 2 and roll < 9:
-            pair = draw(st.permutations(qubits))[:2]
-            circuit.apply(draw(st.sampled_from(CLIFFORD_2Q)), *pair)
-        else:
-            circuit.apply(
-                draw(st.sampled_from(CLIFFORD_T_1Q)),
-                draw(st.sampled_from(qubits)),
-            )
-    return circuit
 
 
 # -- the pipeline core -------------------------------------------------------

@@ -1,7 +1,8 @@
 """Shared strategies for the qasm test package.
 
-``circuits`` is also imported by the frontend schedule tests, so it
-lives here rather than in any one test module.
+``circuits`` is also imported by the frontend schedule tests, and
+``clifford_t_circuits`` by the Multi-SIMD differential tests, so they
+live here rather than in any one test module.
 """
 
 from hypothesis import strategies as st
@@ -37,4 +38,27 @@ def circuits(draw) -> Circuit:
         else:
             gate = draw(st.sampled_from(SINGLE_QUBIT_GATES))
             circuit.apply(gate, draw(st.sampled_from(qubits)))
+    return circuit
+
+
+@st.composite
+def clifford_t_circuits(draw) -> Circuit:
+    """Small random Clifford+T circuits, some with fences."""
+    num_qubits = draw(st.integers(1, 7))
+    qubits = [f"q{i}" for i in range(num_qubits)]
+    circuit = Circuit("random", qubits=qubits)
+    for _ in range(draw(st.integers(0, 40))):
+        roll = draw(st.integers(0, 19))
+        if roll == 0:
+            circuit.add_fence(
+                draw(st.lists(st.sampled_from(qubits), max_size=3)) or None
+            )
+        elif num_qubits >= 2 and roll < 9:
+            pair = draw(st.permutations(qubits))[:2]
+            circuit.apply(draw(st.sampled_from(TWO_QUBIT_GATES)), *pair)
+        else:
+            circuit.apply(
+                draw(st.sampled_from(SINGLE_QUBIT_GATES)),
+                draw(st.sampled_from(qubits)),
+            )
     return circuit

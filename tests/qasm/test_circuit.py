@@ -153,50 +153,8 @@ class TestCircuitTransforms:
         assert len(c) == 4
 
 
-class TestCircuitSerialization:
-    """JSON round-trip and the trusted bulk constructor."""
-
-    def _roundtrip(self, circuit: Circuit) -> Circuit:
-        import json
-
-        payload = json.loads(json.dumps(circuit.to_jsonable()))
-        return Circuit.from_jsonable(payload)
-
-    def test_round_trip_preserves_everything(self):
-        c = bell_pair()
-        c.add_qubit("spare")  # registered but unused: order matters
-        c.apply("RZ", "a", param=0.12345678901234567)
-        c.add_fence(["a", "b"])
-        c.apply("T", "b")
-        c.add_fence()
-        revived = self._roundtrip(c)
-        assert revived.name == c.name
-        assert revived.qubits == c.qubits
-        assert revived.fences == c.fences
-        assert [str(op) for op in revived] == [str(op) for op in c]
-        assert revived.operations == c.operations
-
-    def test_float_params_round_trip_exactly(self):
-        import math
-
-        c = Circuit("params")
-        for angle in (math.pi, -1e-300, 0.1 + 0.2, 7.0):
-            c.apply("RZ", "q", param=angle)
-        revived = self._roundtrip(c)
-        assert [op.param for op in revived] == [op.param for op in c]
-
-    def test_empty_circuit_round_trips(self):
-        c = Circuit("empty", qubits=["a", "b"])
-        revived = self._roundtrip(c)
-        assert revived.qubits == ["a", "b"]
-        assert len(revived) == 0
-        assert revived.fences == []
-
-    def test_revived_operations_are_validated(self):
-        payload = bell_pair().to_jsonable()
-        payload["ops"] = "CNOT a a"
-        with pytest.raises(ValueError, match="distinct"):
-            Circuit.from_jsonable(payload)
+class TestBulkConstructor:
+    """The trusted bulk constructor that lowering builds circuits with."""
 
     def test_from_operations_adopts_in_order(self):
         ops = [Operation("H", ("a",)), Operation("CNOT", ("a", "b"))]

@@ -18,12 +18,9 @@ from repro.runner.bench import (
 TINY = GridSpec(
     apps=("sq",), sizes={"sq": 2}, policies=(0, 6), distance=3
 )
-CI_BASELINE = (
-    Path(__file__).resolve().parents[2]
-    / "benchmarks"
-    / "baselines"
-    / "bench_ci.json"
-)
+REPO = Path(__file__).resolve().parents[2]
+CI_BASELINE = REPO / "benchmarks" / "baselines" / "bench_ci.json"
+COMMITTED_REPORTS = [*sorted(REPO.glob("BENCH_*.json")), CI_BASELINE]
 
 
 class TestGridPresets:
@@ -104,6 +101,27 @@ class TestRunBench:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ValueError, match="format"):
             BenchReport.load(path)
+
+
+class TestCommittedReports:
+    """Every committed bench report loads, old fields and all."""
+
+    @pytest.mark.parametrize(
+        "path", COMMITTED_REPORTS, ids=lambda path: path.name
+    )
+    def test_loads(self, path):
+        report = BenchReport.load(path)
+        assert report.points > 0
+        assert report.stage_seconds
+
+    def test_series_is_covered(self):
+        names = {path.name for path in COMMITTED_REPORTS}
+        assert {"BENCH_6.json", "bench_ci.json"} <= names
+
+    def test_engine_key_is_dropped(self):
+        # Reports from the engine-axis runner carry ``engine``.
+        payload = {**_report().to_jsonable(), "engine": "vec"}
+        assert BenchReport.from_jsonable(payload) == _report()
 
 
 class TestReferencePass:
@@ -289,7 +307,7 @@ class TestBaselineCli:
             None,
             "{corrupt",
             "[]",
-            json.dumps({**_report().to_jsonable(), "engine": "flat"}),
+            json.dumps({**_report().to_jsonable(), "no_such_field": 1}),
             json.dumps(_report(grid="fig6").to_jsonable()),
         ],
         ids=["missing", "corrupt", "not-an-object", "unknown-field",

@@ -2,21 +2,25 @@
 
 Covers the sweep-level amortization contract (exactly one plan build
 per (app, size, layout, distance) and one interaction-aware placement
-per instance across a Figure 6-shaped sweep), the persisted lowered
-circuits (disk revival skips the builder and the decomposition), and
-the cache admin commands over the new entry kind.
+per instance across a Figure 6-shaped sweep), the memory-only lowered
+circuits (no disk record, calibration instances never enter the
+stage), and the cache admin commands over ``lowered`` entries that
+older versions stored.
 """
 
 import dataclasses
+import json
 import sys
 
 import pytest
 
+from repro.apps.scaling import calibrate
 from repro.network import plan_memo_stats
 from repro.partition import circuit_layout
 from repro.partition import layout as layout_module
-from repro.qasm import Circuit
 from repro.runner import GridSpec, StageCache, SweepRunner
+from repro.runner.cli import main
+from repro.runner.keys import StageKey
 from repro.runner.stages import (
     compute_braid,
     compute_braid_plan,
@@ -135,83 +139,79 @@ class TestLayoutStage:
 
 
 class TestLoweredStage:
-    def test_frontend_persists_lowered_circuit(self, tmp_path):
-        cold = StageCache(tmp_path)
-        fe = compute_frontend(cold, "sq", 2)
-        assert cold.stats.computed("lowered") == 1
-        # A fresh process (same disk level) revives the circuit instead
-        # of re-running the builder + decomposition.
-        warm = StageCache(tmp_path)
-        revived = compute_frontend(warm, "sq", 2)
-        assert warm.stats.disk_hits.get("lowered") == 1
-        assert warm.stats.computed("lowered") == 0
-        assert revived.circuit.qubits == fe.circuit.qubits
-        assert len(revived.circuit) == len(fe.circuit)
-        assert revived.circuit.gate_counts() == fe.circuit.gate_counts()
-        assert revived.logical == fe.logical
+    """``lowered`` is memory-only, and calibration instances skip it."""
 
-    def test_revived_circuit_simulates_bit_identically(self, tmp_path):
-        cold = StageCache(tmp_path)
-        first = compute_braid(cold, "sq", 2, policy=6, distance=3)
-        warm = StageCache(tmp_path)
-        warm_cache_braid = compute_braid(warm, "sq", 2, policy=5, distance=3)
-        fresh = StageCache()
-        assert warm.stats.disk_hits.get("lowered") == 1
-        assert compute_braid(fresh, "sq", 2, policy=5, distance=3) == (
-            warm_cache_braid
+    def test_cold_sweep_stores_no_lowered_record(self, tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        args = [
+            "sweep", "--apps", "sq", "--size", "2", "--policies", "0,6",
+            "--distance", "3", "--cache-dir", str(cache_dir),
+        ]
+        assert main([*args, "--out", str(tmp_path / "cold.json")]) == 0
+        assert list(cache_dir.glob("lowered/*.json")) == []
+        assert list(cache_dir.glob("frontend/*.json"))
+        # A warm re-run from that cache gives equal points.
+        assert main([*args, "--out", str(tmp_path / "warm.json")]) == 0
+        capsys.readouterr()
+        cold, warm = (
+            json.loads((tmp_path / name).read_text())["points"]
+            for name in ("cold.json", "warm.json")
         )
-        assert compute_braid(fresh, "sq", 2, policy=6, distance=3) == first
+        assert len(cold) == 2
+        assert warm == cold
 
-    def test_scaling_calibration_persists_lowered_circuits(self, tmp_path):
-        cold = StageCache(tmp_path)
-        model = compute_scaling(cold, "sq", sizes=(2, 3))
-        assert cold.stats.computed("lowered") == 2
-        # Drop only the estimates: the lowered circuits still revive,
-        # so recalibration skips the expensive builder+lowering.
-        cold.prune(stage="scaling_calib")
-        cold.prune(stage="scaling")
-        warm = StageCache(tmp_path)
-        again = compute_scaling(warm, "sq", sizes=(2, 3))
-        assert warm.stats.disk_hits.get("lowered") == 2
-        assert warm.stats.computed("lowered") == 0
-        assert again == model
+    def test_frontend_lowers_in_memory(self, tmp_path):
+        cache = StageCache(tmp_path)
+        fe = compute_frontend(cache, "sq", 2)
+        assert compute_lowered(cache, "sq", 2) is fe.circuit
+        assert cache.stats.computed("lowered") == 1
+        assert cache.stats.reused("lowered") == 1
+        assert "lowered" not in cache.disk_stats()["stages"]
+        # A fresh process on the same disk level lowers again.
+        fresh = StageCache(tmp_path)
+        again = compute_lowered(fresh, "sq", 2)
+        assert fresh.stats.computed("lowered") == 1
+        assert [str(op) for op in again] == [str(op) for op in fe.circuit]
+        assert again.fences == fe.circuit.fences
 
-    def test_scaling_and_sim_instances_keyed_apart(self):
-        """Same (app, size), different circuit family: two cache keys."""
+    def test_scaling_computes_no_lowered_entry(self):
         cache = StageCache()
-        compute_lowered(cache, "gse", 3)
-        compute_lowered(cache, "gse", 3, scaling=True)
-        assert cache.stats.computed("lowered") == 2
-        # Repeats of either family hit their own entry.
-        compute_lowered(cache, "gse", 3)
-        compute_lowered(cache, "gse", 3, scaling=True)
-        assert cache.stats.computed("lowered") == 2
-        assert cache.stats.reused("lowered") == 2
-
-    def test_fences_round_trip_through_disk(self, tmp_path):
-        cold = StageCache(tmp_path)
-        fenced = compute_lowered(cold, "im", 4, inline_depth=0)
-        assert fenced.fences, "inline_depth=0 should fence module calls"
-        warm = StageCache(tmp_path)
-        revived = compute_lowered(warm, "im", 4, inline_depth=0)
-        assert warm.stats.disk_hits.get("lowered") == 1
-        assert revived.fences == fenced.fences
-        assert revived.qubits == fenced.qubits
-        assert [str(op) for op in revived] == [str(op) for op in fenced]
+        model = compute_scaling(cache, "sq", sizes=(2, 3))
+        assert cache.stats.computed("scaling_calib") == 2
+        assert cache.stats.computed("lowered") == 0
+        assert len(cache) == 3  # one fit and two estimates, no circuit
+        assert model == calibrate("sq", (2, 3))
 
 
 class TestCacheAdminWithNewStages:
-    def test_stats_prune_verify_cover_lowered_entries(self, tmp_path):
+    def test_stored_lowered_entry_verifies_and_prunes(self, tmp_path, capsys):
+        """A ``lowered`` record in the format older versions stored is
+        never read again, passes ``cache verify``, and goes with
+        ``cache prune --stage lowered``."""
         cache = StageCache(tmp_path)
         compute_frontend(cache, "sq", 2)
-        stats = cache.disk_stats()
-        assert "lowered" in stats["stages"]
-        assert stats["stages"]["lowered"]["entries"] == 1
-        verified = cache.verify()
-        assert verified["ok"] == verified["checked"] > 0
-        removed = cache.prune(stage="lowered")
-        assert removed == 1
-        assert "lowered" not in cache.disk_stats()["stages"]
+        key = StageKey.make(
+            "lowered", app="sq", size=2, inline_depth=None, scaling=False
+        )
+        cache.store_payload(key, {
+            "name": "sq", "qubits": ["a", "b"],
+            "ops": "H a\nCNOT a b", "fences": [],
+        })
+        assert cache.disk_stats()["stages"]["lowered"]["entries"] == 1
+        assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 0
+        verified = json.loads(capsys.readouterr().out)
+        assert verified["ok"] == verified["checked"] == 2
+        fresh = StageCache(tmp_path)
+        compute_lowered(fresh, "sq", 2)
+        assert fresh.stats.computed("lowered") == 1
+        assert not fresh.stats.disk_hits.get("lowered")
+        assert main([
+            "cache", "prune", "--stage", "lowered",
+            "--cache-dir", str(tmp_path),
+        ]) == 0
+        capsys.readouterr()
+        stages = StageCache(tmp_path).disk_stats()["stages"]
+        assert sorted(stages) == ["frontend"]
 
 
 class TestParallelSweepStillDedups:
@@ -229,16 +229,3 @@ class TestParallelSweepStillDedups:
         assert [p.to_jsonable() for p in result.points] == [
             p.to_jsonable() for p in serial.points
         ]
-
-    def test_lowered_payload_revives_circuit_equal(self, tmp_path):
-        from repro.runner.keys import StageKey
-
-        cache = StageCache(tmp_path)
-        circuit = compute_lowered(cache, "gse", 3)
-        key = StageKey.make(
-            "lowered", app="gse", size=3, inline_depth=None, scaling=False
-        )
-        payload = cache.load_payload(key)
-        assert payload is not None
-        revived = Circuit.from_jsonable(payload)
-        assert [str(op) for op in revived] == [str(op) for op in circuit]

@@ -1,9 +1,11 @@
 """Documentation health: links resolve, code blocks doctest clean.
 
-Every relative link in README.md and docs/*.md must resolve, and
-every one of those files with ``>>>`` examples must pass
-``doctest.testfile``.  The checks live in the test suite, so local
-``pytest`` and CI's test job catch a broken link or stale example.
+Every relative link in README.md and docs/*.md must resolve, every
+one of those files with ``>>>`` examples must pass
+``doctest.testfile``, and every ``*.md`` file a Python file under
+``src/``, ``benchmarks/`` or ``examples/`` names must exist.  The
+checks live in the test suite, so local ``pytest`` and CI's test job
+catch a broken link, a stale example or a dangling doc reference.
 """
 
 import doctest
@@ -19,6 +21,8 @@ DOCS = sorted(
 )
 
 LINK = re.compile(r"\[[^\]]+\]\(([^)#]+)(#[^)]*)?\)")
+MD_NAME = re.compile(r"[\w./-]*\w\.md\b")
+CODE_DIRS = ("src", "benchmarks", "examples")
 
 
 def _relative_links(path: Path):
@@ -56,3 +60,15 @@ def test_readme_points_at_docs():
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     assert "docs/ARCHITECTURE.md" in readme
     assert "docs/PERFORMANCE.md" in readme
+
+
+def test_docs_named_in_code_exist():
+    """A ``*.md`` named in code exists at the repo root or in docs/."""
+    dangling = [
+        f"{path.relative_to(REPO)}: {name}"
+        for folder in CODE_DIRS
+        for path in sorted((REPO / folder).rglob("*.py"))
+        for name in MD_NAME.findall(path.read_text(encoding="utf-8"))
+        if not (REPO / name).exists() and not (REPO / "docs" / name).exists()
+    ]
+    assert not dangling, dangling
