@@ -7,9 +7,9 @@ depend on instance sizes and decomposition choices; the reproduced
 assertions.
 """
 
-from repro.apps import APPLICATIONS, build_circuit
+from repro.apps import APPLICATIONS
 from repro.core import format_table2_rows
-from repro.frontend import decompose_circuit, estimate_circuit
+from repro.frontend import estimate_program
 
 TABLE2_SIZES = {"gse": 6, "sq": 4, "sha1": 8, "im": 64}
 
@@ -18,8 +18,8 @@ def _measure():
     rows = []
     for name in ("gse", "sq", "sha1", "im"):
         spec = APPLICATIONS[name]
-        circuit = decompose_circuit(build_circuit(name, TABLE2_SIZES[name]))
-        estimate = estimate_circuit(circuit)
+        size = TABLE2_SIZES[name]
+        estimate = estimate_program(spec.build(size), f"{name}[{size}]")
         rows.append(
             (
                 spec.title,

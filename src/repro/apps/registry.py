@@ -54,12 +54,9 @@ class AppSpec:
     serial: bool
     scaling_build: Optional[Callable[[int], Program]] = None
 
-    def scaling_circuit(self, size: int) -> Circuit:
+    def scaling_program(self, size: int) -> Program:
         """Build a calibration instance in the asymptotic-growth regime."""
-        builder = self.scaling_build or self.build
-        circuit = flatten(builder(size))
-        circuit.name = f"{self.name}[scaling:{size}]"
-        return circuit
+        return (self.scaling_build or self.build)(size)
 
     def circuit(
         self, size: Optional[int] = None, inline_depth: Optional[int] = None

@@ -4,7 +4,10 @@ Figures 7--9 sweep computation sizes up to 1/pL = 1e24 logical
 operations -- far beyond anything that can be generated and simulated
 directly.  The paper handles this the same way: small instances are
 compiled and simulated; their characteristics (qubit count vs. operation
-count, parallelism factor, T fraction) are then extrapolated.
+count, parallelism factor, T fraction) are then extrapolated.  Here a
+calibration instance is summarized straight from its hierarchical
+program (:func:`calibration_estimate`): only its estimate is kept, so
+its flat and lowered circuits are never built.
 
 :class:`AppScalingModel` fits log-log linear models (power laws) of
 ``logical qubits`` and ``critical path`` against ``total operations``
@@ -21,8 +24,7 @@ import math
 from statistics import fmean
 from typing import Optional, Sequence
 
-from ..frontend.decompose import decompose_circuit
-from ..frontend.estimate import LogicalEstimate, estimate_circuit
+from ..frontend.estimate import LogicalEstimate, estimate_program
 from .registry import AppSpec, get_app
 
 __all__ = [
@@ -129,19 +131,21 @@ def calibration_sizes(app: str | AppSpec) -> tuple[int, ...]:
 
 
 def calibration_estimate(app: str | AppSpec, size: int) -> LogicalEstimate:
-    """Compile and estimate one calibration instance.
+    """Estimate one calibration instance, named ``app[scaling:size]``.
 
-    Builds the app's *scaling-regime* circuit (``scaling_build`` when the
-    asymptotic family differs from the size knob), lowers it to
-    Clifford+T, and summarizes it.  This is the expensive half of a
+    Builds the app's *scaling-regime* program (``scaling_build`` when
+    the asymptotic family differs from the size knob) and summarizes
+    it with :func:`~repro.frontend.estimate.estimate_program`, which
+    gives the estimate of its flattened, Clifford+T-lowered circuit
+    without building either.  This is the expensive half of a
     calibration, shared by the uncached :func:`calibrate` path and the
     cached ``scaling_calib`` stage
-    (:func:`repro.runner.stages.compute_scaling`), which keeps only the
-    returned estimate: the circuit is freed once it has been summarized.
+    (:func:`repro.runner.stages.compute_scaling`).
     """
     spec = get_app(app) if isinstance(app, str) else app
-    lowered = decompose_circuit(spec.scaling_circuit(size))
-    return estimate_circuit(lowered)
+    return estimate_program(
+        spec.scaling_program(size), f"{spec.name}[scaling:{size}]"
+    )
 
 
 def fit_scaling_model(

@@ -10,6 +10,7 @@ from .decompose import DecomposeConfig, decompose_circuit, rz_t_count
 from .estimate import (
     LogicalEstimate,
     estimate_circuit,
+    estimate_program,
     target_logical_error_rate,
 )
 from .flatten import flatten
@@ -35,5 +36,6 @@ __all__ = [
     "list_schedule",
     "LogicalEstimate",
     "estimate_circuit",
+    "estimate_program",
     "target_logical_error_rate",
 ]

@@ -77,12 +77,12 @@ class InteractionGraph:
         return self._adjacency.get(u, {}).get(v, 0.0)
 
     def edges(self) -> Iterator[tuple[Node, Node, float]]:
-        seen = set()
+        """Each edge once, as ``(u, v, weight)`` with ``u`` added first."""
+        order = {node: i for i, node in enumerate(self._adjacency)}
         for u, nbrs in self._adjacency.items():
+            rank = order[u]
             for v, w in nbrs.items():
-                key = frozenset((u, v))
-                if key not in seen:
-                    seen.add(key)
+                if order[v] > rank:
                     yield u, v, w
 
     def total_edge_weight(self) -> float:

@@ -19,8 +19,8 @@ through a :class:`~repro.runner.cache.StageCache` under a
 * ``simd_epr`` — pipelined EPR distribution over that schedule.
 * ``scaling`` — power-law scaling model fitted from calibration
   instances (each instance's estimate cached under ``scaling_calib``,
-  which builds, lowers and estimates the instance itself and keeps
-  only the estimate).
+  which estimates the instance straight from its program: its flat
+  and lowered circuits are never built).
 * ``accounting`` — planar/double-defect space-time estimates.
 
 Stage compute closures request their upstream stages *through the
@@ -441,11 +441,10 @@ def compute_scaling(
     its own ``scaling_calib`` stage keyed on ``(app, size)``, so two
     fits over overlapping size lists — or repeated sweeps — compile
     every instance at most once per cache (and never again once the
-    disk level holds its estimate).  The stage builds, lowers and
-    estimates the instance through
-    :func:`~repro.apps.scaling.calibration_estimate` and keeps only the
-    estimate, so each calibration circuit is freed as soon as it has
-    been summarized.
+    disk level holds its estimate).  The stage estimates the instance
+    through :func:`~repro.apps.scaling.calibration_estimate`, which
+    summarizes its program without flattening or lowering it, so no
+    calibration circuit is ever built.
     """
     name = get_app(app).name
     chosen = tuple(sizes) if sizes is not None else calibration_sizes(name)

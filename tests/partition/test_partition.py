@@ -65,6 +65,38 @@ class TestInteractionGraph:
         g = interaction_graph_from_circuit(c, include_isolated=False)
         assert "w" not in g
 
+    @given(random_graphs())
+    @settings(max_examples=60)
+    def test_edges_match_first_sighting_of_each_pair(self, g):
+        assert list(g.edges()) == list(frozenset_edges(g))
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 9), st.integers(0, 9), st.floats(0.5, 5.0)
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=60)
+    def test_edges_of_graphs_grown_by_edges_alone(self, edges):
+        g = InteractionGraph()
+        for u, v, w in edges:
+            if u != v:
+                g.add_edge(u, v, w)
+        assert list(g.edges()) == list(frozenset_edges(g))
+
+
+def frozenset_edges(graph):
+    """The former ``InteractionGraph.edges``: each pair where first seen."""
+    seen = set()
+    for u in graph.nodes:
+        for v, w in graph.neighbors(u).items():
+            key = frozenset((u, v))
+            if key not in seen:
+                seen.add(key)
+                yield u, v, w
+
 
 class TestCoarsening:
     def test_halves_node_count(self):

@@ -1,14 +1,17 @@
 """The ``scaling`` / ``scaling_calib`` stages and their cache behavior."""
 
 import dataclasses
+import sys
 
 import pytest
 
+from repro.apps import get_app
 from repro.apps.scaling import (
     calibrate,
     calibration_sizes,
     fit_scaling_model,
 )
+from repro.frontend import decompose_circuit, estimate_circuit, flatten
 from repro.core.calibration import calibrate_app
 from repro.runner import StageCache, compute_scaling
 from repro.runner.stages import (
@@ -23,6 +26,32 @@ from repro.tech import INTERMEDIATE
 APP = "sq"  # smallest calibration family; keeps these tests fast
 
 
+def chain_calibration(app, sizes):
+    """The fit from instances flattened, lowered and then estimated."""
+    spec = get_app(app)
+    estimates = []
+    for size in sizes:
+        circuit = decompose_circuit(flatten(spec.scaling_program(size)))
+        circuit.name = f"{spec.name}[scaling:{size}]"
+        estimates.append(estimate_circuit(circuit))
+    return fit_scaling_model(spec.name, estimates)
+
+
+@pytest.fixture
+def no_circuits(monkeypatch):
+    """Make flattening or lowering fail under any name a module holds."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("calibration builds no circuit")
+
+    real = {flatten, decompose_circuit}
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("repro."):
+            for name, value in list(vars(module).items()):
+                if callable(value) and value in real:
+                    monkeypatch.setattr(module, name, refuse)
+
+
 class TestComputeScaling:
     @pytest.fixture(scope="class")
     def cache(self):
@@ -32,6 +61,15 @@ class TestComputeScaling:
         staged = compute_scaling(cache, APP)
         direct = calibrate(APP)
         assert staged == direct
+        assert staged == chain_calibration(APP, calibration_sizes(APP))
+
+    def test_builds_no_circuit(self, no_circuits):
+        sizes = (2, 3)
+        expected = calibrate(APP, sizes)
+        assert compute_scaling(StageCache(), APP, sizes) == expected
+        # The simulated-instance path still flattens, and fails here.
+        with pytest.raises(AssertionError, match="builds no circuit"):
+            get_app(APP).circuit(2)
 
     def test_fit_and_compiles_are_cached(self, cache):
         compute_scaling(cache, APP)
