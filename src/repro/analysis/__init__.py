@@ -4,8 +4,10 @@ Two prongs over the compiled toolflow:
 
 * :mod:`.ir_checks` + :mod:`.verify` — multi-pass invariant
   verification of compiled artifacts (circuit, DAG, placement,
-  :class:`~repro.network.plan.BraidPlan`), exposed as ``python -m
-  repro check`` and as opt-in ``verify=`` hooks on cached stages.
+  :class:`~repro.network.plan.BraidPlan`).  ``python -m repro
+  check`` (:func:`.verify.check_grid`) is the one path that runs the
+  passes over the toolflow's artifacts; the runner itself carries no
+  verification hook.
 * :mod:`.lint` — an AST determinism/purity linter over the source
   tree (``python -m repro lint``), catching nondeterministic inputs to
   cache keys, stage parameters that never reach their key, and
@@ -24,7 +26,6 @@ from .diagnostics import (
     PlanMismatchError,
     Severity,
     max_severity,
-    raise_on_errors,
 )
 
 __all__ = [
@@ -33,7 +34,6 @@ __all__ = [
     "PlanMismatchError",
     "Severity",
     "max_severity",
-    "raise_on_errors",
     "check_circuit",
     "check_dag",
     "check_placement",
@@ -41,7 +41,6 @@ __all__ = [
     "check_sched",
     "check_point_artifacts",
     "check_grid",
-    "stage_verifier",
     "lint_source",
     "lint_paths",
 ]
@@ -55,7 +54,6 @@ _LAZY = {
     "check_point_artifacts": "ir_checks",
     "CheckReport": "verify",
     "check_grid": "verify",
-    "stage_verifier": "verify",
     "lint_source": "lint",
     "lint_paths": "lint",
 }

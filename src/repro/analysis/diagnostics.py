@@ -30,7 +30,6 @@ __all__ = [
     "AnalysisError",
     "PlanMismatchError",
     "max_severity",
-    "raise_on_errors",
 ]
 
 
@@ -122,10 +121,9 @@ def max_severity(
 class AnalysisError(Exception):
     """An exception carrying one or more :class:`Diagnostic` findings.
 
-    Raised by verification hooks (``verify=`` on
-    :meth:`repro.runner.cache.StageCache.get_or_compute`) and by
-    :func:`raise_on_errors`; the message lists every finding, one per
-    line, in :meth:`Diagnostic.format` form.
+    Raised, as :class:`PlanMismatchError`, by runtime guards; the
+    message lists every finding, one per line, in
+    :meth:`Diagnostic.format` form.
     """
 
     def __init__(self, diagnostics: Sequence[Diagnostic]):
@@ -161,12 +159,3 @@ class PlanMismatchError(AnalysisError, ValueError):
         AnalysisError.__init__(self, (diagnostic,))
         # Present the plain guard message (tests match substrings of it).
         self.args = (message,)
-
-
-def raise_on_errors(diagnostics: Sequence[Diagnostic]) -> None:
-    """Raise :class:`AnalysisError` if any finding is an ERROR."""
-    errors = [
-        diag for diag in diagnostics if diag.severity is Severity.ERROR
-    ]
-    if errors:
-        raise AnalysisError(errors)

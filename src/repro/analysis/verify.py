@@ -1,19 +1,11 @@
-"""Grid-level verification driver and cached-stage verify hooks.
+"""Grid-level verification driver.
 
-Two entry points wire the IR passes of :mod:`.ir_checks` into the
-toolflow:
-
-* :func:`check_grid` — compile every unique (app, size, layout,
-  distance) artifact of a sweep grid (Fig. 6 by default) and run all
-  passes over the lowered circuit, DAG, placement, braid plan and
-  Policy 7's reservation schedule, returning a :class:`CheckReport`
-  (this backs ``python -m repro check``).
-* :func:`stage_verifier` — per-stage hooks for
-  :meth:`StageCache.get_or_compute(verify=...)
-  <repro.runner.cache.StageCache.get_or_compute>`: each checks the
-  stage's artifact and raises
-  :class:`~repro.analysis.diagnostics.AnalysisError` on any ERROR
-  finding, so a defective artifact never enters the cache.
+:func:`check_grid` compiles every unique (app, size, layout, distance)
+artifact of a sweep grid (Fig. 6 by default) through the staged cache
+and runs every IR pass of :mod:`.ir_checks` over the lowered circuit,
+DAG, placement, braid plan and Policy 7's reservation schedule,
+returning a :class:`CheckReport` (this backs ``python -m repro
+check``).
 """
 
 from __future__ import annotations
@@ -22,19 +14,16 @@ import dataclasses
 from typing import Callable, Optional
 
 from ..network.policies import POLICIES
-from .diagnostics import Diagnostic, Severity, raise_on_errors
-from .ir_checks import (
-    check_circuit,
-    check_dag,
-    check_placement,
-    check_plan,
-    check_sched,
-)
+from ..qec.distance import choose_distance
+from ..runner import stages
+from ..runner.cache import StageCache
+from ..runner.sweep import fig6_grid
+from .diagnostics import Diagnostic, Severity
+from .ir_checks import check_point_artifacts
 
 __all__ = [
     "CheckReport",
     "check_grid",
-    "stage_verifier",
 ]
 
 
@@ -85,11 +74,6 @@ def check_grid(
     scheduling — and each artifact set is compiled through the staged
     cache and handed to every IR pass.
     """
-    # Deferred: runner imports analysis for its verify hooks.
-    from ..runner import stages
-    from ..runner.cache import StageCache
-    from ..runner.sweep import fig6_grid
-
     if grid is None:
         grid = fig6_grid()
     if cache is None:
@@ -99,8 +83,6 @@ def check_grid(
     for spec in points:
         distance = spec.distance
         if distance is None:
-            from ..qec.distance import choose_distance
-
             fe = stages.compute_frontend(
                 cache, spec.app, spec.size, spec.inline_depth
             )
@@ -130,52 +112,17 @@ def check_grid(
         plan = stages.compute_braid_plan(
             cache, app, size, inline_depth, layout, distance
         )
-        diagnostics.extend(check_circuit(
-            fe.circuit, artifact=artifact, lowered=True, strict=strict
+        diagnostics.extend(check_point_artifacts(
+            fe.circuit,
+            dag=fe.dag,
+            placement=plan.placement,
+            plan=plan,
+            artifact=artifact,
+            strict=strict,
         ))
-        diagnostics.extend(
-            check_dag(fe.dag, artifact=artifact, circuit=fe.circuit)
-        )
-        diagnostics.extend(check_placement(
-            plan.placement, artifact=artifact, circuit=plan.circuit
-        ))
-        diagnostics.extend(
-            check_plan(plan, artifact=artifact, strict=strict)
-        )
-        diagnostics.extend(check_sched(plan, artifact=artifact))
     return CheckReport(
         points_checked=len(points),
         artifacts_checked=len(unique),
         diagnostics=tuple(diagnostics),
     )
 
-
-def _verify_lowered(circuit) -> None:
-    raise_on_errors(check_circuit(circuit, artifact="lowered", lowered=True))
-
-
-def _verify_frontend(fe) -> None:
-    diags = check_circuit(fe.circuit, artifact="frontend", lowered=True)
-    diags.extend(check_dag(fe.dag, artifact="frontend", circuit=fe.circuit))
-    raise_on_errors(diags)
-
-
-def _verify_layout(placement) -> None:
-    raise_on_errors(check_placement(placement, artifact="layout"))
-
-
-def _verify_plan(plan) -> None:
-    raise_on_errors(check_plan(plan, artifact="braid_plan"))
-
-
-_STAGE_VERIFIERS: dict[str, Callable[[object], None]] = {
-    "lowered": _verify_lowered,
-    "frontend": _verify_frontend,
-    "layout": _verify_layout,
-    "braid_plan": _verify_plan,
-}
-
-
-def stage_verifier(stage: str) -> Optional[Callable[[object], None]]:
-    """The ``verify=`` hook for a cached stage (None when unchecked)."""
-    return _STAGE_VERIFIERS.get(stage)

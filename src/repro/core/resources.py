@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional
 
 from ..apps.scaling import AppScalingModel
 from ..qec.codes import DOUBLE_DEFECT, PLANAR, SurfaceCode

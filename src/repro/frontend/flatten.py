@@ -18,7 +18,7 @@ This reproduces the paper's semi- vs fully-inlined distinction
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import Callable, Optional
 
 from ..qasm.circuit import Circuit
 from .program import Call, Program
@@ -52,8 +52,21 @@ def flatten(
     for qubit in entry.parameters + entry.locals_:
         circuit.add_qubit(qubit)
     counter = itertools.count()
-    binding = {q: q for q in entry.declared_names}
-    _expand(program, entry.name, binding, circuit, 0, inline_depth, counter)
+    reserved = entry.declared_names
+
+    def fresh(module_name: str, local: str) -> str:
+        # '.' separators keep generated names QASM-safe ('#' would
+        # collide with flat-QASM comments).  Generated names end in
+        # distinct counter values, so only an entry name can already
+        # hold one: skip those, or the idempotent ``add_qubit`` would
+        # merge the callee's local into the entry's qubit.
+        while True:
+            unique = f"{module_name}.{local}.{next(counter)}"
+            if unique not in reserved:
+                return unique
+
+    binding = {q: q for q in reserved}
+    _expand(program, entry.name, binding, circuit, 0, inline_depth, fresh)
     return circuit
 
 
@@ -64,20 +77,15 @@ def _expand(
     circuit: Circuit,
     depth: int,
     inline_depth: Optional[int],
-    counter: itertools.count,
+    fresh: Callable[[str, str], str],
 ) -> list[str]:
     """Expand one module invocation; returns the physical footprint."""
     module = program.modules[module_name]
     footprint = [binding[q] for q in module.parameters]
     for local in module.locals_:
-        if depth == 0:
-            # Entry-module locals keep their names (they are the
-            # program's data qubits); callee locals are fresh per call.
-            unique = local
-        else:
-            # '.' separators keep generated names QASM-safe ('#' would
-            # collide with flat-QASM comments).
-            unique = f"{module_name}.{local}.{next(counter)}"
+        # Entry-module locals keep their names (they are the program's
+        # data qubits); callee locals are fresh per call.
+        unique = local if depth == 0 else fresh(module_name, local)
         binding[local] = unique
         circuit.add_qubit(unique)
         footprint.append(unique)
@@ -102,7 +110,7 @@ def _expand(
                     circuit,
                     depth + 1,
                     inline_depth,
-                    counter,
+                    fresh,
                 )
                 circuit.add_fence(child_footprint)
             else:
@@ -113,7 +121,7 @@ def _expand(
                     circuit,
                     depth + 1,
                     inline_depth,
-                    counter,
+                    fresh,
                 )
             footprint.extend(
                 q for q in child_footprint if q not in footprint

@@ -13,7 +13,7 @@ provides the METIS-style partitioner.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Hashable, Iterator, Mapping
 
 from ..qasm.circuit import Circuit
 

@@ -16,54 +16,41 @@ resources not a constraint" (Table 2), i.e. total ops / ASAP depth.
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
-from .circuit import Circuit, Operation
+from .circuit import Circuit
 
 __all__ = ["CircuitDag"]
-
-LatencyFn = Callable[[Operation], int]
-
-
-def _unit_latency(op: Operation) -> int:
-    return 1
 
 
 class CircuitDag:
     """Data-dependence DAG of a circuit.
 
     Nodes are operation indices (program order).  Edges run from producer
-    to consumer.  Construction is one pass over the circuit that fills
-    the successor lists, the in-degree counts, the ASAP levels and the
-    depth: what the braid plan, the SIMD scheduler and the frontend
-    estimate read.  Predecessor lists, ALAP levels and criticality are
-    derived from the successor lists on first use.
+    to consumer.  Every operation takes one logical cycle, the paper's
+    logical-cycle accounting.  Construction is one pass over the circuit
+    that fills the successor lists, the in-degree counts, the ASAP
+    levels and the depth: what the braid plan, the SIMD scheduler and
+    the frontend estimate read.  Predecessor lists, ALAP levels and
+    criticality are derived from the successor lists on first use.
 
     Args:
         circuit: The circuit to analyze.
-        latency: Optional per-operation latency for weighted critical
-            paths.  Defaults to unit latency, matching the paper's
-            logical-cycle accounting.
     """
 
-    def __init__(
-        self, circuit: Circuit, latency: Optional[LatencyFn] = None
-    ) -> None:
+    def __init__(self, circuit: Circuit) -> None:
         self.circuit = circuit
-        self.latency: LatencyFn = latency or _unit_latency
         self.num_nodes = len(circuit)
         self._predecessors: Optional[list[list[int]]] = None  # lazy
         self._alap: Optional[list[int]] = None  # lazy
         self._descendant_counts: Optional[list[int]] = None  # lazy
         self._successor_tuples: Optional[tuple[tuple[int, ...], ...]] = None
         self._build()
-        if latency is not None:
-            self._weight_asap()
 
     # -- construction ---------------------------------------------------------
 
     def _build(self) -> None:
-        """Edges, in-degrees and unit-latency ASAP levels in one pass.
+        """Edges, in-degrees and ASAP levels in one pass.
 
         Operation ``j`` depends on the last earlier writer of each of its
         qubits, plus the producers a fence hands to the next operation
@@ -127,19 +114,6 @@ class CircuitDag:
         self._asap = asap
         self._depth = max(asap) + 1 if n else 0
 
-    def _weight_asap(self) -> None:
-        """Redo ASAP levels and depth under a non-unit latency."""
-        durations = [self.latency(op) for op in self.circuit]
-        asap = [0] * self.num_nodes
-        for index, preds in enumerate(self._predecessor_lists()):
-            if preds:
-                asap[index] = max(asap[p] + durations[p] for p in preds)
-        self._asap = asap
-        self._depth = max(
-            (start + duration for start, duration in zip(asap, durations)),
-            default=0,
-        )
-
     def _predecessor_lists(self) -> list[list[int]]:
         if self._predecessors is None:
             predecessors: list[list[int]] = [[] for _ in range(self.num_nodes)]
@@ -153,12 +127,11 @@ class CircuitDag:
         if self._alap is None:
             alap = [0] * self.num_nodes
             for index in range(self.num_nodes - 1, -1, -1):
-                duration = self.latency(self.circuit[index])
                 succs = self._successors[index]
                 if succs:
-                    alap[index] = min(alap[s] for s in succs) - duration
+                    alap[index] = min(alap[s] for s in succs) - 1
                 else:
-                    alap[index] = self._depth - duration
+                    alap[index] = self._depth - 1
             self._alap = alap
         return self._alap
 
@@ -272,7 +245,7 @@ class CircuitDag:
 
     @property
     def critical_path_length(self) -> int:
-        """Weighted longest path through the DAG (== ASAP depth)."""
+        """Longest path through the DAG in operations (== ASAP depth)."""
         return self._depth
 
     def asap_level(self, index: int) -> int:
@@ -296,7 +269,7 @@ class CircuitDag:
         return self._descendant_counts[index]
 
     def asap_levels(self) -> list[list[int]]:
-        """Operations grouped by ASAP start level, for unit latency views."""
+        """Operations grouped by ASAP start level."""
         levels: dict[int, list[int]] = {}
         for index in range(self.num_nodes):
             levels.setdefault(self._asap[index], []).append(index)

@@ -7,9 +7,8 @@
   single-flight.
 * :mod:`repro.runner.stages` -- the pipeline stages + grid points.
 * :mod:`repro.runner.sweep` -- grid expansion, dedup, process fan-out,
+  run-once point isolation with per-point failure records,
   checkpoint/resume journaling.
-* :mod:`repro.runner.faults` -- run-once point isolation, per-point
-  failure records, deterministic fault injection.
 * :mod:`repro.runner.bench` -- cold-cache stage timing, the seed-loop
   replay of every swept braid point, and the regression gate.
 * :mod:`repro.runner.report` -- figure/table rendering from the cache.
@@ -24,15 +23,6 @@ and the CI regression gate.
 from .backends import CACHE_FORMAT_VERSION, CorruptEntry, DiskStore
 from .bench import BenchReport, compare_reports, run_bench
 from .cache import CacheStats, StageCache
-from .faults import (
-    FaultAction,
-    FaultPlan,
-    InjectedFault,
-    PointFailure,
-    SweepAborted,
-    execute_point,
-    set_fault_plan,
-)
 from .keys import StageKey
 from .stages import (
     PointResult,
@@ -44,8 +34,11 @@ from .stages import (
 )
 from .sweep import (
     GridSpec,
+    PointFailure,
+    SweepAborted,
     SweepResult,
     SweepRunner,
+    execute_point,
     fig6_grid,
     fig6x_grid,
 )
@@ -57,13 +50,9 @@ __all__ = [
     "DiskStore",
     "StageCache",
     "StageKey",
-    "FaultAction",
-    "FaultPlan",
-    "InjectedFault",
     "PointFailure",
     "SweepAborted",
     "execute_point",
-    "set_fault_plan",
     "PointResult",
     "PointSpec",
     "compute_scaling",

@@ -245,10 +245,8 @@ class DiskStore:
         return decode_record(data, path=path)
 
     def store(self, stage: str, digest: str, record: dict) -> None:
-        self.write_bytes(stage, digest, encode_record(record))
-
-    def write_bytes(self, stage: str, digest: str, data: bytes) -> None:
         """Atomically replace one entry (tmp file + ``os.replace``)."""
+        data = encode_record(record)
         path = self.entry_path(stage, digest)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(

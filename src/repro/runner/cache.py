@@ -28,11 +28,9 @@ from .backends import (
     DiskStore,
     FlightLease,
     decode_record,
-    encode_record,
     make_record,
     stored_entry_sizes,
 )
-from .faults import active_plan
 from .keys import StageKey
 
 __all__ = [
@@ -168,7 +166,6 @@ class StageCache:
         compute: Callable[[], Any],
         to_jsonable: Optional[Callable[[Any], Any]] = None,
         from_jsonable: Optional[Callable[[Any], Any]] = None,
-        verify: Optional[Callable[[Any], None]] = None,
     ) -> Any:
         """Return the cached value for ``key``, computing on first use.
 
@@ -181,11 +178,6 @@ class StageCache:
                 computed value as JSON.
             from_jsonable: If given (with a disk level), revive a value
                 from a persisted payload instead of recomputing.
-            verify: Optional validator run over a freshly computed or
-                disk-revived value *before* it enters the memory cache
-                (raise to reject — e.g.
-                :func:`repro.analysis.verify.stage_verifier`).  Memory
-                hits are trusted: they were verified on the way in.
 
         Stages persisted with *both* serializers run under
         single-flight stampede control: a process missing the key
@@ -202,7 +194,7 @@ class StageCache:
         if loadable:
             payload = self.load_payload(key)
             if payload is not None:
-                return self._admit(key, payload, from_jsonable, verify)
+                return self._admit(key, payload, from_jsonable)
         lease: Optional[FlightLease] = None
         if loadable and to_jsonable is not None:
             lease = self.disk.lock(key.stage, key.digest)
@@ -211,14 +203,11 @@ class StageCache:
                 payload = self.load_payload(key)
                 if payload is not None:
                     self.stats.record_wait(key.stage)
-                    return self._admit(key, payload, from_jsonable, verify)
+                    return self._admit(key, payload, from_jsonable)
             self.stats.record_miss(key.stage)
             start = time.perf_counter()
             self._child_seconds.append(0.0)
             try:
-                plan = active_plan()
-                if plan is not None:
-                    plan.check("compute", key)
                 value = compute()
             except BaseException as error:
                 # Tag the *innermost* stage so isolation layers can
@@ -233,8 +222,6 @@ class StageCache:
                 if self._child_seconds:
                     self._child_seconds[-1] += elapsed
                 self.stats.record_seconds(key.stage, elapsed - nested)
-            if verify is not None:
-                verify(value)
             self._memory[key] = value
             if self.disk is not None and to_jsonable is not None:
                 self.store_payload(key, to_jsonable(value))
@@ -244,16 +231,10 @@ class StageCache:
                 lease.release()
 
     def _admit(
-        self,
-        key: StageKey,
-        payload: Any,
-        from_jsonable: Callable[[Any], Any],
-        verify: Optional[Callable[[Any], None]],
+        self, key: StageKey, payload: Any, from_jsonable: Callable[[Any], Any]
     ) -> Any:
-        """Revive, verify, and memoize a loaded disk payload."""
+        """Revive and memoize a loaded disk payload."""
         value = from_jsonable(payload)
-        if verify is not None:
-            verify(value)
         self._memory[key] = value
         self.stats.record_disk_hit(key.stage)
         return value
@@ -346,32 +327,9 @@ class StageCache:
         """
         if self.disk is None:
             return
-        record = make_record(key.describe(), payload)
-        self.disk.store(key.stage, key.digest, record)
-        plan = active_plan()
-        if plan is not None:
-            self._apply_store_faults(plan, key, record)
-
-    def _apply_store_faults(self, plan, key: StageKey, record: dict) -> None:
-        """Damage the just-written entry per the active fault plan."""
-        path = self.disk.entry_path(key.stage, key.digest)
-        for action in plan.check("store", key):
-            if action.op == "corrupt":
-                path.write_text("{corrupt", encoding="utf-8")
-            elif action.op == "torn":
-                # A crash mid-write: only a prefix of the bytes landed.
-                data = path.read_bytes()
-                path.write_bytes(data[: max(1, len(data) // 2)])
-            elif action.op == "flip":
-                # Bit-rot: the payload no longer hashes to the
-                # recorded checksum.
-                damaged = dict(record)
-                sha = damaged.get("sha256") or "0" * 64
-                head = "1" if sha[0] == "0" else "0"
-                damaged["sha256"] = head + sha[1:]
-                self.disk.write_bytes(
-                    key.stage, key.digest, encode_record(damaged)
-                )
+        self.disk.store(
+            key.stage, key.digest, make_record(key.describe(), payload)
+        )
 
     def iter_payloads(self, stage: str) -> Iterator[dict[str, Any]]:
         """Yield all persisted records ({key, value}) for one stage."""
@@ -467,7 +425,6 @@ class StageCache:
         self,
         older_than_seconds: Optional[float] = None,
         stage: Optional[str] = None,
-        now: Optional[float] = None,
     ) -> int:
         """Delete persisted payloads; returns the number removed.
 
@@ -475,10 +432,8 @@ class StageCache:
             older_than_seconds: Only remove entries whose mtime is at
                 least this old; None removes unconditionally.
             stage: Restrict to one stage directory.
-            now: Reference timestamp (testing hook; defaults to
-                ``time.time()``).
         """
-        reference = time.time() if now is None else now
+        reference = time.time()
         removed = 0
         for stage_dir in self._stage_dirs():
             if stage is not None and stage_dir.name != stage:
@@ -520,7 +475,7 @@ class StageCache:
                 checked += 1
                 try:
                     record = decode_record(path.read_bytes(), path=path)
-                except OSError as error:
+                except OSError:
                     corrupt.append(str(path))
                     continue
                 except CorruptEntry as error:
@@ -574,7 +529,3 @@ class StageCache:
 
     def __len__(self) -> int:
         return len(self._memory)
-
-    def _path(self, key: StageKey) -> Path:
-        assert self.disk is not None
-        return self.disk.entry_path(key.stage, key.digest)

@@ -40,12 +40,12 @@ from typing import Optional, Sequence
 
 from .bench import BENCH_GRIDS, BenchReport, compare_reports, run_bench
 from .cache import StageCache
-from .faults import SweepAborted
 from .report import render_failures
 from .stages import TECH_PRESETS, PointSpec, run_point
 from .sweep import (
     DEFAULT_APPS,
     GridSpec,
+    SweepAborted,
     SweepResult,
     SweepRunner,
     fig6_grid,
@@ -152,14 +152,6 @@ def _add_point_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="on-disk JSON stage cache directory",
     )
-    parser.add_argument(
-        "--verify-stages",
-        action="store_true",
-        help=(
-            "run the repro.analysis IR verifier over every compiled "
-            "stage artifact before it enters the cache"
-        ),
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,15 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "revive finished points from <out>.partial.jsonl and run "
             "only the remainder (requires --out)"
-        ),
-    )
-    sweep.add_argument(
-        "--fault-plan",
-        default=None,
-        metavar="FILE",
-        help=(
-            "JSON fault-injection plan (testing: see "
-            "repro.runner.faults.FaultPlan)"
         ),
     )
 
@@ -388,13 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_stage_verification(args: argparse.Namespace) -> None:
-    if getattr(args, "verify_stages", False):
-        from .stages import set_stage_verification
-
-        set_stage_verification(True)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         _validate_names([args.app], [args.policy])
@@ -402,7 +378,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    _apply_stage_verification(args)
     spec = PointSpec(
         app=args.app,
         size=size,
@@ -441,7 +416,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    _apply_stage_verification(args)
     if args.preset in ("fig6", "fig6x"):
         # The preset defines the grid *shape*; point-level options
         # (--tech, --error-rate, --distance, ...) still apply.
@@ -492,22 +466,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.fault_plan:
-        from pathlib import Path
-
-        from .faults import FaultPlan, set_fault_plan
-
-        try:
-            plan = FaultPlan.from_json(
-                Path(args.fault_plan).read_text(encoding="utf-8")
-            )
-        except (OSError, ValueError, KeyError, TypeError) as err:
-            print(
-                f"error: unreadable fault plan {args.fault_plan}: {err}",
-                file=sys.stderr,
-            )
-            return 2
-        set_fault_plan(plan)
     journal = journal_path(args.out) if args.out else None
     runner = SweepRunner(
         cache_dir=args.cache_dir,

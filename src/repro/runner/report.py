@@ -41,7 +41,7 @@ __all__ = [
 
 
 def render_failures(failures: Sequence) -> str:
-    """One line per :class:`~repro.runner.faults.PointFailure`.
+    """One line per :class:`~repro.runner.sweep.PointFailure`.
 
     Used by the CLI to summarize a partially failed sweep next to the
     figures rendered from its surviving points.

@@ -82,7 +82,6 @@ __all__ = [
     "TECH_PRESETS",
     "default_cache",
     "reset_default_cache",
-    "set_stage_verification",
     "frontend_key",
     "scaling_key",
     "compute_lowered",
@@ -151,35 +150,6 @@ class AccountingResult:
 # Stage keys and computations
 
 
-_VERIFY_STAGES = False
-
-
-def set_stage_verification(enabled: bool) -> bool:
-    """Toggle IR verification of cached stage outputs; returns the old
-    setting.
-
-    When enabled, the ``lowered``/``frontend``/``layout``/``braid_plan``
-    stages run :func:`repro.analysis.verify.stage_verifier` over every
-    freshly computed or disk-revived artifact before it enters the
-    cache, raising :class:`repro.analysis.AnalysisError` on a defect
-    (``python -m repro run --verify-stages``).  Off by default: the
-    plan pass re-derives every route mask, which is measurable on large
-    instances.
-    """
-    global _VERIFY_STAGES
-    previous = _VERIFY_STAGES
-    _VERIFY_STAGES = bool(enabled)
-    return previous
-
-
-def _stage_verifier(stage: str):
-    if not _VERIFY_STAGES:
-        return None
-    from ..analysis.verify import stage_verifier
-
-    return stage_verifier(stage)
-
-
 def _resolve(app: str, size: Optional[int]) -> tuple[str, int]:
     spec = get_app(app)
     return spec.name, spec.default_size if size is None else size
@@ -215,9 +185,7 @@ def compute_lowered(
         spec = get_app(name)
         return decompose_circuit(spec.circuit(size, inline_depth=inline_depth))
 
-    return cache.get_or_compute(
-        key, build, verify=_stage_verifier("lowered")
-    )
+    return cache.get_or_compute(key, build)
 
 
 def compute_frontend(
@@ -242,7 +210,6 @@ def compute_frontend(
         # estimate is persisted for cache inspection (nothing revives
         # it -- reports read whole grid-point payloads instead).
         to_jsonable=lambda fe: dataclasses.asdict(fe.logical),
-        verify=_stage_verifier("frontend"),
     )
 
 
@@ -269,9 +236,7 @@ def compute_layout(
         fe = compute_frontend(cache, name, size, inline_depth)
         return circuit_layout(fe.circuit, optimize=optimize_layout)
 
-    return cache.get_or_compute(
-        key, build, verify=_stage_verifier("layout")
-    )
+    return cache.get_or_compute(key, build)
 
 
 def compute_braid_plan(
@@ -309,9 +274,7 @@ def compute_braid_plan(
         machine = build_tiled_machine(fe.circuit, placement)
         return machine.plan(distance, dag=fe.dag)
 
-    return cache.get_or_compute(
-        key, build, verify=_stage_verifier("braid_plan")
-    )
+    return cache.get_or_compute(key, build)
 
 
 def compute_braid(

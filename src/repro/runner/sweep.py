@@ -18,15 +18,13 @@ frontend at most ``k`` times; with ``workers <= groups`` the split
 degenerates to one chunk per group and every frontend is compiled
 exactly once across the pool, as before.
 
-Execution is fault tolerant (see :mod:`repro.runner.faults`), with
-one recovery path per failure kind:
+Execution is fault tolerant, with one recovery path per failure kind:
 
-* every point runs once, isolated -- an exception becomes a structured
-  :class:`~repro.runner.faults.PointFailure` inside the
+* every point runs once, isolated (:func:`execute_point`) -- an
+  exception becomes a structured :class:`PointFailure` inside the
   :class:`SweepResult` instead of losing the sweep, up to the runner's
   ``max_failures`` budget (0, the default, keeps fail-fast semantics
-  by raising :exc:`~repro.runner.faults.SweepAborted` on the first
-  failure);
+  by raising :exc:`SweepAborted` on the first failure);
 * a crashed worker (``BrokenProcessPool``) only costs its pool's
   unfinished chunks, which are re-queued on a rebuilt pool
   :data:`POOL_RETRIES` times;
@@ -47,13 +45,15 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from ..apps.registry import SIM_SIZES
 from .cache import CacheStats, StageCache
-from .faults import PointFailure, SweepAborted, execute_point
-from .stages import PointResult, PointSpec, frontend_key
+from .stages import PointResult, PointSpec, frontend_key, run_point
 
 __all__ = [
     "GridSpec",
+    "PointFailure",
+    "SweepAborted",
     "SweepResult",
     "SweepRunner",
+    "execute_point",
     "fig6_grid",
     "fig6x_grid",
     "journal_path",
@@ -74,6 +74,93 @@ pool before its points are recorded as failures.  One dead worker
 makes ``ProcessPoolExecutor`` fail *every* pending future of its pool,
 so without the re-queue a single OOM kill would fail every chunk in
 flight."""
+
+
+class SweepAborted(RuntimeError):
+    """Failure count exceeded the sweep's ``max_failures`` budget.
+
+    Attributes:
+        failures: Every :class:`PointFailure` collected before the
+            abort, including the one that crossed the budget.
+    """
+
+    def __init__(self, message: str, failures: list[PointFailure]):
+        super().__init__(message)
+        self.failures = failures
+
+
+@dataclasses.dataclass(frozen=True)
+class PointFailure:
+    """Structured record of one grid point that failed.
+
+    Attributes:
+        spec: The failed point's spec (JSON round-trippable).
+        stage: Innermost pipeline stage the error escaped from
+            (``"pool"`` for a chunk lost with its worker in every pool
+            round).
+        error: ``repr`` of the exception.
+        error_type: Exception class name.
+        attempts: 1 for a point that raised; the number of pool rounds
+            for a point whose chunk was lost.
+        elapsed_seconds: Wall-clock of the failed run (0 for a lost
+            chunk).
+    """
+
+    spec: PointSpec
+    stage: str
+    error: str
+    error_type: str
+    attempts: int
+    elapsed_seconds: float
+
+    def to_jsonable(self) -> dict:
+        return {
+            "spec": self.spec.to_jsonable(),
+            "stage": self.stage,
+            "error": self.error,
+            "error_type": self.error_type,
+            "attempts": self.attempts,
+            "elapsed_seconds": self.elapsed_seconds,
+        }
+
+    @classmethod
+    def from_jsonable(cls, payload: dict) -> "PointFailure":
+        return cls(
+            spec=PointSpec.from_jsonable(payload["spec"]),
+            stage=payload["stage"],
+            error=payload["error"],
+            error_type=payload.get("error_type", "Exception"),
+            attempts=payload.get("attempts", 1),
+            elapsed_seconds=payload.get("elapsed_seconds", 0.0),
+        )
+
+
+def execute_point(
+    spec: PointSpec, cache: StageCache
+) -> Union[PointResult, PointFailure]:
+    """Run one grid point once; never raises.
+
+    An exception escaping the point becomes a :class:`PointFailure`.
+    Its stage is the innermost stage the exception escaped from, which
+    :class:`~repro.runner.cache.StageCache` tags on it, or ``"point"``
+    for one raised outside any stage.  Every stage is a pure function
+    of its :class:`~repro.runner.keys.StageKey`, so a point that raised
+    would raise again: nothing retries it within the run, and ``sweep
+    --resume`` re-runs it in a later one.
+    """
+    spec = spec.normalized()
+    start = time.perf_counter()
+    try:
+        return run_point(spec, cache)
+    except Exception as error:  # noqa: BLE001 - isolation boundary
+        return PointFailure(
+            spec=spec,
+            stage=getattr(error, "_repro_stage", "point"),
+            error=repr(error),
+            error_type=type(error).__name__,
+            attempts=1,
+            elapsed_seconds=time.perf_counter() - start,
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -354,7 +441,7 @@ class SweepRunner:
             process pool (splitting the braid stage inside a group
             when workers outnumber groups).
         max_failures: Failure budget.  The sweep aborts with
-            :exc:`~repro.runner.faults.SweepAborted` once *more* than
+            :exc:`SweepAborted` once *more* than
             this many points have failed; ``0`` (default) is the
             historical fail-fast behavior, ``None`` never aborts.
     """

@@ -2,15 +2,12 @@
 
 import pickle
 
-import pytest
-
 from repro.analysis import (
     AnalysisError,
     Diagnostic,
     PlanMismatchError,
     Severity,
     max_severity,
-    raise_on_errors,
 )
 
 
@@ -56,16 +53,6 @@ class TestAnalysisError:
         error = AnalysisError(diags)
         assert error.diagnostics == tuple(diags)
         assert "first" in str(error) and "second" in str(error)
-
-    def test_raise_on_errors_ignores_warnings(self):
-        raise_on_errors([Diagnostic.warning("a", "", "", "advisory")])
-        with pytest.raises(AnalysisError) as excinfo:
-            raise_on_errors([
-                Diagnostic.warning("a", "", "", "advisory"),
-                Diagnostic.error("b", "", "", "fatal"),
-            ])
-        assert len(excinfo.value.diagnostics) == 1
-        assert excinfo.value.diagnostics[0].message == "fatal"
 
 
 class TestPlanMismatchError:

@@ -156,6 +156,20 @@ class TestGeneratedPrograms:
         main.call("sub", "b")
         assert estimate_program(program, "x").num_qubits == 2 + 2 * 2
 
+    def test_entry_qubit_named_like_a_fresh_local(self):
+        # ``flatten`` names sub's local ``t`` "sub.t.0" on the first
+        # call; an entry qubit of that name stays a qubit of its own.
+        program = Program("main")
+        sub = program.module("sub", parameters=["p"], locals_=["t"])
+        sub.apply("CNOT", "p", "t")
+        main = program.module("main", locals_=["a", "sub.t.0"])
+        main.call("sub", "a")
+        main.apply("H", "sub.t.0")
+        estimate = estimate_program(program, "x")
+        assert (estimate.num_qubits, estimate.critical_path) == (3, 1)
+        assert_same_estimate(estimate, chain_estimate(program, "x"))
+        assert flatten(program).qubits == ["a", "sub.t.0", "sub.t.1"]
+
     def test_validates_first(self):
         program = Program("main")
         main = program.module("main", locals_=["a"])

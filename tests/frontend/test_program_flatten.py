@@ -112,6 +112,30 @@ class TestFlattenFull:
         scratch_names = {op.qubits[1] for op in circuit}
         assert len(scratch_names) == 2  # fresh local per invocation
 
+    def test_fresh_names_skip_every_declared_entry_name(self):
+        # The entry holds the names sub's first two locals would get, so
+        # the two calls' locals take the next free counter values.
+        program = Program("main")
+        sub = program.module("sub", parameters=["p"], locals_=["t"])
+        sub.apply("CNOT", "p", "t")
+        main = program.module("main", locals_=["a", "sub.t.0", "sub.t.1"])
+        main.call("sub", "a")
+        main.call("sub", "a")
+        circuit = flatten(program)
+        assert circuit.qubits == ["a", "sub.t.0", "sub.t.1", "sub.t.2", "sub.t.3"]
+        assert [op.qubits for op in circuit] == [("a", "sub.t.2"), ("a", "sub.t.3")]
+
+    def test_entry_parameter_named_like_a_fresh_local(self):
+        program = Program("main")
+        sub = program.module("sub", parameters=["p"], locals_=["t"])
+        sub.apply("CNOT", "p", "t")
+        main = program.module("main", parameters=["sub.t.0"], locals_=["a"])
+        main.call("sub", "a")
+        main.apply("H", "sub.t.0")
+        circuit = flatten(program)
+        assert circuit.qubits == ["sub.t.0", "a", "sub.t.1"]
+        assert CircuitDag(circuit).critical_path_length == 1
+
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError, match="inline_depth"):
             flatten(two_level_program(), inline_depth=-1)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.frontend import decompose_circuit
 from repro.network import (
     ALL_POLICIES,
     POLICIES,

@@ -2,7 +2,6 @@
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.apps import build_circuit
 from repro.frontend import decompose_circuit

@@ -81,10 +81,6 @@ class TestScheduleMetrics:
         assert CircuitDag(chain(10)).parallelism_factor == pytest.approx(1.0)
         assert CircuitDag(wide(10)).parallelism_factor == pytest.approx(10.0)
 
-    def test_weighted_latency(self):
-        dag = CircuitDag(chain(3), latency=lambda op: 5)
-        assert dag.critical_path_length == 15
-
     def test_slack_zero_on_chain(self):
         dag = CircuitDag(chain(4))
         for i in range(4):
@@ -98,6 +94,16 @@ class TestScheduleMetrics:
         dag = CircuitDag(c)
         assert dag.slack(3) == 2
         assert dag.critical_operations() == [0, 1, 2]
+
+    def test_slack_along_a_short_branch(self):
+        c = Circuit()
+        for _ in range(3):
+            c.apply("H", "a")      # 0,1,2: critical chain
+        c.apply("H", "b")          # 3: may start as late as level 1
+        c.apply("CNOT", "b", "c")  # 4 <- 3: may start as late as level 2
+        dag = CircuitDag(c)
+        assert [dag.alap_level(i) for i in (3, 4)] == [1, 2]
+        assert [dag.slack(i) for i in (3, 4)] == [1, 1]
 
     def test_criticality_counts_descendants(self):
         dag = CircuitDag(chain(4))

@@ -5,10 +5,9 @@ counts, ASAP levels and depth in one pass over per-qubit last writers,
 and derives predecessor lists and ALAP levels on first use.  The
 builder it replaced is kept below as reference code
 (:func:`reference_dag`): a per-operation dependency set, a global
-``seen`` edge set, mirrored predecessor lists built alongside the
-successors, and one ``latency()`` call per edge.  Hypothesis checks
-every public accessor against it on random Clifford+T circuits with
-fences, under unit and weighted latencies.
+``seen`` edge set, and mirrored predecessor lists built alongside the
+successors.  Hypothesis checks every public accessor against it on
+random Clifford+T circuits with fences.
 """
 
 from hypothesis import given, settings
@@ -22,9 +21,8 @@ from .conftest import clifford_t_circuits
 # -- reference code: the builder the one-pass DAG replaced -------------------
 
 
-def reference_dag(circuit, latency=None, exact_limit=20_000):
+def reference_dag(circuit, exact_limit=20_000):
     """Every per-node array of the replaced builder, by name."""
-    latency = latency or (lambda op: 1)
     n = len(circuit)
     successors = [[] for _ in range(n)]
     predecessors = [[] for _ in range(n)]
@@ -62,16 +60,15 @@ def reference_dag(circuit, latency=None, exact_limit=20_000):
     for index in range(n):
         preds = predecessors[index]
         if preds:
-            asap[index] = max(asap[p] + latency(circuit[p]) for p in preds)
-    depth = max((asap[i] + latency(circuit[i]) for i in range(n)), default=0)
+            asap[index] = max(asap[p] + 1 for p in preds)
+    depth = max((asap[i] + 1 for i in range(n)), default=0)
     alap = [0] * n
     for index in range(n - 1, -1, -1):
-        duration = latency(circuit[index])
         succs = successors[index]
         if succs:
-            alap[index] = min(alap[s] for s in succs) - duration
+            alap[index] = min(alap[s] for s in succs) - 1
         else:
-            alap[index] = depth - duration
+            alap[index] = depth - 1
 
     if n > exact_limit:
         criticality = [0] * n
@@ -115,11 +112,6 @@ def observed(dag):
     }
 
 
-def weighted(op):
-    """A latency with zero, unit and longer durations."""
-    return len(op.gate) % 4
-
-
 # -- differentials -----------------------------------------------------------
 
 
@@ -140,12 +132,6 @@ class TestMatchesReference:
             (i, s) for i, succs in enumerate(expected["successors"])
             for s in succs
         ]
-
-    @settings(max_examples=150, deadline=None)
-    @given(circuit=clifford_t_circuits())
-    def test_weighted_latency(self, circuit):
-        dag = CircuitDag(circuit, latency=weighted)
-        assert observed(dag) == reference_dag(circuit, latency=weighted)
 
     @settings(max_examples=100, deadline=None)
     @given(circuit=clifford_t_circuits())

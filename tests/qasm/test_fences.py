@@ -1,7 +1,5 @@
 """Tests for circuit fences and their effect on the dependence DAG."""
 
-import pytest
-
 from repro.qasm import Circuit, CircuitDag
 
 

@@ -2,9 +2,8 @@
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.qasm import Circuit, Operation, parse_qasm
+from repro.qasm import Circuit, parse_qasm
 from repro.qasm.writer import write_flat_qasm, write_openqasm2
 
 from .conftest import circuits

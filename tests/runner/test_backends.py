@@ -1,7 +1,7 @@
 """The disk store: record checksums, gzip encoding, flock
 single-flight (deterministic interleavings + 8-way multiprocessing
-stress + leader kill), and the seeded store fault modes (torn write,
-checksum flip)."""
+stress + leader kill), and the injected store fault modes (torn
+write, checksum flip)."""
 
 import errno
 import fcntl
@@ -16,15 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.runner import (
-    CorruptEntry,
-    DiskStore,
-    FaultAction,
-    FaultPlan,
-    StageCache,
-    StageKey,
-    set_fault_plan,
-)
+from repro.runner import CorruptEntry, DiskStore, StageCache, StageKey
 from repro.runner import backends
 from repro.runner.backends import (
     CACHE_FORMAT_VERSION,
@@ -38,14 +30,13 @@ from repro.runner.backends import (
 )
 from repro.runner.cli import main as cli_main
 
+from .faultplan import KILL_EXIT_CODE, Fault, injected
+
 KEY = StageKey.make("demo", x=1)
 
 
-@pytest.fixture(autouse=True)
-def _no_leaked_fault_plan():
-    set_fault_plan(None)
-    yield
-    set_fault_plan(None)
+def _entry(cache: StageCache) -> Path:
+    return cache.disk.entry_path(KEY.stage, KEY.digest)
 
 
 def _identity_cache_args():
@@ -129,7 +120,7 @@ class TestGzipEncoding:
         # A format-1 record predates checksums: stale, not corrupt.
         cache = StageCache(tmp_path)
         legacy = {"format": 1, "key": KEY.describe(), "value": {"v": 3}}
-        path = cache._path(KEY)
+        path = _entry(cache)
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps(legacy), encoding="utf-8")
         value = cache.get_or_compute(
@@ -489,13 +480,8 @@ class TestSingleFlightLocal:
 # Single-flight (multiprocessing stress)
 
 
-def _hammer_worker(root, log_path, out_path, barrier, plan_json):
+def _hammer_worker(root, log_path, out_path, barrier):
     """Worker for the 8-way stress: all processes miss the same key."""
-    from repro.runner.cache import StageCache
-    from repro.runner.faults import FaultPlan, set_fault_plan
-
-    if plan_json is not None:
-        set_fault_plan(FaultPlan.from_json(plan_json))
     cache = StageCache(root)
     key = StageKey.make("demo", x=1)
 
@@ -514,20 +500,21 @@ def _hammer_worker(root, log_path, out_path, barrier, plan_json):
     )
 
 
-def _run_workers(tmp_path, count, plan_json=None):
+def _run_workers(tmp_path, count):
     log_path = tmp_path / "computes.log"
     log_path.touch()
     cache_root = tmp_path / "cache"
-    barrier = multiprocessing.Barrier(count)
+    # Forked, so the children inherit an injected fault.
+    context = multiprocessing.get_context("fork")
+    barrier = context.Barrier(count)
     workers = [
-        multiprocessing.Process(
+        context.Process(
             target=_hammer_worker,
             args=(
                 str(cache_root),
                 str(log_path),
                 str(tmp_path / f"out-{idx}.json"),
                 barrier,
-                plan_json,
             ),
         )
         for idx in range(count)
@@ -568,22 +555,16 @@ class TestSingleFlightStress:
         assert not list((cache_root / "demo").glob("*.lock"))
 
     def test_lock_holder_kill_is_taken_over(self, tmp_path):
-        # The seeded kill fires at the compute site -- i.e. in
-        # whichever worker won the lock -- so the flight's leader dies
-        # holding the lock and a follower must take over.
-        plan = FaultPlan(
-            [FaultAction(op="kill", stage="demo")],
-            state_dir=str(tmp_path / "state"),
-            # This (parent) process installs the plan; without the pid
-            # the first worker would claim installership and refuse to
-            # hard-exit itself.
-            installer_pid=os.getpid(),
-        )
-        workers, log_path, cache_root = _run_workers(
-            tmp_path, 4, plan_json=plan.to_json()
-        )
+        # The injected kill fires at the compute site -- i.e. in
+        # whichever forked worker won the lock -- so the flight's
+        # leader dies holding the lock and a follower must take over.
+        with injected(
+            Fault("kill", "demo"), state_dir=tmp_path / "state"
+        ) as plan:
+            workers, log_path, cache_root = _run_workers(tmp_path, 4)
+        assert plan.marker(0).exists(), "the kill never fired"
         exits = sorted(w.exitcode for w in workers)
-        assert exits == [0, 0, 0, 73], exits
+        assert exits == [0, 0, 0, KILL_EXIT_CODE], exits
         computes = log_path.read_text(encoding="utf-8").splitlines()
         assert len(computes) == 1, computes
         outputs = {
@@ -605,7 +586,7 @@ class TestQuarantineFallback:
     def _corrupt_entry(self, tmp_path):
         cache = StageCache(tmp_path)
         cache.store_payload(KEY, {"v": 1})
-        path = cache._path(KEY)
+        path = _entry(cache)
         path.write_text("{corrupt", encoding="utf-8")
         return cache, path
 
@@ -653,7 +634,7 @@ class TestQuarantineFallback:
     def test_checksum_flip_quarantined_with_checksum_reason(self, tmp_path):
         cache = StageCache(tmp_path)
         cache.store_payload(KEY, {"v": 1})
-        path = cache._path(KEY)
+        path = _entry(cache)
         record = json.loads(path.read_text(encoding="utf-8"))
         record["sha256"] = "f" * 64
         path.write_text(json.dumps(record), encoding="utf-8")
@@ -673,15 +654,14 @@ class TestQuarantineFallback:
 
 class TestStoreFaults:
     def _stored_under_fault(self, tmp_path, op):
-        set_fault_plan(FaultPlan([FaultAction(op=op, stage="demo")]))
         cache = StageCache(tmp_path)
         computes = []
-        cache.get_or_compute(
-            KEY,
-            lambda: computes.append(1) or {"v": 5},
-            **_identity_cache_args(),
-        )
-        set_fault_plan(None)
+        with injected(Fault(op, "demo")):
+            cache.get_or_compute(
+                KEY,
+                lambda: computes.append(1) or {"v": 5},
+                **_identity_cache_args(),
+            )
         return cache, computes
 
     @pytest.mark.parametrize("op", ["torn", "flip"])
@@ -761,7 +741,7 @@ class TestBackendCli:
     def test_verify_fails_on_checksum_damage(self, tmp_path, capsys):
         cache = StageCache(tmp_path)
         cache.store_payload(KEY, {"v": 1})
-        path = cache._path(KEY)
+        path = _entry(cache)
         record = json.loads(path.read_text(encoding="utf-8"))
         record["sha256"] = "e" * 64
         path.write_text(json.dumps(record), encoding="utf-8")
@@ -775,7 +755,7 @@ class TestBackendCli:
         # ``prune`` and fails, but it is not corrupt, so it stays put.
         cache = StageCache(tmp_path)
         legacy = {"format": 1, "key": KEY.describe(), "value": {"v": 1}}
-        path = cache._path(KEY)
+        path = _entry(cache)
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps(legacy), encoding="utf-8")
         code = cli_main(["cache", "verify", "--cache-dir", str(tmp_path)])

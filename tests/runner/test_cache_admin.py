@@ -55,13 +55,14 @@ class TestPrune:
         total = cache.disk_stats()["total_entries"]
         # Everything is brand new: a one-hour threshold removes nothing.
         assert cache.prune(older_than_seconds=3600) == 0
-        # Pretend a day passed.
-        assert (
-            cache.prune(
-                older_than_seconds=3600, now=time.time() + 86400
-            )
-            == total
-        )
+        # Age every entry but the point by a day.
+        day_ago = time.time() - 86400
+        for path in tmp_path.glob("*/*.json"):
+            if path.parent.name != "point":
+                os.utime(path, (day_ago, day_ago))
+        assert cache.prune(older_than_seconds=3600) == total - 1
+        assert cache.disk_stats()["total_entries"] == 1
+        assert "point" in cache.disk_stats()["stages"]
 
 
 class TestVerify:

@@ -14,6 +14,8 @@ from repro.apps.registry import APPLICATIONS, SIM_SIZES
 from repro.runner.cli import _parse_policies, _parse_size, main
 from repro.runner.sweep import fig6_grid
 
+from .faultplan import Fault, injected
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
@@ -84,6 +86,22 @@ class TestArgParsing:
         # about it rather than have them silently ignored.
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "--apps", "sq", *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--apps", "sq", "--fault-plan", "plan.json"],
+            ["sweep", "--apps", "sq", "--verify-stages"],
+            ["run", "sq", "--verify-stages"],
+        ],
+    )
+    def test_fault_plan_and_verify_stages_are_gone(self, argv, capsys):
+        # Fault injection lives in the tests, and `check` is the one
+        # path that runs the IR passes.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -255,23 +273,7 @@ def test_no_repro_object_is_cyclic_garbage(tmp_path):
 def test_failed_points_leave_no_repro_cyclic_garbage(tmp_path):
     """The same premise on the failure path: a point that raises.  A
     kept exception would tie itself to a frame in its traceback."""
-    from repro.runner import FaultAction, FaultPlan, set_fault_plan
-
-    plan = tmp_path / "plan.json"
-    plan.write_text(
-        FaultPlan(
-            [
-                FaultAction(
-                    op="raise",
-                    stage="braid_sim",
-                    match='"policy": 0',
-                    once=False,
-                ),
-            ]
-        ).to_json(),
-        encoding="utf-8",
-    )
-    try:
+    with injected(POLICY_0_RAISES):
         code, owned = _repro_cyclic_garbage(
             [
                 *TINY_SWEEP,
@@ -281,12 +283,8 @@ def test_failed_points_leave_no_repro_cyclic_garbage(tmp_path):
                 str(tmp_path / "sweep.json"),
                 "--max-failures",
                 "-1",
-                "--fault-plan",
-                str(plan),
             ]
         )
-    finally:
-        set_fault_plan(None)
     assert code == 3
     payload = json.loads((tmp_path / "sweep.json").read_text())
     assert [f["attempts"] for f in payload["failures"]] == [1]
@@ -354,49 +352,22 @@ TINY_SWEEP = (
     "3",
 )
 
+POLICY_0_RAISES = Fault(
+    "raise", "braid_sim", match='"policy": 0', once=False
+)
+
 
 class TestSweepFaultCli:
     """Exit codes and flag plumbing of the fault-tolerant sweep:
     0 = all ok, 3 = completed with isolated failures, 1 = aborted,
     2 = usage errors."""
 
-    @pytest.fixture(autouse=True)
-    def _no_leaked_fault_plan(self):
-        from repro.runner import set_fault_plan
-
-        set_fault_plan(None)
-        yield
-        set_fault_plan(None)
-
-    def _plan_file(self, tmp_path, **action_kwargs):
-        from repro.runner import FaultAction, FaultPlan
-
-        path = tmp_path / "plan.json"
-        path.write_text(
-            FaultPlan([FaultAction(**action_kwargs)]).to_json(),
-            encoding="utf-8",
-        )
-        return str(path)
-
     def test_isolated_failures_exit_3(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"
-        code = main(
-            [
-                *TINY_SWEEP,
-                "--out",
-                str(out),
-                "--max-failures",
-                "-1",
-                "--fault-plan",
-                self._plan_file(
-                    tmp_path,
-                    op="raise",
-                    stage="braid_sim",
-                    match='"policy": 0',
-                    once=False,
-                ),
-            ]
-        )
+        with injected(POLICY_0_RAISES):
+            code = main(
+                [*TINY_SWEEP, "--out", str(out), "--max-failures", "-1"]
+            )
         assert code == 3
         stderr = capsys.readouterr().err
         assert "FAILED sq[2] policy=0" in stderr
@@ -413,27 +384,11 @@ class TestSweepFaultCli:
         self, tmp_path, capsys
     ):
         out = tmp_path / "sweep.json"
-        code = main(
-            [
-                *TINY_SWEEP,
-                "--out",
-                str(out),
-                "--max-failures",
-                "-1",
-                "--fault-plan",
-                self._plan_file(
-                    tmp_path,
-                    op="raise",
-                    stage="braid_sim",
-                    match='"policy": 0',
-                    once=False,
-                ),
-            ]
-        )
+        with injected(POLICY_0_RAISES):
+            code = main(
+                [*TINY_SWEEP, "--out", str(out), "--max-failures", "-1"]
+            )
         assert code == 3
-        from repro.runner import set_fault_plan
-
-        set_fault_plan(None)
         capsys.readouterr()
         code = main([*TINY_SWEEP, "--out", str(out), "--resume"])
         assert code == 0
@@ -444,16 +399,9 @@ class TestSweepFaultCli:
         assert payload["failures"] == []
         assert not out.with_name("sweep.json.partial.jsonl").exists()
 
-    def test_abort_exits_1(self, tmp_path, capsys):
-        code = main(
-            [
-                *TINY_SWEEP,
-                "--fault-plan",
-                self._plan_file(
-                    tmp_path, op="raise", stage="braid_sim"
-                ),
-            ]
-        )
+    def test_abort_exits_1(self, capsys):
+        with injected(Fault("raise", "braid_sim")):
+            code = main(list(TINY_SWEEP))
         assert code == 1
         stderr = capsys.readouterr().err
         assert "sweep aborted" in stderr
@@ -463,46 +411,6 @@ class TestSweepFaultCli:
         code = main([*TINY_SWEEP, "--resume"])
         assert code == 2
         assert "--resume needs --out" in capsys.readouterr().err
-
-    def test_unreadable_fault_plan_exits_2(self, tmp_path, capsys):
-        bad = tmp_path / "plan.json"
-        for text in (
-            "{not json",
-            # An unknown fault op.
-            '{"actions": [{"op": "sleep", "stage": "braid_sim"}]}',
-        ):
-            bad.write_text(text, encoding="utf-8")
-            code = main([*TINY_SWEEP, "--fault-plan", str(bad)])
-            assert code == 2
-            assert "unreadable fault plan" in capsys.readouterr().err
-
-    def test_plan_with_deadline_era_fields_exits_2(self, tmp_path, capsys):
-        # The shape FaultPlan.to_json wrote while plans carried a seed
-        # and every action a ``seconds`` field.
-        old = tmp_path / "plan.json"
-        old.write_text(
-            json.dumps(
-                {
-                    "seed": 0,
-                    "state_dir": None,
-                    "installer_pid": None,
-                    "actions": [
-                        {
-                            "op": "raise",
-                            "stage": "braid_sim",
-                            "nth": 1,
-                            "match": None,
-                            "once": True,
-                            "seconds": 0.0,
-                        }
-                    ],
-                }
-            ),
-            encoding="utf-8",
-        )
-        code = main([*TINY_SWEEP, "--fault-plan", str(old)])
-        assert code == 2
-        assert "unreadable fault plan" in capsys.readouterr().err
 
     def test_cache_stats_reports_quarantine(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
@@ -528,49 +436,36 @@ class TestSweepFaultCli:
 
 
 @pytest.mark.slow
-def test_chaos_sweep_isolates_planned_faults(tmp_path):
-    """The chaos scenario through the shipped CLI: a worker hard-killed
+def test_chaos_sweep_isolates_planned_faults(tmp_path, capsys):
+    """The chaos scenario through the CLI: a pool worker hard-killed
     mid-braid, a permanently failing point and a corrupted disk entry,
-    injected into a two-worker sweep.  Exactly the planned failure is
-    isolated (exit 3), every survivor equals a fault-free run, and the
-    corrupt entry is quarantined."""
-    from repro.runner import FaultAction, FaultPlan
-
-    state = tmp_path / "chaos-state"
-    plan = tmp_path / "chaos-plan.json"
-    plan.write_text(
-        FaultPlan(
-            [
-                FaultAction(op="kill", stage="braid_sim"),
-                FaultAction(
-                    op="raise",
-                    stage="braid_sim",
-                    match='"policy": 0',
-                    once=False,
-                ),
-                FaultAction(op="corrupt", stage="point"),
-            ],
-            state_dir=state,
-        ).to_json(),
-        encoding="utf-8",
-    )
-    grid = ("--apps", "sq", "--size", "2", "--distance", "3")
+    injected into a two-worker sweep (the forked workers inherit the
+    harness).  Exactly the planned failure is isolated (exit 3), every
+    survivor equals a fault-free run, and the corrupt entry is
+    quarantined."""
+    grid = ("sweep", "--apps", "sq", "--size", "2", "--distance", "3")
     chaos_cache = tmp_path / "chaos-cache"
-    chaos = _repro(
-        "sweep", *grid, "--policies", "0-6", "--workers", "2",
-        "--max-failures", "-1", "--cache-dir", str(chaos_cache),
-        "--fault-plan", str(plan), "--out", str(tmp_path / "chaos.json"),
-    )
-    assert chaos.returncode == 3, chaos.stderr
-    clean = _repro(
-        "sweep", *grid, "--policies", "1-6",
+    with injected(
+        Fault("kill", "braid_sim"),
+        POLICY_0_RAISES,
+        Fault("corrupt", "point"),
+        state_dir=tmp_path / "chaos-state",
+    ) as plan:
+        code = main([
+            *grid, "--policies", "0-6", "--workers", "2",
+            "--max-failures", "-1", "--cache-dir", str(chaos_cache),
+            "--out", str(tmp_path / "chaos.json"),
+        ])
+    assert code == 3, capsys.readouterr().err
+    # Both one-shot faults fired: the kill and the corruption.
+    assert plan.marker(0).exists()
+    assert plan.marker(2).exists()
+    code = main([
+        *grid, "--policies", "1-6",
         "--cache-dir", str(tmp_path / "clean-cache"),
         "--out", str(tmp_path / "clean.json"),
-    )
-    assert clean.returncode == 0, clean.stderr
-    # Both one-shot faults fired: the kill and the corruption.
-    assert (state / "action-0.fired").exists()
-    assert (state / "action-2.fired").exists()
+    ])
+    assert code == 0, capsys.readouterr().err
 
     chaos_report = json.loads((tmp_path / "chaos.json").read_text())
     clean_report = json.loads((tmp_path / "clean.json").read_text())
@@ -581,5 +476,6 @@ def test_chaos_sweep_isolates_planned_faults(tmp_path):
     assert sorted(survivors) == list(range(1, 7))
     assert survivors == expected
 
-    verify = _repro("cache", "verify", "--cache-dir", str(chaos_cache))
-    assert json.loads(verify.stdout)["quarantined_total"] == 1
+    capsys.readouterr()
+    main(["cache", "verify", "--cache-dir", str(chaos_cache)])
+    assert json.loads(capsys.readouterr().out)["quarantined_total"] == 1

@@ -1,27 +1,27 @@
 """Fault-tolerant sweep execution: run-once isolation, crash re-queue,
-checkpoint-resume, quarantine, and the fault-injection harness driving
-all of it deterministically."""
+checkpoint-resume and quarantine, driven deterministically by the
+fault-injection harness in :mod:`.faultplan`."""
 
 import json
 
 import pytest
 
 from repro.runner import (
-    FaultAction,
-    FaultPlan,
     GridSpec,
-    InjectedFault,
     PointFailure,
     PointSpec,
     StageCache,
     SweepAborted,
     SweepResult,
+    StageKey,
     SweepRunner,
     execute_point,
     run_point,
-    set_fault_plan,
 )
 from repro.runner.sweep import POOL_RETRIES, journal_path, load_journal
+
+from . import faultplan
+from .faultplan import Fault, InjectedFault, injected
 
 # Tiny instances keep every simulation in the milliseconds range.
 TINY = GridSpec(
@@ -31,16 +31,84 @@ TINY = GridSpec(
     distance=3,
 )
 
-
-@pytest.fixture(autouse=True)
-def _no_leaked_fault_plan():
-    set_fault_plan(None)
-    yield
-    set_fault_plan(None)
+POLICY_0_RAISES = Fault(
+    "raise", "braid_sim", match='"policy": 0', once=False
+)
+"""Every policy-0 braid simulation fails: 2 failures in TINY."""
 
 
 def _jsonable(points):
     return [p.to_jsonable() for p in points]
+
+
+class TestFaultAction:
+    @pytest.mark.parametrize("op", ["sleep", "stall"])
+    def test_removed_ops_rejected(self, op):
+        with pytest.raises(ValueError, match="unknown fault op"):
+            Fault(op=op, stage="braid_sim")
+
+
+class TestInjected:
+    """The harness itself: which computes a fault hits, and cleanup."""
+
+    @staticmethod
+    def _compute(cache, x, **params):
+        return cache.get_or_compute(
+            StageKey.make("demo", x=x, **params), lambda: x
+        )
+
+    def test_block_exit_restores_the_cache(self):
+        get_or_compute = StageCache.get_or_compute
+        store_payload = StageCache.store_payload
+        with pytest.raises(KeyError):
+            with injected(Fault("raise", "demo")):
+                raise KeyError("inside")
+        assert StageCache.get_or_compute is get_or_compute
+        assert StageCache.store_payload is store_payload
+
+    def test_nth_counts_computes_of_matching_keys(self):
+        cache = StageCache()
+        with injected(Fault("raise", "demo", nth=2, match='"x": 1')):
+            assert self._compute(cache, 2) == 2  # key does not match
+            assert self._compute(cache, 1) == 1  # first matching compute
+            assert self._compute(cache, 1) == 1  # memory hit: no compute
+            with pytest.raises(InjectedFault):
+                self._compute(cache, 1, y=0)
+            assert self._compute(cache, 1, y=1) == 1  # once: spent
+
+    def test_repeating_fault_fires_from_nth_on(self):
+        cache = StageCache()
+        with injected(Fault("raise", "demo", nth=2, once=False)):
+            assert self._compute(cache, 1) == 1
+            for x in (2, 3):
+                with pytest.raises(InjectedFault):
+                    self._compute(cache, x)
+
+    def test_marker_keeps_a_once_fault_to_one_firing(self, tmp_path):
+        # A second plan over the same state_dir stands for the pool that
+        # replaces one a kill broke: it finds the marker and stays quiet.
+        fault = Fault("raise", "demo")
+        with injected(fault, state_dir=tmp_path) as plan:
+            with pytest.raises(InjectedFault):
+                self._compute(StageCache(), 1)
+            assert plan.marker(0).exists()
+        with injected(fault, state_dir=tmp_path):
+            assert self._compute(StageCache(), 1) == 1
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_refuses_a_start_method_that_does_not_fork(
+        self, method, monkeypatch
+    ):
+        # Children started that way import an unpatched StageCache, so
+        # a planned fault would silently not fire in them.
+        get_or_compute = StageCache.get_or_compute
+        monkeypatch.setattr(
+            faultplan.multiprocessing, "get_start_method", lambda: method
+        )
+        with pytest.raises(RuntimeError, match="'fork' start method"):
+            with injected(Fault("raise", "demo")):
+                pass
+        assert StageCache.get_or_compute is get_or_compute
 
 
 class TestPointFailure:
@@ -55,21 +123,6 @@ class TestPointFailure:
         )
         revived = PointFailure.from_jsonable(failure.to_jsonable())
         assert revived == failure
-
-
-class TestFaultAction:
-    @pytest.mark.parametrize("op", ["sleep", "stall"])
-    def test_removed_ops_rejected(self, op):
-        with pytest.raises(ValueError, match="unknown fault op"):
-            FaultAction(op=op, stage="braid_sim")
-
-    def test_seconds_field_rejected(self):
-        # Neither op that read it remains, so a plan carrying the field
-        # is refused rather than silently half-applied.
-        with pytest.raises(TypeError):
-            FaultAction.from_jsonable(
-                {"op": "raise", "stage": "braid_sim", "seconds": 0.0}
-            )
 
 
 class TestSweepResultSchema:
@@ -138,10 +191,8 @@ class TestSweepResultSchema:
 
 class TestIsolation:
     def test_injected_failure_is_isolated(self):
-        set_fault_plan(
-            FaultPlan([FaultAction(op="raise", stage="braid_sim")])
-        )
-        result = SweepRunner(max_failures=None).run(TINY)
+        with injected(Fault("raise", "braid_sim")):
+            result = SweepRunner(max_failures=None).run(TINY)
         assert len(result.failures) == 1
         assert len(result.points) == 3
         failure = result.failures[0]
@@ -150,61 +201,25 @@ class TestIsolation:
         assert failure.attempts == 1
 
     def test_default_fail_fast_aborts(self):
-        set_fault_plan(
-            FaultPlan([FaultAction(op="raise", stage="braid_sim")])
-        )
-        with pytest.raises(SweepAborted) as excinfo:
-            SweepRunner().run(TINY)
+        with injected(Fault("raise", "braid_sim")):
+            with pytest.raises(SweepAborted) as excinfo:
+                SweepRunner().run(TINY)
         assert len(excinfo.value.failures) == 1
 
     def test_max_failures_budget(self):
-        # Policy-0 braid simulations always fail: 2 failures in TINY.
-        set_fault_plan(
-            FaultPlan(
-                [
-                    FaultAction(
-                        op="raise",
-                        stage="braid_sim",
-                        match='"policy": 0',
-                        once=False,
-                    )
-                ]
-            )
-        )
-        with pytest.raises(SweepAborted):
-            SweepRunner(max_failures=1).run(TINY)
-        set_fault_plan(
-            FaultPlan(
-                [
-                    FaultAction(
-                        op="raise",
-                        stage="braid_sim",
-                        match='"policy": 0',
-                        once=False,
-                    )
-                ]
-            )
-        )
-        tolerant = SweepRunner(max_failures=2).run(TINY)
+        with injected(POLICY_0_RAISES):
+            with pytest.raises(SweepAborted):
+                SweepRunner(max_failures=1).run(TINY)
+        with injected(POLICY_0_RAISES):
+            tolerant = SweepRunner(max_failures=2).run(TINY)
         assert len(tolerant.failures) == 2
         assert {f.spec.policy for f in tolerant.failures} == {0}
         assert {p.spec.policy for p in tolerant.points} == {6}
 
     def test_surviving_points_bit_identical_to_clean_run(self):
         clean = SweepRunner().run(TINY)
-        set_fault_plan(
-            FaultPlan(
-                [
-                    FaultAction(
-                        op="raise",
-                        stage="braid_sim",
-                        match='"policy": 0',
-                        once=False,
-                    )
-                ]
-            )
-        )
-        faulty = SweepRunner(max_failures=None).run(TINY)
+        with injected(POLICY_0_RAISES):
+            faulty = SweepRunner(max_failures=None).run(TINY)
         survivors = {
             p.spec.key().digest: p.to_jsonable() for p in faulty.points
         }
@@ -225,31 +240,25 @@ class TestRunOnce:
 
     def test_transient_fault_fails_the_point(self):
         # A one-shot fault: any second attempt would succeed.
-        set_fault_plan(
-            FaultPlan([FaultAction(op="raise", stage="braid_sim")])
-        )
-        outcome = execute_point(self.SPEC, StageCache())
+        with injected(Fault("raise", "braid_sim")):
+            outcome = execute_point(self.SPEC, StageCache())
         assert isinstance(outcome, PointFailure)
         assert outcome.attempts == 1
         assert outcome.stage == "braid_sim"
         assert outcome.error_type == "InjectedFault"
 
     def test_failed_stage_is_called_once(self):
-        set_fault_plan(
-            FaultPlan(
-                [
-                    # Call 1 raises; a re-run would reach call 2.
-                    FaultAction(op="raise", stage="braid_sim"),
-                    FaultAction(op="raise", stage="braid_sim", nth=2),
-                ]
-            )
-        )
-        outcome = execute_point(self.SPEC, StageCache())
-        assert isinstance(outcome, PointFailure)
-        assert "action 0" in outcome.error
-        # Action 1 never fired, so the next call is call 2.
-        with pytest.raises(InjectedFault, match="action 1"):
-            run_point(self.SPEC, StageCache())
+        with injected(
+            # Call 1 raises; a re-run would reach call 2.
+            Fault("raise", "braid_sim"),
+            Fault("raise", "braid_sim", nth=2),
+        ):
+            outcome = execute_point(self.SPEC, StageCache())
+            assert isinstance(outcome, PointFailure)
+            assert "fault 0" in outcome.error
+            # Fault 1 never fired, so the next call is call 2.
+            with pytest.raises(InjectedFault, match="fault 1"):
+                run_point(self.SPEC, StageCache())
 
     def test_healthy_point_matches_run_point(self):
         outcome = execute_point(self.SPEC, StageCache())
@@ -280,12 +289,9 @@ class TestQuarantine:
     def test_injected_corruption_recovers_and_quarantines(
         self, tmp_path
     ):
-        set_fault_plan(
-            FaultPlan([FaultAction(op="corrupt", stage="point")])
-        )
-        warm = SweepRunner(cache_dir=tmp_path).run(TINY)
+        with injected(Fault("corrupt", "point")):
+            warm = SweepRunner(cache_dir=tmp_path).run(TINY)
         assert warm.ok
-        set_fault_plan(None)
         # One point entry on disk is garbage; a cold process must
         # quarantine it, recompute, and still match the first run.
         runner = SweepRunner(cache_dir=tmp_path)
@@ -359,23 +365,13 @@ class TestJournalResume:
     def test_resume_reruns_only_failed_points(self, tmp_path):
         journal = tmp_path / "sweep.json.partial.jsonl"
         clean = SweepRunner().run(TINY)
-        set_fault_plan(
-            FaultPlan(
-                [
-                    FaultAction(
-                        op="raise",
-                        stage="braid_sim",
-                        match='"policy": 0',
-                        once=False,
-                    )
-                ]
+        with injected(POLICY_0_RAISES):
+            faulty = SweepRunner(max_failures=None).run(
+                TINY, journal=journal
             )
-        )
-        faulty = SweepRunner(max_failures=None).run(TINY, journal=journal)
         assert len(faulty.failures) == 2
         # Failures are not journaled: only the survivors are.
         assert len(load_journal(journal)) == 2
-        set_fault_plan(None)
         resumed = SweepRunner().run(TINY, journal=journal, resume=True)
         assert resumed.ok
         assert resumed.stats.computed("point") == 2
@@ -436,17 +432,15 @@ class TestJournalResume:
 class TestWorkerCrashRecovery:
     def test_killed_worker_chunk_requeued(self, tmp_path):
         clean = SweepRunner().run(TINY)
-        set_fault_plan(
-            FaultPlan(
-                [FaultAction(op="kill", stage="braid_sim")],
-                state_dir=tmp_path / "fault-state",
-            )
-        )
-        result = SweepRunner(
-            cache_dir=tmp_path / "cache",
-            workers=2,
-            max_failures=None,
-        ).run(TINY)
+        with injected(
+            Fault("kill", "braid_sim"), state_dir=tmp_path / "fault-state"
+        ) as plan:
+            result = SweepRunner(
+                cache_dir=tmp_path / "cache",
+                workers=2,
+                max_failures=None,
+            ).run(TINY)
+        assert plan.marker(0).exists(), "the kill never fired"
         assert result.ok, [f.to_jsonable() for f in result.failures]
         assert _jsonable(result.points) == _jsonable(clean.points)
 
@@ -456,14 +450,12 @@ class TestWorkerCrashRecovery:
         # No state_dir: every replacement worker re-fires the kill, so
         # each chunk is lost in every pool round and its points fail
         # structurally, each exactly once.
-        set_fault_plan(
-            FaultPlan([FaultAction(op="kill", stage="braid_sim")])
-        )
-        result = SweepRunner(
-            cache_dir=tmp_path / "cache",
-            workers=2,
-            max_failures=None,
-        ).run(TINY)
+        with injected(Fault("kill", "braid_sim")):
+            result = SweepRunner(
+                cache_dir=tmp_path / "cache",
+                workers=2,
+                max_failures=None,
+            ).run(TINY)
         assert result.points == []
         assert len(result.failures) == 4
         assert {f.spec.key().digest for f in result.failures} == {
@@ -479,33 +471,8 @@ class TestWorkerCrashRecovery:
 
     def test_kill_in_main_process_degrades_to_raise(self):
         # Serial sweeps must never hard-exit the interpreter.
-        set_fault_plan(
-            FaultPlan([FaultAction(op="kill", stage="braid_sim")])
-        )
-        result = SweepRunner(max_failures=None).run(TINY)
+        with injected(Fault("kill", "braid_sim")):
+            result = SweepRunner(max_failures=None).run(TINY)
         assert len(result.failures) == 1
         assert result.failures[0].error_type == "InjectedFault"
 
-
-@pytest.mark.slow
-class TestChaos:
-    """Fault plans travel to worker processes as JSON.  The chaos
-    sweep itself (a worker kill, a permanent raise and a corrupt disk
-    entry through the CLI) runs in ``tests/runner/test_cli.py``."""
-
-    def test_plan_round_trips_through_json(self, tmp_path):
-        plan = FaultPlan(
-            [
-                FaultAction(op="kill", stage="braid_sim"),
-                FaultAction(
-                    op="raise",
-                    stage="braid_sim",
-                    nth=2,
-                    match='"policy": 0',
-                ),
-            ],
-            state_dir=tmp_path,
-        )
-        revived = FaultPlan.from_json(plan.to_json())
-        assert revived.actions == plan.actions
-        assert revived.state_dir == tmp_path
