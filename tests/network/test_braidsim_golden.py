@@ -152,7 +152,9 @@ class TestCloseFirstGoldenWithDrops:
     Drops re-stamp arrivals, the subtlest transition of close-first
     ordering: FIFO order (Policy 5) and the combined rule (Policy 6)
     send a dropped op to the back, while the scoreboard (Policy 8)
-    keeps its program-order place.
+    keeps its program-order place.  The rotating-stride scenario
+    checks agreement with the seed loop; the fixed FIFO scenario pins
+    a schedule length that only the re-stamp gives.
     """
 
     def _congested(self):
@@ -176,6 +178,26 @@ class TestCloseFirstGoldenWithDrops:
                 circuit, placement, 3, 3, policy, 9, config=config
             )
             assert result.drops > 0  # the scenario really drops
+
+    # A fixed FIFO scenario whose schedule depends on the re-stamp: a
+    # dropped op that kept its old arrival stamp would open ahead of
+    # later arrivals and finish at cycle 122, not 121.
+    _RESTAMP_PAIRS = (
+        (4, 5), (1, 2), (0, 6), (2, 3), (0, 4), (5, 6), (1, 8), (4, 6),
+        (6, 4), (2, 8), (6, 4), (6, 1), (7, 5), (0, 8), (4, 1), (1, 8),
+        (5, 1), (8, 2), (5, 0), (3, 7), (6, 3), (6, 4), (3, 1), (2, 8),
+        (5, 6), (3, 8), (3, 5), (3, 7), (6, 5), (3, 1),
+    )
+
+    def test_drop_restamps_fifo_arrival(self):
+        qubits = [f"q{i}" for i in range(9)]
+        placement = naive_layout(qubits, GridShape(3, 3))
+        c = Circuit(qubits=qubits)
+        for i, j in self._RESTAMP_PAIRS:
+            c.apply("CNOT", f"q{i}", f"q{j}")
+        config = BraidSimConfig(adaptive_timeout=1, drop_timeout=2)
+        result = assert_equivalent(c, placement, 3, 3, 5, 3, config=config)
+        assert (result.schedule_length, result.drops) == (121, 2)
 
 
 class TestSchedulerFamilyGolden:
