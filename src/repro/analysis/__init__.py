@@ -25,7 +25,6 @@ from .diagnostics import (
     Diagnostic,
     PlanMismatchError,
     Severity,
-    max_severity,
 )
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "Diagnostic",
     "PlanMismatchError",
     "Severity",
-    "max_severity",
     "check_circuit",
     "check_dag",
     "check_placement",

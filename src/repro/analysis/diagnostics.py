@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 __all__ = [
     "Severity",
     "Diagnostic",
     "AnalysisError",
     "PlanMismatchError",
-    "max_severity",
 ]
 
 
@@ -105,17 +104,6 @@ class Diagnostic:
         cls, pass_name: str, artifact: str, location: str, message: str
     ) -> "Diagnostic":
         return cls(Severity.WARNING, pass_name, artifact, location, message)
-
-
-def max_severity(
-    diagnostics: Iterable[Diagnostic],
-) -> Optional[Severity]:
-    """The worst severity present, or None for an empty batch."""
-    worst: Optional[Severity] = None
-    for diag in diagnostics:
-        if worst is None or diag.severity.rank > worst.rank:
-            worst = diag.severity
-    return worst
 
 
 class AnalysisError(Exception):

@@ -15,29 +15,35 @@ the active policy, and an open attempted before a same-cycle close sees
 the link as busy (which is exactly what close-first prioritization
 exploits).
 
-The inner loop runs on flat data structures, and everything that does
-not depend on the scheduling policy — per-op braid flags, route lengths
-and local latencies, dominant routes and link masks, DAG arrays, the
-critical path — is precompiled into an immutable
-:class:`~repro.network.plan.BraidPlan`, built once per design point and
-shared by all seven policy simulations (see :mod:`repro.network.plan`):
+Everything that does not depend on the scheduling policy — per-op
+braid flags, route lengths and local latencies, dominant routes and
+link masks, DAG arrays, the critical path — is precompiled into an
+immutable :class:`~repro.network.plan.BraidPlan`, built once per
+design point and shared by all seven policy simulations (see
+:mod:`repro.network.plan`).  :meth:`BraidSimulator.run` then does each
+timestep's whole work in one loop body on local variables, with no
+call per event but the open-order sort of a round with two or more
+ready opens:
 
 * events live on a per-cycle calendar: a heap of distinct pending
   cycles, plus per cycle the ops due then in scheduling order (``op``
   for a braid expiry, ``~op`` for a local completion); a wake only
-  makes sure its cycle exists, and :meth:`BraidSimulator.run` is one
-  timestep loop that pops a cycle's whole list before processing it;
-* link occupancy is the mesh's bitmask core, so a route is free iff
-  ``route_mask & occupied == 0`` and claims/releases are big-int OR/AND;
+  makes sure its cycle exists, and a timestep pops its cycle's whole
+  list before processing it;
+* link occupancy is a bitmask over link ids, so a route is free iff
+  ``route_mask & occupied == 0`` and claims/releases are big-int
+  OR/XOR; the mask, its popcount and the release counter (the mesh
+  *epoch*) are locals read from the :class:`~.mesh.BraidMesh` at entry
+  and handed back at exit, and each holding op's mask sits in a dict;
 * routes come precomputed from a shared :class:`~.routing.RouteTable`;
 * per-op criticality and route-length keys are fetched into arrays once
   instead of rebuilding closures inside the issue fixpoint;
-* a blocked open records the mesh *epoch* (release counter) at which its
-  route search failed and skips the search entirely until a link is
-  released or adaptivity widens its candidate set;
+* a blocked open records the epoch at which its route search failed
+  and skips the search entirely until a link is released or adaptivity
+  widens its candidate set;
 * each issue round sorts its candidate opens only when more than one is
-  ready (ready sets hold 0--3 ops in most rounds), and interleaved
-  policies merge the sorted closes and opens with two pointers.
+  ready (ready sets hold 0--3 ops in most rounds); interleaved policies
+  merge the closes and opens with one sort on op index.
 
 The scheduler families (policies 7 and 8) ride the same event loop:
 the reservation family (:mod:`.policies_sched`) admits an op to an
@@ -48,7 +54,8 @@ issues the oldest ready op (lowest program index) first.
 For every policy but 7, results are bit-identical to the seed event
 loop, which is preserved in :mod:`repro.network._braidsim_reference`
 and enforced by the golden equivalence tests and the event-trace
-differential harness.  Policy 7 has no seed oracle; its simulated
+differential harness (the loop records its own trace, see
+:attr:`BraidSimulator.trace`).  Policy 7 has no seed oracle; its simulated
 schedule length equals its planner's makespan, and the IR verifier
 replays its reservation table.
 """
@@ -57,7 +64,6 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import itertools
 from typing import Optional
 
 from ..analysis.diagnostics import PlanMismatchError
@@ -151,10 +157,6 @@ class BraidSimResult:
         return self.schedule_length / self.critical_path
 
 
-# Phase codes (int-valued for flat array storage).
-_WAITING, _READY, _HOLDING, _CLOSING, _DONE = range(5)
-
-
 class BraidSimulator:
     """Single-run braid schedule simulator.
 
@@ -162,6 +164,22 @@ class BraidSimulator:
     :func:`simulate_plan` to run several policies from one prebuilt
     :class:`~repro.network.plan.BraidPlan`, and instantiate directly to
     inspect internals or inject custom tasks.
+
+    :meth:`run` is one timestep loop whose body does all of a
+    timestep's work on local variables: the calendar pop and local
+    completions, the closes (release, then the next segment or the
+    completion, then successors made ready), the opens (epoch
+    early-out, dominant then adaptive route search, drop and
+    re-inject, claim) and every calendar push.  A caller's mesh sees
+    the run's claims and releases when :meth:`run` returns.
+
+    Attributes:
+        trace: ``None``, or a list that :meth:`run` appends every
+            scheduling decision to, in order: ``("open", t, op,
+            segment)`` for a successful open, ``("close", t, op,
+            segment)`` for a close and ``("done", t, op)`` for a
+            completion.  The differential tests compare it with the
+            seed loop's.
     """
 
     def __init__(
@@ -252,41 +270,21 @@ class BraidSimulator:
         self.num_ops = plan.num_ops
         n = self.num_ops
 
-        self._phase = [_WAITING] * n
+        self._done = [False] * n
         self._segment_index = [0] * n
         self._remaining_preds = list(plan.in_degrees)  # mutable copy
-        self._successors = plan.successors  # shared, read-only
         self._wait_start = [0] * n
         self._arrival = [0] * n
-        self._arrival_counter = itertools.count()
         self._ready_opens: set[int] = set()
-        # Event calendar: a heap of distinct pending cycles, and per
-        # cycle the ops due then in scheduling order (``op`` for a braid
-        # expiry, ``~op`` for a local completion).  A wake carries no
-        # data, so it only makes sure its cycle exists.
-        self._cycles: list[int] = []
-        self._due: dict[int, list[int]] = {}
-        self._completion_time = 0
-        self._braids = 0
-        self._adaptive = 0
-        self._drops = 0
-        self._p0_head = 0  # policy-0 program-order cursor
 
-        # Flat per-op scheduling keys, shared read-only from the plan.
-        # Criticality is only materialized for policies that rank by it
-        # (the DAG's lazy descendant counts are shared across plans).
-        self._is_braid = plan.is_braid
+        # Open-order keys, shared read-only from the plan.  Criticality
+        # is only materialized for policies that rank by it (the DAG's
+        # lazy descendant counts are shared across plans).
         self._route_length = plan.route_length
-        self._local_cycles = plan.local_cycles
         if policy.use_criticality or policy.combined_length_rule:
             self._criticality = plan.criticality()
         else:
             self._criticality = []
-
-        # Per-op, per-segment route handles: (src, dst, hold, min_len,
-        # dor_path, dor_mask), prebound through the shared route table.
-        self._routes = plan.routes
-        self._segments = plan.segments
 
         # Blocked-open memo: the mesh epoch at which this op's last
         # route search failed, and whether that search was adaptive.
@@ -300,31 +298,77 @@ class BraidSimulator:
             if policy.family == "reservation"
             else None
         )
+        self.trace: Optional[list[tuple]] = None
 
     # -- public API ---------------------------------------------------------
 
     def run(self) -> BraidSimResult:
-        for op in self.plan.sources:
-            self._make_ready(op, time=0)
-        self._due_at(0)
-        cycles = self._cycles
-        due = self._due
-        phase = self._phase
-        ready = self._ready_opens
+        plan = self.plan
+        config = self.config
         mesh = self.mesh
-        # The seams a subclass may hook are bound once, not inlined.
-        try_open = self._try_open
-        close_segment = self._close_segment
-        complete = self._complete
+        num_ops = self.num_ops
+        is_braid = plan.is_braid
+        segments = plan.segments
+        local_cycles = plan.local_cycles
+        successors = plan.successors
+        alternatives = plan.routes.alternatives
+        done = self._done
+        seg_index = self._segment_index
+        remaining = self._remaining_preds
+        wait_start = self._wait_start
+        arrival = self._arrival
+        fail_epoch = self._fail_epoch
+        fail_adaptive = self._fail_adaptive
+        ready = self._ready_opens
+        ready_add = ready.add
+        ready_discard = ready.discard
         sort_opens = self._sort_opens
         closes_first = self.policy.closes_first
         interleave = self.policy.interleave
         reserved = self._resv.reserved if self._resv is not None else None
-        seg_index = self._segment_index
-        max_cycles = self.config.max_cycles
+        adaptive_timeout = config.adaptive_timeout
+        drop_timeout = config.drop_timeout
+        max_cycles = config.max_cycles
+        trace = self.trace
+        heappush = heapq.heappush
         heappop = heapq.heappop
-        busy_integral = 0
-        last_time = 0
+        # Event calendar: a heap of distinct pending cycles, and per
+        # cycle the ops due then in scheduling order (``op`` for a braid
+        # expiry, ``~op`` for a local completion).  A wake carries no
+        # data, so it only makes sure its cycle exists.
+        cycles = [0]
+        due: dict[int, list[int]] = {0: []}
+        # Link occupancy lives here for the run and goes back to the
+        # mesh at the end: the claimed links, their count, the release
+        # counter (the mesh epoch), and each holding op's claimed mask
+        # (empty again once the calendar is).
+        occupied = mesh.occupied_mask
+        busy = mesh.busy_links()
+        epoch = mesh.epoch
+        held: dict[int, int] = {}
+        stamp = -1  # the last FIFO arrival stamp handed out
+        head = 0  # Policy 0's program-order cursor
+        completion_time = braids = adaptive_routes = drops = 0
+        busy_integral = last_time = 0
+
+        for op in plan.sources:
+            if is_braid[op]:
+                stamp += 1
+                arrival[op] = stamp
+                ready_add(op)
+                if reserved is not None:
+                    cycle = reserved[op][0]
+                    if cycle not in due:
+                        due[cycle] = []
+                        heappush(cycles, cycle)
+            else:
+                cycle = local_cycles[op]
+                if cycle in due:
+                    due[cycle].append(~op)
+                else:
+                    due[cycle] = [~op]
+                    heappush(cycles, cycle)
+
         while cycles:
             time = heappop(cycles)
             if time > max_cycles:
@@ -333,28 +377,165 @@ class BraidSimulator:
                     "cycles; likely livelock"
                 )
             if time > last_time:
-                busy_integral += mesh.busy_links() * (time - last_time)
+                busy_integral += busy * (time - last_time)
                 last_time = time
             # The cycle's whole list is taken before any of it runs, so
             # an event scheduled for this very cycle (a zero-cycle local
-            # op) forms a new timestep at the same cycle.
+            # op) forms a new timestep at the same cycle.  Closes are
+            # kept as ``~op``, like local completions, in op order.
+            seq = []
             closes = []
             for entry in due.pop(time):
                 if entry < 0:
-                    complete(~entry, time)
-                elif phase[entry] == _HOLDING:
-                    phase[entry] = _CLOSING
-                    closes.append(entry)
-            closes.sort()
-            # Fixpoint within the timestep: closes can complete
-            # operations, whose successors become ready and may open in
-            # the same cycle (the greedy "place as many braids as
-            # possible" rule).  A round's open candidates are the ready
-            # set as it stood before the round's closes; ops those
-            # closes ready open next round.  Closes only come from the
-            # cycle's list, so only the first round has any.
+                    seq.append(entry)
+                else:
+                    closes.append(~entry)
+            closes.sort(reverse=True)
+            # Issue rounds to a fixpoint: closes can complete operations,
+            # whose successors become ready and may open in the same
+            # cycle (the greedy "place as many braids as possible"
+            # rule).  A round's open candidates are the ready set as it
+            # stood before the round's closes; ops those closes ready
+            # open next round.  Round 0 runs the cycle's local
+            # completions, in calendar order, and round 1 its closes.
+            progress = True
+            closing = False
             released_with_blocked = False
             while True:
+                blocked = False
+                for op in seq:
+                    if op >= 0:
+                        # Open: the dominant route if free, else (once
+                        # the adaptive timeout passed) the first free
+                        # alternative.
+                        waited = time - wait_start[op]
+                        adaptive = waited >= adaptive_timeout
+                        path = None
+                        # Epoch early-out: a search that failed at this
+                        # epoch with the same (or a wider) candidate set
+                        # must fail again -- claims since then only
+                        # shrank the free set.
+                        if fail_epoch[op] != epoch or (
+                            adaptive and not fail_adaptive[op]
+                        ):
+                            src, dst, hold, min_len, dor_path, dor_mask = (
+                                segments[op][seg_index[op]]
+                            )
+                            if not dor_mask & occupied:
+                                path, mask = dor_path, dor_mask
+                            elif adaptive:
+                                for cand_path, cand_mask in alternatives(
+                                    src, dst
+                                ):
+                                    if not cand_mask & occupied:
+                                        path, mask = cand_path, cand_mask
+                                        break
+                            if path is None:
+                                # Within a memoized epoch only a search
+                                # wider than the memo runs, so this never
+                                # narrows an adaptive memo.
+                                fail_epoch[op] = epoch
+                                fail_adaptive[op] = adaptive
+                        if path is None:
+                            blocked = True
+                            if waited >= drop_timeout:
+                                # Drop and re-inject at the back of the
+                                # ready queue.
+                                drops += 1
+                                wait_start[op] = time
+                                stamp += 1
+                                arrival[op] = stamp
+                            elif not adaptive:
+                                # Retry once adaptivity unlocks, even if
+                                # no braid closes in the meantime.
+                                cycle = wait_start[op] + adaptive_timeout
+                                if cycle not in due:
+                                    due[cycle] = []
+                                    heappush(cycles, cycle)
+                            continue
+                        # A found path implies the search ran, so the
+                        # segment fields (hold, min_len) are bound.
+                        if adaptive and len(path) - 1 > min_len:
+                            adaptive_routes += 1
+                        held[op] = mask
+                        occupied |= mask
+                        busy += mask.bit_count()
+                        ready_discard(op)
+                        braids += 1
+                        progress = True
+                        # Open takes this cycle; stabilize for `hold`;
+                        # then close.
+                        cycle = time + 1 + hold
+                        if cycle in due:
+                            due[cycle].append(op)
+                        else:
+                            due[cycle] = [op]
+                            heappush(cycles, cycle)
+                        if trace is not None:
+                            trace.append(("open", time, op, seg_index[op]))
+                        continue
+                    op = ~op
+                    if is_braid[op]:
+                        # Close: release the links, then ready the next
+                        # segment or complete the op.
+                        seg = seg_index[op]
+                        if trace is not None:
+                            trace.append(("close", time, op, seg))
+                        mask = held.pop(op)
+                        if mask:
+                            occupied ^= mask
+                            busy -= mask.bit_count()
+                            epoch += 1
+                        seg += 1
+                        seg_index[op] = seg
+                        if seg < len(segments[op]):
+                            wait_start[op] = time
+                            stamp += 1
+                            arrival[op] = stamp
+                            ready_add(op)
+                            if reserved is not None:
+                                # Wake exactly when the table says this
+                                # segment issues.
+                                cycle = reserved[op][seg]
+                                if cycle > time and cycle not in due:
+                                    due[cycle] = []
+                                    heappush(cycles, cycle)
+                            continue
+                    # Complete: every successor whose last predecessor
+                    # this was becomes ready.
+                    done[op] = True
+                    if trace is not None:
+                        trace.append(("done", time, op))
+                    if time > completion_time:
+                        completion_time = time
+                    for succ in successors[op]:
+                        left = remaining[succ] - 1
+                        remaining[succ] = left
+                        if left:
+                            continue
+                        if is_braid[succ]:
+                            wait_start[succ] = time
+                            stamp += 1
+                            arrival[succ] = stamp
+                            ready_add(succ)
+                            if reserved is not None:
+                                cycle = reserved[succ][0]
+                                if cycle > time and cycle not in due:
+                                    due[cycle] = []
+                                    heappush(cycles, cycle)
+                        else:
+                            # Local op: runs unconditionally for its
+                            # duration.
+                            cycle = time + local_cycles[succ]
+                            if cycle in due:
+                                due[cycle].append(~succ)
+                            else:
+                                due[cycle] = [~succ]
+                                heappush(cycles, cycle)
+                if closing:
+                    released_with_blocked = blocked
+                if not progress or not (ready or closes):
+                    break
                 if not ready:
                     opens = []
                 elif reserved is not None:
@@ -369,118 +550,59 @@ class BraidSimulator:
                 elif interleave:
                     opens = list(ready)
                 else:
-                    opens = self._head_opens()
-                progress = bool(closes)
-                blocked = False
-                num_closes = len(closes)
+                    # Policy 0: the lowest-index incomplete braid op
+                    # proceeds alone.
+                    while head < num_ops and (
+                        not is_braid[head] or done[head]
+                    ):
+                        head += 1
+                    opens = [head] if head in ready else []
+                progress = closing = bool(closes)
                 if closes_first:
-                    # Closes in index order, then opens in policy order.
+                    # Closes in op order, then opens in policy order.
                     if len(opens) > 1:
                         opens = sort_opens(opens)
-                    for op in closes:
-                        close_segment(op, time)
-                    ci = num_closes
-                else:
-                    # Unprioritized: closes and opens interleave by
-                    # program order, a two-pointer merge of the two
-                    # sorted lists (an op is never both closing and
-                    # opening).  The policy's open ordering collapses to
+                    seq = closes + opens if closes else opens
+                elif closes:
+                    # Unprioritized: closes and opens interleave in
+                    # program order (an op is never both closing and
+                    # opening).  ``abs`` keys a close ``~op`` as op + 1,
+                    # and the stable sort keeps it ahead of the open of
+                    # op + 1.  The policy's open ordering collapses to
                     # op index here, exactly as the seed's merged sort
                     # does.
+                    seq = closes + opens
+                    seq.sort(key=abs)
+                else:
                     opens.sort()
-                    ci = 0
-                for op in opens:
-                    while ci < num_closes and closes[ci] < op:
-                        close_segment(closes[ci], time)
-                        ci += 1
-                    if try_open(op, time):
-                        progress = True
-                    else:
-                        blocked = True
-                for op in closes[ci:]:
-                    close_segment(op, time)
-                if closes:
-                    released_with_blocked = blocked
-                    closes = []
-                if not progress or not ready:
-                    break
+                    seq = opens
+                closes = []
             if released_with_blocked and ready:
                 # Links freed this cycle; blocked opens retry next cycle.
-                self._due_at(time + 1)
-        unfinished = [
-            i for i in range(self.num_ops) if phase[i] != _DONE
-        ]
-        if unfinished:
+                cycle = time + 1
+                if cycle not in due:
+                    due[cycle] = []
+                    heappush(cycles, cycle)
+        mesh.set_occupancy(occupied, epoch)
+        if not all(done):
+            unfinished = [i for i in range(num_ops) if not done[i]]
             raise RuntimeError(
                 f"braid simulation stalled with {len(unfinished)} "
                 f"unfinished operations (first: {unfinished[:5]}); this "
                 "is a simulator bug"
             )
-        critical = self.plan.critical_path
-        total_time = max(self._completion_time, 1)
+        total_time = max(completion_time, 1)
         return BraidSimResult(
-            schedule_length=self._completion_time,
-            critical_path=critical,
-            mean_utilization=(
-                busy_integral / (total_time * self.mesh.num_links)
-            ),
-            operations=self.num_ops,
-            braids=self._braids,
-            adaptive_routes=self._adaptive,
-            drops=self._drops,
+            schedule_length=completion_time,
+            critical_path=plan.critical_path,
+            mean_utilization=busy_integral / (total_time * mesh.num_links),
+            operations=num_ops,
+            braids=braids,
+            adaptive_routes=adaptive_routes,
+            drops=drops,
         )
 
     # -- internals ------------------------------------------------------------
-
-    def _due_at(self, cycle: int) -> list[int]:
-        """The calendar list of ``cycle``, queueing the cycle if new."""
-        entries = self._due.get(cycle)
-        if entries is None:
-            entries = self._due[cycle] = []
-            heapq.heappush(self._cycles, cycle)
-        return entries
-
-    def _make_ready(self, op: int, time: int) -> None:
-        """Queue ``op``'s next braid segment, or start a local op."""
-        if self._is_braid[op]:
-            self._phase[op] = _READY
-            self._wait_start[op] = time
-            self._arrival[op] = next(self._arrival_counter)
-            self._ready_opens.add(op)
-            if self._resv is not None:
-                # Reserved-cycle gate: wake exactly when the table says
-                # this segment issues (no event may exist there yet).
-                cycle = self._resv.reserved[op][self._segment_index[op]]
-                if cycle > time:
-                    self._due_at(cycle)
-        else:
-            # Local op: runs unconditionally for its duration.
-            self._phase[op] = _HOLDING
-            self._due_at(time + self._local_cycles[op]).append(~op)
-
-    def _complete(self, op: int, time: int) -> None:
-        self._phase[op] = _DONE
-        if time > self._completion_time:
-            self._completion_time = time
-        remaining = self._remaining_preds
-        for succ in self._successors[op]:
-            remaining[succ] -= 1
-            if remaining[succ] == 0:
-                self._make_ready(succ, time)
-
-    def _head_opens(self) -> list[int]:
-        """Policy 0: the lowest-index incomplete braid op proceeds alone."""
-        head = self._p0_head
-        is_braid = self._is_braid
-        phase = self._phase
-        while head < self.num_ops and (
-            not is_braid[head] or phase[head] == _DONE
-        ):
-            head += 1
-        self._p0_head = head
-        if head < self.num_ops and head in self._ready_opens:
-            return [head]
-        return []
 
     def _sort_opens(self, opens: list[int]) -> list[int]:
         """Policy open order for close-first issue sequences.
@@ -523,68 +645,6 @@ class BraidSimulator:
             return [entry[2] for entry in decorated]
         opens.sort(key=arrival.__getitem__)
         return opens
-
-    def _close_segment(self, op: int, time: int) -> None:
-        self.mesh.release(op)
-        self._segment_index[op] += 1
-        if self._segment_index[op] >= len(self._segments[op]):
-            self._complete(op, time)
-        else:
-            self._make_ready(op, time)
-
-    def _try_open(self, op: int, time: int) -> bool:
-        config = self.config
-        mesh = self.mesh
-        epoch = mesh.epoch
-        waited = time - self._wait_start[op]
-        adaptive = waited >= config.adaptive_timeout
-        path = None
-        # Epoch early-out: a search that failed at this mesh epoch with
-        # the same (or a wider) candidate set must fail again -- claims
-        # since then only shrank the free set.
-        if self._fail_epoch[op] != epoch or (
-            adaptive and not self._fail_adaptive[op]
-        ):
-            src, dst, hold, min_len, dor_path, dor_mask = self._segments[
-                op
-            ][self._segment_index[op]]
-            occupied = mesh.occupied_mask
-            if dor_mask & occupied == 0:
-                path, mask = dor_path, dor_mask
-            elif adaptive:
-                for cand_path, cand_mask in self._routes.alternatives(
-                    src, dst
-                ):
-                    if cand_mask & occupied == 0:
-                        path, mask = cand_path, cand_mask
-                        break
-            if path is None:
-                # Within a memoized epoch only a search wider than the
-                # memo runs, so this never narrows an adaptive memo.
-                self._fail_epoch[op] = epoch
-                self._fail_adaptive[op] = adaptive
-        if path is None:
-            if waited >= config.drop_timeout:
-                # Drop and re-inject at the back of the ready queue.
-                self._drops += 1
-                self._wait_start[op] = time
-                self._arrival[op] = next(self._arrival_counter)
-            if not adaptive:
-                # Make sure the op is retried once adaptivity unlocks,
-                # even if no braid closes in the meantime.
-                self._due_at(self._wait_start[op] + config.adaptive_timeout)
-            return False
-        # A found path implies the search branch ran, so the segment
-        # fields (hold, min_len) are bound.
-        if adaptive and len(path) - 1 > min_len:
-            self._adaptive += 1
-        mesh.claim_mask(mask, op)
-        self._ready_opens.discard(op)
-        self._phase[op] = _HOLDING
-        self._braids += 1
-        # Open takes this cycle; stabilize for `hold`; then close.
-        self._due_at(time + 1 + hold).append(op)
-        return True
 
 
 def simulate_braids(
@@ -639,8 +699,8 @@ def simulate_plan(
 
     The plan is read-only: callers can run all seven policies from the
     same plan, concurrently or in sequence, and each simulation gets
-    fresh mutable state (mesh occupancy, phases, event heap).  The
-    ``engine`` selects the implementation (see :data:`ENGINES`); the
+    fresh mutable state (mesh occupancy, per-op state, event calendar).
+    The ``engine`` selects the implementation (see :data:`ENGINES`); the
     reference engine replays the plan's circuit/placement on a fresh
     mesh through the preserved seed loop.
     """

@@ -51,8 +51,9 @@ def manhattan(a: Router, b: Router) -> int:
 class BraidMesh:
     """Link-occupancy state of the router grid.
 
-    Tracks which braid (by owner token) holds each link, plus cumulative
-    busy-link statistics for the utilization metric of Figure 6.
+    Tracks which braid (by owner token) holds each link and how many
+    links are busy.  The braid simulator keeps this state in locals
+    while it runs and hands it back through :meth:`set_occupancy`.
 
     Attributes:
         epoch: Monotone counter bumped every time links are released.
@@ -76,8 +77,6 @@ class BraidMesh:
         self._owner_masks: dict[Owner, int] = {}
         self._busy = 0
         self.epoch = 0
-        self._busy_link_cycles = 0
-        self._observed_cycles = 0
 
     # -- topology ------------------------------------------------------------
 
@@ -195,42 +194,19 @@ class BraidMesh:
         self.epoch += 1
         return freed
 
-    def owner_mask(self, owner: Owner) -> int:
-        """Bitmask of the links currently held by ``owner`` (0 if none)."""
-        return self._owner_masks.get(owner, 0)
-
-    def owner_of(self, link: Link) -> Owner | None:
-        bit = 1 << self.link_id(*link)
-        if not self._occupied & bit:
-            return None
-        for owner, mask in self._owner_masks.items():
-            if mask & bit:
-                return owner
-        return None  # pragma: no cover - occupied bits always have owners
-
     def busy_links(self) -> int:
         return self._busy
 
-    # -- utilization accounting -------------------------------------------------
+    def set_occupancy(self, occupied: int, epoch: int) -> None:
+        """Take back the claimed-link mask and release counter that a
+        braid simulation kept in locals while it ran.
 
-    def observe_cycle(self) -> None:
-        """Record this cycle's busy-link count for utilization stats."""
-        self._busy_link_cycles += self._busy
-        self._observed_cycles += 1
-
-    @property
-    def mean_utilization(self) -> float:
-        """Average fraction of busy links per observed cycle (Figure 6's
-        'Avg Mesh Utilization')."""
-        if self._observed_cycles == 0:
-            return 0.0
-        return self._busy_link_cycles / (
-            self._observed_cycles * self.num_links
-        )
-
-    def reset_stats(self) -> None:
-        self._busy_link_cycles = 0
-        self._observed_cycles = 0
+        Owners registered before the run keep their entries; the
+        run's own claims are all released by the time it hands back.
+        """
+        self._occupied = occupied
+        self._busy = occupied.bit_count()
+        self.epoch = epoch
 
     def __repr__(self) -> str:
         return (

@@ -44,6 +44,7 @@ planned schedule is valid under any intra-cycle open/close ordering.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -123,14 +124,18 @@ def ii_lower_bound(plan: "BraidPlan") -> int:
     The busiest link must carry every occupancy window routed over it,
     one per ``ii`` period, so ``ii >= max over links of the summed
     window lengths`` — the braid analogue of the VLIW
-    ``ceil(instructions / units)`` bound.
+    ``ceil(instructions / units)`` bound.  Plans repeat a few route
+    shapes many times, so each distinct ``(hold, mask)`` walks its
+    links once, weighted by how often it occurs.
     """
+    windows = Counter(
+        (seg[2], seg[5]) for segments in plan.segments for seg in segments
+    )
     demand: dict[int, int] = {}
-    for segments in plan.segments:
-        for seg in segments:
-            occupancy = seg[2] + 2  # open + hold cycles + close
-            for link in _iter_bits(seg[5]):
-                demand[link] = demand.get(link, 0) + occupancy
+    for (hold, mask), count in windows.items():
+        load = (hold + 2) * count  # open + hold cycles + close, per use
+        for link in _iter_bits(mask):
+            demand[link] = demand.get(link, 0) + load
     return max(demand.values(), default=1)
 
 

@@ -7,7 +7,6 @@ from repro.analysis import (
     Diagnostic,
     PlanMismatchError,
     Severity,
-    max_severity,
 )
 
 
@@ -33,15 +32,6 @@ class TestDiagnostic:
 
     def test_severity_ordering(self):
         assert Severity.ERROR.rank > Severity.WARNING.rank > Severity.INFO.rank
-
-    def test_max_severity(self):
-        assert max_severity([]) is None
-        diags = [
-            Diagnostic.warning("a", "", "", "w"),
-            Diagnostic.error("b", "", "", "e"),
-        ]
-        assert max_severity(diags) is Severity.ERROR
-        assert max_severity(diags[:1]) is Severity.WARNING
 
 
 class TestAnalysisError:

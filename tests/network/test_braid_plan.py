@@ -206,6 +206,36 @@ class TestPlanCallerMesh:
         assert mesh.busy_links() == 0
 
 
+class TestCallerClaims:
+    """Links a caller claimed before a run stay claimed through it."""
+
+    @pytest.fixture(scope="class")
+    def plan(self):
+        fe, machine = _contended_instance(StageCache())
+        return machine.plan(3, dag=fe.dag)
+
+    @pytest.mark.parametrize("policy", (1, 5, 8))
+    def test_links_claimed_before_the_run_stay_claimed(self, plan, policy):
+        # A link the caller holds blocks routes for the whole run, as in
+        # the seed loop, and is still the caller's afterwards.
+        meshes = [BraidMesh(plan.rows, plan.cols) for _ in range(2)]
+        for mesh in meshes:
+            mesh.claim([(0, 1), (1, 1)], owner="caller")
+        flat = BraidSimulator(
+            policy=POLICIES[policy], plan=plan, mesh=meshes[0]
+        ).run()
+        seed = simulate_braids_reference(
+            plan.circuit, plan.placement, meshes[1], policy, plan.distance,
+            code=plan.code, factory_routers=plan.factory_routers,
+            dag=plan.dag,
+        )
+        assert flat == seed
+        assert flat != simulate_plan(plan, policy)
+        assert meshes[0].busy_links() == 1
+        assert meshes[0].release("caller") == 1
+        assert meshes[0].occupied_mask == 0
+
+
 class TestPlanMemo:
     def test_distinct_placements_do_not_alias(self):
         builds = plan_memo_stats()["builds"]

@@ -70,15 +70,6 @@ class TestMesh:
         mesh = BraidMesh(2, 2)
         assert not mesh.is_path_free([(0, 0), (0, -1)])
 
-    def test_utilization_accounting(self):
-        mesh = BraidMesh(1, 1)  # 4 links
-        mesh.claim([(0, 0), (0, 1)], owner="b")
-        mesh.observe_cycle()
-        mesh.observe_cycle()
-        assert mesh.mean_utilization == pytest.approx(0.25)
-        mesh.reset_stats()
-        assert mesh.mean_utilization == 0.0
-
 
 class TestRouting:
     def test_dor_is_x_first(self):

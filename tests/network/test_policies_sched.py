@@ -8,7 +8,8 @@ built on:
   bookings replay into a fresh :class:`ReservationTable` without
   conflict);
 * the achieved initiation interval is never below the link-pressure
-  ``ii()`` lower bound;
+  ``ii()`` lower bound, which equals a per-segment reference sum on
+  random plans and on the four Fig. 6x plans (sim sizes, d=5);
 * both policies yield makespans at or above the plan's
   policy-independent critical path, and the reservation policy's
   simulated schedule length equals the planner's makespan exactly
@@ -31,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.ir_checks import check_sched
+from repro.apps.registry import SIM_SIZES
 from repro.arch import build_tiled_machine
 from repro.network import (
     BraidMesh,
@@ -44,7 +46,11 @@ from repro.network.plan import BraidPlan
 from repro.partition import GridShape, naive_layout
 from repro.qasm import Circuit
 from repro.runner import StageCache
-from repro.runner.stages import compute_frontend, compute_layout
+from repro.runner.stages import (
+    compute_braid_plan,
+    compute_frontend,
+    compute_layout,
+)
 
 _MESHES = ((1, 2), (2, 2), (2, 3), (3, 3))
 
@@ -260,6 +266,39 @@ class TestFirstFitOracle:
     @settings(max_examples=40, deadline=None)
     def test_matches_probe_loop_on_random_plans(self, plan):
         assert build_reservation(plan) == _probe_reservation(plan)
+
+
+def _per_segment_ii_lower_bound(plan):
+    """Reference link-pressure bound: every segment walks its own links
+    (``check_sched`` calls the engine's bound, so it cannot judge it)."""
+    demand = {}
+    for segments in plan.segments:
+        for seg in segments:
+            occupancy = seg[2] + 2
+            mask = seg[5]
+            link = 0
+            while mask:
+                if mask & 1:
+                    demand[link] = demand.get(link, 0) + occupancy
+                mask >>= 1
+                link += 1
+    return max(demand.values(), default=1)
+
+
+class TestIiLowerBound:
+    """The grouped bound equals the per-segment sum it replaces."""
+
+    @given(plan=small_plans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_segment_sum_on_random_plans(self, plan):
+        assert ii_lower_bound(plan) == _per_segment_ii_lower_bound(plan)
+
+    @pytest.mark.parametrize("app", ("gse", "sq", "sha1", "im"))
+    def test_matches_per_segment_sum_on_fig6x_plans(self, app):
+        plan = compute_braid_plan(
+            StageCache(), app, SIM_SIZES[app], None, True, 5
+        )
+        assert ii_lower_bound(plan) == _per_segment_ii_lower_bound(plan)
 
 
 class TestReservationRebuild:

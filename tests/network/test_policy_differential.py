@@ -9,8 +9,11 @@ through both and must agree not just on the final counters but on the
 *entire event order* — every successful segment open, every close,
 every op completion, at the same cycle in the same sequence.
 
-Traces are recorded by a mixin that hooks the three state-changing
-methods both simulators share by name and arguments (``_try_open``
+The flat engine records its own trace: with ``trace`` set to a list,
+its loop appends ``("open", t, op, segment)`` for every successful
+open, ``("close", t, op, segment)`` for every close and ``("done", t,
+op)`` for every completion.  The seed loop's trace comes from a mixin
+that hooks the three methods making those decisions (``_try_open``
 success, ``_close_segment``, ``_complete``).  Every policy but 7 runs
 on both.  Policy 7 issues on reserved cycles the seed loop cannot
 follow, so the fixed scenarios check it against its planner instead
@@ -89,12 +92,9 @@ def small_plans(draw):
 
 
 class _TraceMixin:
-    """Record every scheduling decision as (kind, time, op[, segment]).
-
-    Both simulators define these three methods with the same names and
-    arguments, so the recorded sequence is their common observable
-    behavior.
-    """
+    """Record the seed loop's scheduling decisions as (kind, time, op[,
+    segment]), in the flat engine's ``trace`` format, by hooking the
+    three methods that make them."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -116,8 +116,12 @@ class _TraceMixin:
         super()._complete(op, time)
 
 
-class _TracingFlat(_TraceMixin, BraidSimulator):
-    pass
+class _TracingFlat(BraidSimulator):
+    """The flat engine with its own event trace switched on."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.trace = []
 
 
 class _TracingSeed(_TraceMixin, ReferenceBraidSimulator):
