@@ -356,11 +356,6 @@ class BraidSimulator:
                 stamp += 1
                 arrival[op] = stamp
                 ready_add(op)
-                if reserved is not None:
-                    cycle = reserved[op][0]
-                    if cycle not in due:
-                        due[cycle] = []
-                        heappush(cycles, cycle)
             else:
                 cycle = local_cycles[op]
                 if cycle in due:
@@ -493,13 +488,6 @@ class BraidSimulator:
                             stamp += 1
                             arrival[op] = stamp
                             ready_add(op)
-                            if reserved is not None:
-                                # Wake exactly when the table says this
-                                # segment issues.
-                                cycle = reserved[op][seg]
-                                if cycle > time and cycle not in due:
-                                    due[cycle] = []
-                                    heappush(cycles, cycle)
                             continue
                     # Complete: every successor whose last predecessor
                     # this was becomes ready.
@@ -518,11 +506,6 @@ class BraidSimulator:
                             stamp += 1
                             arrival[succ] = stamp
                             ready_add(succ)
-                            if reserved is not None:
-                                cycle = reserved[succ][0]
-                                if cycle > time and cycle not in due:
-                                    due[cycle] = []
-                                    heappush(cycles, cycle)
                         else:
                             # Local op: runs unconditionally for its
                             # duration.
@@ -540,13 +523,17 @@ class BraidSimulator:
                     opens = []
                 elif reserved is not None:
                     # Reservation gate: an op issues only on (or after)
-                    # its segment's reserved cycle, where a wake was
-                    # scheduled when it became ready.
-                    opens = [
-                        op
-                        for op in ready
-                        if reserved[op][seg_index[op]] <= time
-                    ]
+                    # its segment's reserved cycle, and a wake makes sure
+                    # that cycle is a timestep.  Every op readied in a
+                    # round passes here before the timestep ends.
+                    opens = []
+                    for op in ready:
+                        cycle = reserved[op][seg_index[op]]
+                        if cycle <= time:
+                            opens.append(op)
+                        elif cycle not in due:
+                            due[cycle] = []
+                            heappush(cycles, cycle)
                 elif interleave:
                     opens = list(ready)
                 else:
