@@ -55,9 +55,9 @@ For every policy but 7, results are bit-identical to the seed event
 loop, which is preserved in :mod:`repro.network._braidsim_reference`
 and enforced by the golden equivalence tests and the event-trace
 differential harness (the loop records its own trace, see
-:attr:`BraidSimulator.trace`).  Policy 7 has no seed oracle; its simulated
-schedule length equals its planner's makespan, and the IR verifier
-replays its reservation table.
+:attr:`BraidSimulator.trace`).  Policy 7 has no seed oracle; its
+simulated schedule length equals its planner's makespan, and the IR
+verifier replays its reservation table.
 """
 
 from __future__ import annotations
@@ -170,8 +170,10 @@ class BraidSimulator:
     completions, the closes (release, then the next segment or the
     completion, then successors made ready), the opens (epoch
     early-out, dominant then adaptive route search, drop and
-    re-inject, claim) and every calendar push.  A caller's mesh sees
-    the run's claims and releases when :meth:`run` returns.
+    re-inject, claim) and every calendar push.  The mesh's occupancy
+    and epoch are read when :meth:`run` starts and written back when
+    it returns, drained of the run's own claims and with the epoch
+    counting its releases.
 
     Attributes:
         trace: ``None``, or a list that :meth:`run` appends every
