@@ -12,6 +12,7 @@ import pytest
 from repro.apps import build_circuit
 from repro.arch import build_tiled_machine
 from repro.frontend import decompose_circuit
+from repro.network import simulate_plan
 from repro.partition import (
     circuit_layout,
     interaction_graph_from_circuit,
@@ -60,15 +61,15 @@ def test_ablation_interleaving_is_the_big_lever(im_circuit, benchmark):
     parallel apps; remaining policies refine it."""
 
     def run():
-        machine = build_tiled_machine(
+        naive = build_tiled_machine(
             im_circuit, circuit_layout(im_circuit, optimize=False)
-        )
-        p0 = machine.simulate(0, DISTANCE)
-        p1 = machine.simulate(1, DISTANCE)
-        machine_opt = build_tiled_machine(
+        ).plan(DISTANCE)
+        p0 = simulate_plan(naive, 0)
+        p1 = simulate_plan(naive, 1)
+        optimized = build_tiled_machine(
             im_circuit, circuit_layout(im_circuit)
-        )
-        p6 = machine_opt.simulate(6, DISTANCE)
+        ).plan(DISTANCE)
+        p6 = simulate_plan(optimized, 6)
         return p0, p1, p6
 
     p0, p1, p6 = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -90,7 +91,10 @@ def test_ablation_factory_count(im_circuit, benchmark):
         placement = circuit_layout(im_circuit)
         few = build_tiled_machine(im_circuit, placement, factories=1)
         many = build_tiled_machine(im_circuit, placement, factories=8)
-        return few.simulate(6, DISTANCE), many.simulate(6, DISTANCE)
+        return (
+            simulate_plan(few.plan(DISTANCE), 6),
+            simulate_plan(many.plan(DISTANCE), 6),
+        )
 
     starved, supplied = benchmark.pedantic(run, rounds=1, iterations=1)
     assert supplied.schedule_length <= starved.schedule_length, (

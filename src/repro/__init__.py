@@ -11,7 +11,9 @@ The package is organized bottom-up:
 * :mod:`repro.qec` -- planar and double-defect surface code models.
 * :mod:`repro.network` -- braid simulator, teleportation, EPR pipelining.
 * :mod:`repro.arch` -- Multi-SIMD and tiled microarchitectures.
-* :mod:`repro.core` -- end-to-end toolflow and design-space exploration.
+* :mod:`repro.core` -- resource model and design-space exploration.
+* :mod:`repro.runner` -- the staged end-to-end toolflow (``run_point``),
+  sweeps and the command line.
 """
 
 from .tech import CURRENT, INTERMEDIATE, OPTIMISTIC, Technology

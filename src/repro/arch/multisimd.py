@@ -134,7 +134,14 @@ class MultiSimdMachine:
         demand object per teleport.  A demand's swap chain is as long as
         its farther endpoint is from the EPR factory; a magic-state
         consumer's other endpoint is the factory itself.
+
+        Raises:
+            ValueError: On a negative ``window``.
         """
+        if window < 0:
+            raise ValueError(
+                f"window must be >= 0 logical cycles, got {window}"
+            )
         model = DEFAULT_TELEPORT_MODEL
         factory = self.epr_factory
         qubit_hops = {

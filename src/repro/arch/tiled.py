@@ -7,7 +7,9 @@ various points of use."
 
 The machine builder surrounds the data region with a ring of tiles and
 distributes magic-state factories around it, sized by the paper's
-ancilla-to-data balance, then drives the braid simulator.
+ancilla-to-data balance.  :meth:`TiledMachine.plan` compiles the
+machine's braid simulation plan, which
+:func:`~repro.network.braidsim.simulate_plan` runs under each policy.
 """
 
 from __future__ import annotations
@@ -15,15 +17,12 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
-from ..analysis.diagnostics import PlanMismatchError
 from ..partition.layout import GridShape, Placement
 from ..qasm.circuit import Circuit
 from ..qasm.dag import CircuitDag
 from ..qec.codes import DOUBLE_DEFECT, SurfaceCode
-from ..network.braidsim import BraidSimConfig, BraidSimResult, simulate_plan
 from ..network.mesh import BraidMesh, Router
 from ..network.plan import BraidPlan
-from ..network.policies import Policy
 
 __all__ = ["TiledMachine", "build_tiled_machine"]
 
@@ -55,10 +54,6 @@ class TiledMachine:
     def data_tiles(self) -> int:
         return len(self.placement.positions)
 
-    @property
-    def total_tiles(self) -> int:
-        return self.grid.capacity
-
     def physical_qubits(self, distance: int) -> int:
         """Physical qubit footprint: every tile is a lattice region, and
         factories are 12-tile blocks counted via their tile sites."""
@@ -68,17 +63,14 @@ class TiledMachine:
         )
 
     def plan(
-        self,
-        distance: int,
-        config: Optional[BraidSimConfig] = None,
-        dag: Optional[CircuitDag] = None,
+        self, distance: int, dag: Optional[CircuitDag] = None
     ) -> BraidPlan:
         """Compile the policy-independent simulation plan.
 
         Every call builds a new plan; the ``braid_plan`` toolflow stage
         is what shares one plan among the policies of a design point.
+        Simulate it with :func:`~repro.network.braidsim.simulate_plan`.
         """
-        config = config or BraidSimConfig()
         mesh = BraidMesh(self.grid.rows, self.grid.cols)
         return BraidPlan.build(
             self.circuit,
@@ -87,34 +79,8 @@ class TiledMachine:
             self.code,
             distance,
             self.factory_routers,
-            max_detour=config.max_detour,
             dag=dag,
         )
-
-    def simulate(
-        self,
-        policy: Policy | int,
-        distance: int,
-        config: Optional[BraidSimConfig] = None,
-        dag: Optional[CircuitDag] = None,
-        plan: Optional[BraidPlan] = None,
-    ) -> BraidSimResult:
-        """Run the braid schedule simulation on this machine.
-
-        Builds a plan through :meth:`plan` unless one is passed; pass
-        the same ``plan`` to simulate several policies from one build.
-        An explicitly passed ``plan`` must match ``distance`` (plans
-        bake the stabilization hold in).
-        """
-        if plan is None:
-            plan = self.plan(distance, config, dag)
-        elif plan.distance != distance:
-            raise PlanMismatchError(
-                f"plan was compiled for distance={plan.distance}, "
-                f"simulate was asked for distance={distance}",
-                artifact=f"plan for {self.circuit.name!r}",
-            )
-        return simulate_plan(plan, policy, config=config)
 
 
 def _ring_sites(grid: GridShape) -> list[tuple[int, int]]:

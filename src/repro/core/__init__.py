@@ -1,4 +1,4 @@
-"""Top-level analysis: toolflow, resources, crossover, sensitivity."""
+"""Top-level analysis: resources, calibration, crossover, sensitivity."""
 
 from .calibration import AppCalibration, calibrate_app
 from .crossover import (
@@ -29,7 +29,6 @@ from .sensitivity import (
     boundary_for_app,
     sweep_error_rates,
 )
-from .toolflow import ToolflowResult, run_toolflow
 
 __all__ = [
     "AppCalibration",
@@ -48,8 +47,6 @@ __all__ = [
     "boundary_for_app",
     "sweep_error_rates",
     "FIGURE9_VARIANTS",
-    "ToolflowResult",
-    "run_toolflow",
     "format_table1",
     "format_table2_rows",
     "format_fig6",

@@ -19,8 +19,10 @@ Everything that does not depend on the scheduling policy — per-op
 braid flags, route lengths and local latencies, dominant routes and
 link masks, DAG arrays, the critical path — is precompiled into an
 immutable :class:`~repro.network.plan.BraidPlan`, built once per
-design point and shared by all seven policy simulations (see
-:mod:`repro.network.plan`).  :meth:`BraidSimulator.run` then does each
+design point and shared by all of its policy simulations (see
+:mod:`repro.network.plan`); a :class:`BraidSimulator` takes nothing
+else but the policy, its knobs and optionally the caller's mesh.
+:meth:`BraidSimulator.run` then does each
 timestep's whole work in one loop body on local variables, with no
 call per event but the open-order sort of a round with two or more
 ready opens:
@@ -71,7 +73,6 @@ from ..partition.layout import Placement
 from ..qasm.circuit import Circuit
 from ..qasm.dag import CircuitDag
 from ..qec.codes import DOUBLE_DEFECT, SurfaceCode
-from .events import OpTask
 from .mesh import BraidMesh, Router
 from .plan import DEFAULT_MAX_DETOUR, BraidPlan
 from .policies import POLICIES, Policy
@@ -158,22 +159,24 @@ class BraidSimResult:
 
 
 class BraidSimulator:
-    """Single-run braid schedule simulator.
+    """Braid schedule simulator for one plan under one policy.
 
     Use :func:`simulate_braids` for one policy on one design point,
     :func:`simulate_plan` to run several policies from one prebuilt
     :class:`~repro.network.plan.BraidPlan`, and instantiate directly to
-    inspect internals or inject custom tasks.
+    run on a caller's mesh or to record a trace.  Custom tasks enter
+    through the plan (``BraidPlan.build(..., tasks=...)``).
 
     :meth:`run` is one timestep loop whose body does all of a
     timestep's work on local variables: the calendar pop and local
     completions, the closes (release, then the next segment or the
     completion, then successors made ready), the opens (epoch
     early-out, dominant then adaptive route search, drop and
-    re-inject, claim) and every calendar push.  The mesh's occupancy
-    and epoch are read when :meth:`run` starts and written back when
-    it returns, drained of the run's own claims and with the epoch
-    counting its releases.
+    re-inject, claim) and every calendar push.  Each call creates its
+    own per-op state (and Policy 7's reservation), so a simulator can
+    run more than once.  The mesh's occupancy and epoch are read when
+    :meth:`run` starts and written back when it returns, drained of the
+    run's own claims and with the epoch counting its releases.
 
     Attributes:
         trace: ``None``, or a list that :meth:`run` appends every
@@ -186,73 +189,19 @@ class BraidSimulator:
 
     def __init__(
         self,
-        circuit: Optional[Circuit] = None,
-        placement: Optional[Placement] = None,
-        mesh: Optional[BraidMesh] = None,
-        policy: Optional[Policy] = None,
-        distance: Optional[int] = None,
-        code: Optional[SurfaceCode] = None,
-        factory_routers: tuple[Router, ...] = (),
+        plan: BraidPlan,
+        policy: Policy,
         config: Optional[BraidSimConfig] = None,
-        dag: Optional[CircuitDag] = None,
-        tasks: Optional[list[OpTask]] = None,
-        plan: Optional[BraidPlan] = None,
+        mesh: Optional[BraidMesh] = None,
     ) -> None:
-        if policy is None:
-            raise TypeError("BraidSimulator requires a policy")
         self.config = config or BraidSimConfig()
-        if plan is not None:
-            # A plan fixes these inputs; passing one too would be ignored.
-            given = [
-                name
-                for name, value in (
-                    ("circuit", circuit),
-                    ("placement", placement),
-                    ("code", code),
-                    ("dag", dag),
-                    ("tasks", tasks),
-                )
-                if value is not None
-            ]
-            if factory_routers:
-                given.append("factory_routers")
-            if given:
-                raise TypeError(
-                    f"BraidSimulator got a plan and {', '.join(given)}; "
-                    "build the plan from them instead"
-                )
-        if plan is None:
-            if circuit is None or placement is None or mesh is None or (
-                distance is None
-            ):
-                raise TypeError(
-                    "BraidSimulator needs either a plan or "
-                    "(circuit, placement, mesh, distance)"
-                )
-            plan = BraidPlan.build(
-                circuit,
-                placement,
-                mesh,
-                DOUBLE_DEFECT if code is None else code,
-                distance,
-                factory_routers,
-                max_detour=self.config.max_detour,
-                dag=dag,
-                tasks=tasks,
-            )
-        elif plan.max_detour != self.config.max_detour:
+        if plan.max_detour != self.config.max_detour:
             raise PlanMismatchError(
                 f"plan was compiled with max_detour={plan.max_detour}, "
                 f"config wants {self.config.max_detour}",
                 artifact=f"plan for {plan.circuit.name!r}",
             )
-        elif distance is not None and distance != plan.distance:
-            raise PlanMismatchError(
-                f"plan was compiled for distance={plan.distance}, "
-                f"got distance={distance}; build a plan per distance",
-                artifact=f"plan for {plan.circuit.name!r}",
-            )
-        elif mesh is not None and (mesh.rows, mesh.cols) != (
+        if mesh is not None and (mesh.rows, mesh.cols) != (
             plan.rows, plan.cols
         ):
             raise PlanMismatchError(
@@ -261,45 +210,17 @@ class BraidSimulator:
                 artifact=f"plan for {plan.circuit.name!r}",
             )
         self.plan = plan
-        self.circuit = plan.circuit
-        self.dag = plan.dag
         # The mesh is the only mutable run-time structure shared with
         # callers: reuse a provided one, else make a fresh empty mesh.
         self.mesh = mesh if mesh is not None else BraidMesh(
             plan.rows, plan.cols
         )
         self.policy = policy
-        self.num_ops = plan.num_ops
-        n = self.num_ops
 
-        self._done = [False] * n
-        self._segment_index = [0] * n
-        self._remaining_preds = list(plan.in_degrees)  # mutable copy
-        self._wait_start = [0] * n
-        self._arrival = [0] * n
-        self._ready_opens: set[int] = set()
-
-        # Open-order keys, shared read-only from the plan.  Criticality
-        # is only materialized for policies that rank by it (the DAG's
-        # lazy descendant counts are shared across plans).
+        # Open-order keys, shared read-only from the plan (criticality
+        # is fetched by :meth:`run`).
         self._route_length = plan.route_length
-        if policy.use_criticality or policy.combined_length_rule:
-            self._criticality = plan.criticality()
-        else:
-            self._criticality = []
-
-        # Blocked-open memo: the mesh epoch at which this op's last
-        # route search failed, and whether that search was adaptive.
-        self._fail_epoch = [-1] * n
-        self._fail_adaptive = [False] * n
-
-        # Reservation family (Policy 7): the plan's reserved issue
-        # cycles (see repro.network.policies_sched).
-        self._resv = (
-            build_reservation(plan)
-            if policy.family == "reservation"
-            else None
-        )
+        self._criticality: list[int] = []
         self.trace: Optional[list[tuple]] = None
 
     # -- public API ---------------------------------------------------------
@@ -308,26 +229,44 @@ class BraidSimulator:
         plan = self.plan
         config = self.config
         mesh = self.mesh
-        num_ops = self.num_ops
+        policy = self.policy
+        num_ops = plan.num_ops
         is_braid = plan.is_braid
         segments = plan.segments
         local_cycles = plan.local_cycles
         successors = plan.successors
         alternatives = plan.routes.alternatives
-        done = self._done
-        seg_index = self._segment_index
-        remaining = self._remaining_preds
-        wait_start = self._wait_start
-        arrival = self._arrival
-        fail_epoch = self._fail_epoch
-        fail_adaptive = self._fail_adaptive
-        ready = self._ready_opens
+        # Per-op run state: completion flags, segment cursors, the
+        # mutable copy of the in-degrees, wait starts and FIFO arrival
+        # stamps, and the blocked-open memo (the mesh epoch at which
+        # the op's last route search failed, and whether that search
+        # was adaptive).
+        done = [False] * num_ops
+        seg_index = [0] * num_ops
+        remaining = list(plan.in_degrees)
+        wait_start = [0] * num_ops
+        arrival = [0] * num_ops
+        fail_epoch = [-1] * num_ops
+        fail_adaptive = [False] * num_ops
+        ready: set[int] = set()
+        if policy.use_criticality or policy.combined_length_rule:
+            # Materialized only for policies that rank by it (the DAG's
+            # lazy descendant counts are shared across plans), and after
+            # the per-op state: materializing it first raised im[32]'s
+            # peak RSS by about 1%.
+            self._criticality = plan.criticality()
         ready_add = ready.add
         ready_discard = ready.discard
         sort_opens = self._sort_opens
-        closes_first = self.policy.closes_first
-        interleave = self.policy.interleave
-        reserved = self._resv.reserved if self._resv is not None else None
+        closes_first = policy.closes_first
+        interleave = policy.interleave
+        # Reservation family (Policy 7): the plan's reserved issue
+        # cycles (see repro.network.policies_sched).
+        reserved = (
+            build_reservation(plan).reserved
+            if policy.family == "reservation"
+            else None
+        )
         adaptive_timeout = config.adaptive_timeout
         drop_timeout = config.drop_timeout
         max_cycles = config.max_cycles
@@ -550,7 +489,7 @@ class BraidSimulator:
                 if closes_first:
                     # Closes in op order, then opens in policy order.
                     if len(opens) > 1:
-                        opens = sort_opens(opens)
+                        opens = sort_opens(opens, arrival)
                     seq = closes + opens if closes else opens
                 elif closes:
                     # Unprioritized: closes and opens interleave in
@@ -593,16 +532,16 @@ class BraidSimulator:
 
     # -- internals ------------------------------------------------------------
 
-    def _sort_opens(self, opens: list[int]) -> list[int]:
+    def _sort_opens(self, opens: list[int], arrival: list[int]) -> list[int]:
         """Policy open order for close-first issue sequences.
 
         Matches ``Policy.open_sort_key`` exactly: every key ends in a
-        unique tiebreak (the FIFO arrival stamp, or the op index for the
-        scoreboard family), so the sort is total and reduces to plain
-        tuple sorts over prefetched arrays.
+        unique tiebreak (the FIFO arrival stamp from the run's
+        ``arrival`` list, or the op index for the scoreboard family), so
+        the sort is total and reduces to plain tuple sorts over
+        prefetched arrays.
         """
         policy = self.policy
-        arrival = self._arrival
         if policy.family == "scoreboard":
             # Oldest ready = lowest program index; a drop/re-inject
             # keeps the op's place.
@@ -673,9 +612,7 @@ def simulate_braids(
         max_detour=config.max_detour,
         dag=dag,
     )
-    return BraidSimulator(
-        policy=policy, config=config, plan=plan, mesh=mesh
-    ).run()
+    return BraidSimulator(plan, policy, config, mesh).run()
 
 
 def simulate_plan(
@@ -713,4 +650,4 @@ def simulate_plan(
         raise KeyError(
             f"unknown braid engine {engine!r}; available: {sorted(ENGINES)}"
         )
-    return BraidSimulator(policy=policy, config=config, plan=plan).run()
+    return BraidSimulator(plan, policy, config).run()

@@ -38,6 +38,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
+from ..tech import technology_for_error_rate
 from .bench import BENCH_GRIDS, BenchReport, compare_reports, run_bench
 from .cache import StageCache
 from .report import render_failures
@@ -113,6 +114,40 @@ def _parse_policies(value: str) -> tuple[int, ...]:
     return tuple(dict.fromkeys(policies))
 
 
+def _int_at_least(value: str, low: int) -> int:
+    """Parse an integer option value >= ``low``; ArgumentTypeError (so
+    argparse exits 2 and names the flag) on anything else."""
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{value!r} is not an integer"
+        ) from None
+    if number < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {number}")
+    return number
+
+
+# Module-level ``type=`` functions: a closure per parser would become
+# cyclic garbage with the parser, which ``python -m repro`` never
+# collects.
+def _positive_int(value: str) -> int:
+    return _int_at_least(value, 1)
+
+
+def _nonnegative_int(value: str) -> int:
+    return _int_at_least(value, 0)
+
+
+def _error_rate(value: str) -> float:
+    """argparse ``type=`` for ``--error-rate``: a physical error rate
+    the technology model accepts (below threshold, in (0, 1))."""
+    try:
+        return technology_for_error_rate(float(value)).physical_error_rate
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+
+
 def _add_point_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tech",
@@ -122,28 +157,28 @@ def _add_point_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--error-rate",
-        type=float,
+        type=_error_rate,
         default=None,
         help="physical error rate overriding the preset",
     )
     parser.add_argument(
         "--distance",
-        type=int,
+        type=_positive_int,
         default=None,
         help="code distance override (default: derived from error budget)",
     )
     parser.add_argument(
-        "--regions", type=int, default=4, help="SIMD region count"
+        "--regions", type=_positive_int, default=4, help="SIMD region count"
     )
     parser.add_argument(
         "--inline-depth",
-        type=int,
+        type=_nonnegative_int,
         default=None,
         help="flattening depth (default: fully inlined)",
     )
     parser.add_argument(
         "--window",
-        type=int,
+        type=_nonnegative_int,
         default=64,
         help="EPR look-ahead window (logical cycles)",
     )
@@ -209,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_point_options(sweep)
     sweep.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="process count (1 = serial through one shared cache)",
     )
@@ -255,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="sweep process count (keep 1 for comparable stage timings)",
     )
@@ -438,7 +473,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         grid = dataclasses.replace(
             grid,
             tech_name=args.tech,
-            error_rate=args.error_rate,
+            error_rates=(args.error_rate,),
             regions=args.regions,
             inline_depths=(args.inline_depth,),
             window=args.window,
@@ -454,7 +489,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             inline_depths=(args.inline_depth,),
             regions=args.regions,
             tech_name=args.tech,
-            error_rate=args.error_rate,
+            error_rates=(args.error_rate,),
             distance=args.distance,
             window=args.window,
         )

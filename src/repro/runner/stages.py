@@ -106,7 +106,8 @@ _DEFAULT_CACHE = StageCache()
 
 
 def default_cache() -> StageCache:
-    """Process-wide cache shared by ``run_toolflow`` and calibration."""
+    """Process-wide cache shared by :func:`run_point` (when no cache is
+    given) and calibration."""
     return _DEFAULT_CACHE
 
 
@@ -508,7 +509,7 @@ class PointSpec:
         tech_name: Technology preset name (ignored if ``error_rate``).
         error_rate: Explicit physical error rate overriding the preset.
         distance: Code distance override (None = derived from the
-            frontend's error budget, as ``run_toolflow`` does).
+            frontend's error budget and the technology).
         window: EPR look-ahead window in logical cycles.
         optimize_layout: Tiled layout override (None = policy default).
     """

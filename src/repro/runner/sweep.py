@@ -176,10 +176,8 @@ class GridSpec:
         inline_depths: Flattening variants (None = fully inlined).
         regions: SIMD region count.
         tech_name: Technology preset.
-        error_rate: Explicit error rate overriding the preset.
-        error_rates: Error-rate *list* sweeping the technology axis
-            (None entries fall back to ``tech_name``); overrides
-            ``error_rate`` when given.
+        error_rates: Error rates sweeping the technology axis (None
+            entries fall back to ``tech_name``).
         distance: Code distance override for simulations.
         window: EPR look-ahead window.
     """
@@ -190,8 +188,7 @@ class GridSpec:
     inline_depths: tuple[Optional[int], ...] = (None,)
     regions: int = 4
     tech_name: str = "intermediate"
-    error_rate: Optional[float] = None
-    error_rates: Optional[tuple[Optional[float], ...]] = None
+    error_rates: tuple[Optional[float], ...] = (None,)
     distance: Optional[int] = None
     window: int = 64
 
@@ -205,11 +202,6 @@ class GridSpec:
             return (value,)
         return tuple(value)
 
-    def _error_rates(self) -> tuple[Optional[float], ...]:
-        if self.error_rates is not None:
-            return tuple(self.error_rates)
-        return (self.error_rate,)
-
     def expand(self) -> list[PointSpec]:
         """Cross product as normalized, deduplicated grid points."""
         specs: list[PointSpec] = []
@@ -217,7 +209,7 @@ class GridSpec:
         for app in self.apps:
             for size in self._app_sizes(app):
                 for inline_depth in self.inline_depths:
-                    for error_rate in self._error_rates():
+                    for error_rate in self.error_rates:
                         for policy in self.policies:
                             spec = PointSpec(
                                 app=app,

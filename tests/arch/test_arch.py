@@ -11,6 +11,7 @@ from repro.arch import (
     simd_schedule,
 )
 from repro.frontend import decompose_circuit
+from repro.network import simulate_plan
 from repro.partition import GridShape, Placement, circuit_layout
 from repro.partition import layout as layout_module
 from repro.qasm import Circuit
@@ -76,7 +77,7 @@ class TestTiledMachine:
 
     def test_simulate_runs(self, im_circuit):
         machine = build_tiled_machine(im_circuit, circuit_layout(im_circuit))
-        result = machine.simulate(6, distance=3)
+        result = simulate_plan(machine.plan(3), 6)
         assert result.operations == len(im_circuit)
         assert result.schedule_length >= result.critical_path
 
@@ -91,7 +92,7 @@ class TestTiledMachine:
         c = Circuit(qubits=["a"])
         c.apply("H", "a")
         machine = build_tiled_machine(c, circuit_layout(c))
-        result = machine.simulate(1, distance=3)
+        result = simulate_plan(machine.plan(3), 1)
         assert result.operations == 1
 
     def test_builds_around_the_placement_alone(self, no_partitioner):
@@ -105,7 +106,7 @@ class TestTiledMachine:
         # The placement's grid, whatever its shape, plus the ring.
         assert machine.grid == GridShape(4, 5)
         assert machine.placement.positions == {"a": (1, 3), "b": (2, 1)}
-        assert machine.simulate(6, distance=3).operations == 1
+        assert simulate_plan(machine.plan(3), 6).operations == 1
 
 
 class TestSimdSchedule:
@@ -190,6 +191,15 @@ class TestMultiSimdMachine:
         result = machine.epr_pipeline(schedule, distance=3, window=32)
         assert result.total_pairs > 0
         assert result.schedule_length >= result.ideal_length
+
+    def test_rejects_negative_window_in_logical_cycles(self, im_circuit):
+        # The message gives the window the caller passed, not the
+        # window scaled to error-correction cycles.
+        machine = build_multisimd_machine(
+            im_circuit, circuit_layout(im_circuit), regions=4
+        )
+        with pytest.raises(ValueError, match="logical cycles, got -1$"):
+            machine.epr_pipeline(machine.schedule(), distance=3, window=-1)
 
     def test_window_tradeoff_on_real_app(self, im_circuit):
         machine = build_multisimd_machine(

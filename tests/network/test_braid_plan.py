@@ -31,7 +31,6 @@ from repro.network import (
 from repro.network.plan import BraidPlan
 from repro.partition import GridShape, naive_layout
 from repro.qasm import Circuit
-from repro.qec import PLANAR
 from repro.runner import StageCache
 from repro.runner.stages import POLICIES, compute_frontend, compute_layout
 
@@ -135,28 +134,6 @@ class TestPlanImmutability:
                 config=BraidSimConfig(max_detour=2),
             )
 
-    @pytest.mark.parametrize(
-        "field",
-        ("circuit", "placement", "code", "factory_routers", "dag", "tasks"),
-    )
-    def test_plan_rejects_inputs_it_would_ignore(self, field):
-        # Zero-cycle local tasks with a plan used to run the plan's own
-        # tasks silently; every input a plan fixes is refused.
-        fe, machine = _contended_instance(StageCache())
-        plan = machine.plan(3, dag=fe.dag)
-        given = {
-            "circuit": machine.circuit,
-            "placement": machine.placement,
-            "code": PLANAR,
-            "factory_routers": machine.factory_routers,
-            "dag": fe.dag,
-            "tasks": [],
-        }
-        with pytest.raises(TypeError, match=field):
-            BraidSimulator(
-                policy=POLICIES[2], plan=plan, **{field: given[field]}
-            )
-
     def test_plan_rejects_mismatched_mesh_shape(self):
         # A mesh of another shape would take the plan's link ids and
         # report an impossible utilization instead of failing.
@@ -204,6 +181,20 @@ class TestPlanCallerMesh:
         ).run()
         assert again == first
         assert mesh.busy_links() == 0
+
+    @pytest.mark.parametrize("policy", (0, 5, 7, 8))
+    def test_second_run_repeats_the_first(self, plan, policy):
+        # A simulator's run state lives in run(), so one simulator can
+        # run again and starts fresh.
+        mesh = BraidMesh(plan.rows, plan.cols)
+        sim = BraidSimulator(plan=plan, policy=POLICIES[policy], mesh=mesh)
+        first = sim.run()
+        assert mesh.busy_links() == 0
+        assert mesh.occupied_mask == 0
+        second = sim.run()
+        assert mesh.busy_links() == 0
+        assert mesh.occupied_mask == 0
+        assert second == first == simulate_plan(plan, policy)
 
 
 class TestCallerClaims:
@@ -266,20 +257,11 @@ class TestPlanMemo:
         fe, machine = _contended_instance(cache)
         plan = machine.plan(3, dag=fe.dag)
         builds = plan_memo_stats()["builds"]
-        shared = [
-            machine.simulate(policy, 3, dag=fe.dag, plan=plan)
+        shared = [simulate_plan(plan, policy) for policy in range(7)]
+        assert plan_memo_stats()["builds"] == builds
+        fresh = [
+            simulate_plan(machine.plan(3, dag=fe.dag), policy)
             for policy in range(7)
         ]
-        assert plan_memo_stats()["builds"] == builds
-        fresh = [machine.simulate(policy, 3, dag=fe.dag) for policy in range(7)]
         assert plan_memo_stats()["builds"] - builds == 7
         assert shared == fresh
-
-    def test_explicit_plan_with_wrong_distance_rejected(self):
-        cache = StageCache()
-        fe, machine = _contended_instance(cache)
-        plan = machine.plan(3, dag=fe.dag)
-        with pytest.raises(ValueError, match="distance"):
-            machine.simulate(6, 9, plan=plan)
-        with pytest.raises(ValueError, match="distance"):
-            BraidSimulator(policy=POLICIES[6], distance=9, plan=plan)

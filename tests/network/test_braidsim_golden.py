@@ -112,7 +112,7 @@ class TestApplicationInstances:
         machine = build_tiled_machine(
             fe.circuit, compute_layout(cache, app, size, None, optimize)
         )
-        optimized = machine.simulate(POLICIES[policy], 3, dag=fe.dag)
+        optimized = simulate_plan(machine.plan(3, dag=fe.dag), policy)
         mesh = BraidMesh(machine.grid.rows, machine.grid.cols)
         reference = simulate_braids_reference(
             machine.circuit, machine.placement, mesh, policy, 3,
@@ -132,7 +132,9 @@ class TestApplicationInstances:
         machine = build_tiled_machine(
             fe.circuit, compute_layout(cache, "im", 8, None, True)
         )
-        optimized = machine.simulate(POLICIES[policy], distance, dag=fe.dag)
+        optimized = simulate_plan(
+            machine.plan(distance, dag=fe.dag), policy
+        )
         mesh = BraidMesh(machine.grid.rows, machine.grid.cols)
         reference = simulate_braids_reference(
             machine.circuit, machine.placement, mesh, policy, distance,

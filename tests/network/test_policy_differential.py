@@ -166,20 +166,29 @@ def _zero_cycle_tasks(plan):
 def _assert_zero_cycle_locals_match(plan, policy, config=None):
     """Flat vs the seed loop on tasks whose local ops finish at once."""
     tasks = _zero_cycle_tasks(plan)
-    flat, seed = (
-        cls(
-            plan.circuit,
-            plan.placement,
-            BraidMesh(plan.rows, plan.cols),
-            POLICIES[policy],
-            plan.distance,
-            code=plan.code,
-            factory_routers=plan.factory_routers,
-            config=config,
-            dag=plan.dag,
-            tasks=tasks,
-        )
-        for cls in (_TracingFlat, _TracingSeed)
+    zero_plan = BraidPlan.build(
+        plan.circuit,
+        plan.placement,
+        BraidMesh(plan.rows, plan.cols),
+        plan.code,
+        plan.distance,
+        plan.factory_routers,
+        plan.max_detour,
+        dag=plan.dag,
+        tasks=tasks,
+    )
+    flat = _TracingFlat(zero_plan, POLICIES[policy], config)
+    seed = _TracingSeed(
+        plan.circuit,
+        plan.placement,
+        BraidMesh(plan.rows, plan.cols),
+        POLICIES[policy],
+        plan.distance,
+        code=plan.code,
+        factory_routers=plan.factory_routers,
+        config=config,
+        dag=plan.dag,
+        tasks=tasks,
     )
     assert flat.run() == seed.run()
     assert flat.trace == seed.trace

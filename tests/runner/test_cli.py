@@ -72,6 +72,41 @@ class TestArgParsing:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["run", "sq", "--size", "2", "--window", "-1"],
+             "argument --window: must be >= 0, got -1"),
+            (["run", "sq", "--distance", "0"],
+             "argument --distance: must be >= 1, got 0"),
+            (["run", "sq", "--regions", "0"],
+             "argument --regions: must be >= 1, got 0"),
+            (["run", "sq", "--inline-depth", "-1"],
+             "argument --inline-depth: must be >= 0, got -1"),
+            (["run", "sq", "--distance", "five"],
+             "argument --distance: 'five' is not an integer"),
+            (["run", "sq", "--error-rate", "0.5"],
+             "argument --error-rate: physical error rate must be below"),
+            (["run", "sq", "--error-rate", "0"],
+             "argument --error-rate: physical_error_rate must be in (0, 1)"),
+            (["sweep", "--apps", "sq", "--error-rate", "0.5"],
+             "argument --error-rate: physical error rate must be below"),
+            (["sweep", "--apps", "sq", "--workers", "0"],
+             "argument --workers: must be >= 1, got 0"),
+            (["bench", "--workers", "0"],
+             "argument --workers: must be >= 1, got 0"),
+        ],
+    )
+    def test_malformed_point_option_exits_2(self, argv, message, capsys):
+        # argparse checks each value before anything runs, and the
+        # message names the flag and the value as typed.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err, captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
         "flag",
         [
             ["--max-attempts", "2"],

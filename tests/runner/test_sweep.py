@@ -84,16 +84,6 @@ class TestGridLists:
         ).expand()
         assert [s.error_rate for s in specs] == [1e-3, 1e-5, None]
 
-    def test_error_rates_override_scalar(self):
-        specs = GridSpec(
-            apps=("sq",),
-            sizes={"sq": 2},
-            policies=(6,),
-            error_rate=1e-4,
-            error_rates=(1e-3,),
-        ).expand()
-        assert [s.error_rate for s in specs] == [1e-3]
-
     def test_fig9_style_grid_in_one_spec(self):
         """Size lists x error-rate lists: the Figure 9 plane."""
         specs = GridSpec(
@@ -219,34 +209,13 @@ class TestPointSemantics:
         )
         assert point.distance == 3
 
-    def test_matches_toolflow(self):
-        """run_point must agree with the reference run_toolflow."""
-        from repro.core import run_toolflow
-        from repro.tech import INTERMEDIATE
-
-        flow = run_toolflow(
-            "sq", size=2, tech=INTERMEDIATE, policy=6, cache=StageCache()
-        )
-        point = run_point(
-            # run_toolflow always uses the interaction-aware layout.
-            PointSpec(app="sq", size=2, policy=6, optimize_layout=True),
-            StageCache(),
-        )
-        assert point.distance == flow.distance
-        assert point.braid == flow.braid_result
-        assert point.epr == flow.epr_result
-        assert point.planar == flow.planar_estimate
-        assert point.double_defect == flow.double_defect_estimate
-        assert point.preferred_code == flow.preferred_code
-
     def test_toolflow_shares_default_cache(self):
-        from repro.core import run_toolflow
         from repro.runner import reset_default_cache
 
         cache = reset_default_cache()
         try:
-            run_toolflow("sq", size=2, policy=6)
-            run_toolflow("sq", size=2, policy=1)
+            run_point(PointSpec(app="sq", size=2, policy=6))
+            run_point(PointSpec(app="sq", size=2, policy=1))
             assert cache.stats.computed("frontend") == 1
             assert cache.stats.computed("braid_sim") == 2
             assert cache.stats.computed("simd_epr") == 1

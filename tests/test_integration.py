@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.apps import build_circuit
 from repro.arch import build_tiled_machine
 from repro.frontend import decompose_circuit, estimate_circuit
-from repro.network import BraidMesh, simulate_braids
+from repro.network import BraidMesh, simulate_braids, simulate_plan
 from repro.partition import GridShape, circuit_layout, naive_layout
 from repro.qasm import Circuit, CircuitDag, parse_qasm, write_flat_qasm
 from repro.qec import DOUBLE_DEFECT, PLANAR, choose_distance, logical_error_rate
@@ -121,8 +121,8 @@ class TestModelSimConsistency:
         """The toolflow's braid result equals a direct machine sim."""
         circuit = decompose_circuit(build_circuit("im", 4))
         machine = build_tiled_machine(circuit, circuit_layout(circuit))
-        direct = machine.simulate(6, distance=3)
-        repeat = machine.simulate(6, distance=3)
+        direct = simulate_plan(machine.plan(3), 6)
+        repeat = simulate_plan(machine.plan(3), 6)
         # Determinism: identical runs give identical schedules.
         assert direct.schedule_length == repeat.schedule_length
         assert direct.mean_utilization == repeat.mean_utilization
